@@ -62,9 +62,10 @@ class CaseAnalysis {
   std::uint64_t fingerprint_ = 0;
 };
 
-/// Evaluates one cell in three-valued logic by enumerating the X
-/// inputs: returns a constant only if every completion agrees.
-/// Exposed for testing.
+/// Evaluates one cell in three-valued logic: an output is a constant
+/// only if every boolean completion of the X inputs agrees on it. Looks
+/// the outputs up in a per-kind 27-entry {0,1,X}^3 table built once
+/// from tech::Evaluate. Exposed for testing.
 void Evaluate3(tech::CellKind kind, const LogicV* in, LogicV* out);
 
 }  // namespace adq::netlist

@@ -89,6 +89,11 @@ class TraceSpan {
     prof_pushed_ = PushProfSpan(name);
   }
   TraceSpan(const char* name, std::string det) : TraceSpan(name) {
+    SetDetail(std::move(det));
+  }
+  /// Replaces args.detail, for details known only partway through the
+  /// span. No-op on an inert span.
+  void SetDetail(std::string det) {
     if (active_) detail_ = std::move(det);
   }
   ~TraceSpan() {
@@ -124,6 +129,7 @@ class TraceSpan {
  public:
   explicit TraceSpan(const char*) {}
   TraceSpan(const char*, const std::string&) {}
+  void SetDetail(const std::string&) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 };

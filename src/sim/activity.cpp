@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <tuple>
 
+#include "netlist/topo.h"
 #include "obs/obs.h"
 #include "sim/packed_sim.h"
 #include "sim/stimulus.h"
@@ -116,23 +118,39 @@ std::uint64_t StructuralDigest(std::string_view canon) {
   return h;
 }
 
-// (name, digest, canonical structure, zeroed_lsbs, cycles, seed,
-// kind): the canonical bytes make lookups full-key exact.
-using CacheKey = std::tuple<std::string, std::uint64_t, std::string, int,
-                            int, std::uint64_t, int>;
+// (zeroed_lsbs, cycles, seed, kind) of one profile of a structure.
+using ModeKey = std::tuple<int, int, std::uint64_t, int>;
 
-CacheKey MakeKey(const gen::Operator& op, std::uint64_t struct_hash,
-                 const std::string& canon, int zeroed_lsbs, int cycles,
-                 std::uint64_t seed, StimulusKind kind) {
-  return CacheKey(op.spec.name, struct_hash, canon, zeroed_lsbs, cycles,
-                  seed, static_cast<int>(kind));
+ModeKey MakeKey(int zeroed_lsbs, int cycles, std::uint64_t seed,
+                StimulusKind kind) {
+  return ModeKey(zeroed_lsbs, cycles, seed, static_cast<int>(kind));
 }
+
+/// Every profile cached for one operator structure. The canonical
+/// encoding is held once here, not copied into each profile's key;
+/// lookups compare it in full, so the cache stays full-key exact.
+struct StructureEntry {
+  std::string name;
+  std::string canon;
+  std::map<ModeKey, ActivityProfile> profiles;
+};
 
 struct ActivityCache {
   std::mutex mu;
-  std::map<CacheKey, ActivityProfile> entries;
+  // Structures by digest; two share a digest only on a hash collision.
+  std::multimap<std::uint64_t, StructureEntry> structures;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+
+  /// The entry of (name, digest, canon), or nullptr. Caller holds mu.
+  StructureEntry* Find(std::string_view name, std::uint64_t digest,
+                       std::string_view canon) {
+    const auto [lo, hi] = structures.equal_range(digest);
+    for (auto it = lo; it != hi; ++it)
+      if (it->second.name == name && it->second.canon == canon)
+        return &it->second;
+    return nullptr;
+  }
 };
 
 ActivityCache& TheCache() {
@@ -150,17 +168,102 @@ void CheckArgs(const gen::Operator& op, std::span<const int> zeroed_lsbs,
     ADQ_CHECK(zs >= 0 && zs <= op.spec.data_width);
 }
 
-/// Runs up to 64 accuracy modes through one packed simulation. Lane l
-/// carries zeroed_lsbs[min(l, n-1)]; stimulus is the shared base
-/// stream with a per-bus, per-bit lane keep mask applied, so lane l
-/// sees exactly what a scalar run for its mode would.
-std::vector<ActivityProfile> RunPackedChunk(
-    const gen::Operator& op, const std::vector<BusStream>& streams,
-    std::span<const int> zs, int cycles) {
+/// Register stages of a netlist: over every register, the fewest
+/// registers on any path from a primary input through it (a pipeline's
+/// depth; a feedback register counts once). Registers not reachable
+/// from an input are skipped.
+int RegisterStages(const netlist::Netlist& nl) {
+  // hops[n]: fewest registers crossed from a primary input to net n,
+  // -1 while unreached. Each pass settles the combinational cloud,
+  // then lets registers adopt one more hop; hops only ever shrink.
+  std::vector<int> hops(nl.num_nets(), -1);
+  for (const netlist::NetId pi : nl.primary_inputs()) hops[pi.index()] = 0;
+  std::vector<netlist::InstId> comb;
+  std::vector<netlist::InstId> regs;
+  for (const netlist::InstId id : netlist::TopologicalOrder(nl))
+    (nl.inst(id).is_sequential() ? regs : comb).push_back(id);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const netlist::InstId id : comb) {
+      const netlist::Instance& inst = nl.inst(id);
+      int h = -1;
+      for (int p = 0; p < inst.num_inputs(); ++p) {
+        const int in = hops[inst.in[static_cast<std::size_t>(p)].index()];
+        if (in >= 0 && (h < 0 || in < h)) h = in;
+      }
+      for (int o = 0; o < inst.num_outputs(); ++o)
+        hops[inst.out[static_cast<std::size_t>(o)].index()] = h;
+    }
+    for (const netlist::InstId id : regs) {
+      const netlist::Instance& inst = nl.inst(id);
+      const int d = hops[inst.in[0].index()];
+      int& q = hops[inst.out[0].index()];
+      if (d >= 0 && (q < 0 || d + 1 < q)) {
+        q = d + 1;
+        changed = true;
+      }
+    }
+  }
+  int stages = 0;
+  for (const netlist::InstId id : regs)
+    stages = std::max(stages, hops[nl.inst(id).out[0].index()]);
+  return stages;
+}
+
+/// Lanes [0, count) of a word.
+std::uint64_t LowLanes(int count) {
+  return count >= PackedLogicSim::kLanes ? ~0ULL : (1ULL << count) - 1ULL;
+}
+
+struct SlicedRun {
+  std::vector<ActivityProfile> profiles;  // one per mode
+  std::uint64_t seam_failures = 0;        // bit j: mode j must re-run
+};
+
+/// Simulates `zs.size()` accuracy modes in one packed run, split into
+/// `slices` time slices. Slice g occupies lanes [g*M, (g+1)*M) (lane
+/// g*M + j carries mode j, M = zs.size()) and counts transitions
+/// g*S+1 .. (g+1)*S of the cycles-1 transitions an unsliced run
+/// counts (S = ceil((cycles-1)/slices), the last slice ends early).
+/// Slices g >= 1 start `warmup` cycles before their window from the
+/// reset state, so one run takes about S + warmup + 1 ticks instead of
+/// `cycles`. Stimulus is the shared base stream with a per-bus, per-bit
+/// lane keep mask applied, so every lane sees exactly the inputs a
+/// scalar run of its mode sees at that cycle.
+///
+/// Seam check: a slice's counts are exact when its registers at cycle
+/// g*S equal those of slice g-1 at that cycle (inputs agree, so from
+/// there on the state agrees with the unsliced run; slice 0 starts
+/// from reset like the unsliced run, so by induction every slice
+/// whose seams all hold is exact). A mode whose registers differ at
+/// any seam is flagged in seam_failures. With slices == 1 there is no
+/// seam and the schedule is the unsliced run itself.
+SlicedRun RunPackedChunk(const gen::Operator& op,
+                         const std::vector<BusStream>& streams,
+                         std::span<const int> zs, int cycles, int slices,
+                         int warmup) {
   const netlist::Netlist& nl = op.nl;
-  const std::size_t lanes = zs.size();
-  ADQ_CHECK(lanes >= 1 &&
-            lanes <= static_cast<std::size_t>(PackedLogicSim::kLanes));
+  const int modes = static_cast<int>(zs.size());
+  ADQ_CHECK(modes >= 1 && slices >= 1 &&
+            modes * slices <= PackedLogicSim::kLanes);
+  const int last = cycles - 1;  // last counted transition
+  const int span = (last + slices - 1) / slices;
+  ADQ_CHECK((slices - 1) * span < last);  // no empty slice
+  const std::uint64_t mode_lanes = LowLanes(modes);
+  const auto lanes_of = [&](int g) { return mode_lanes << (g * modes); };
+
+  // Per slice: first simulated cycle and counted window, in ticks.
+  std::vector<int> start(static_cast<std::size_t>(slices));
+  std::vector<int> count_from(start.size());
+  std::vector<int> count_to(start.size());
+  int ticks = 0;
+  for (int g = 0; g < slices; ++g) {
+    const std::size_t gi = static_cast<std::size_t>(g);
+    start[gi] = std::max(0, g * span - warmup);
+    count_from[gi] = g * span + 1 - start[gi];
+    count_to[gi] = std::min((g + 1) * span, last) - start[gi];
+    ticks = std::max(ticks, count_to[gi] + 1);
+  }
 
   std::vector<std::vector<std::uint64_t>> keep(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {
@@ -169,42 +272,85 @@ std::vector<ActivityProfile> RunPackedChunk(
     if (!s.scalable) continue;
     for (int bit = 0; bit < s.bus->width(); ++bit) {
       std::uint64_t m = 0;
-      for (int l = 0; l < PackedLogicSim::kLanes; ++l) {
-        const int z =
-            zs[std::min(static_cast<std::size_t>(l), lanes - 1)];
-        if (bit >= z) m |= 1ULL << l;
-      }
-      keep[i][static_cast<std::size_t>(bit)] = m;
+      for (int j = 0; j < modes; ++j)
+        if (bit >= zs[static_cast<std::size_t>(j)]) m |= 1ULL << j;
+      std::uint64_t all = 0;
+      for (int g = 0; g < slices; ++g) all |= m << (g * modes);
+      keep[i][static_cast<std::size_t>(bit)] = all;
     }
   }
 
   PackedLogicSim sim(nl);
   sim.Reset();
-  for (int t = 0; t < cycles; ++t) {
+  std::vector<netlist::NetId> regs;
+  for (const netlist::Instance& inst : nl.instances())
+    if (inst.is_sequential()) regs.push_back(inst.out[0]);
+  // Register words at each seam cycle g*S: `seam_in` holds slice g's
+  // lanes (g >= 1), `seam_out` slice g-1's (in its own lanes).
+  std::vector<std::uint64_t> seam_in(regs.size(), 0);
+  std::vector<std::uint64_t> seam_out(regs.size(), 0);
+  const auto snapshot = [&](std::vector<std::uint64_t>& into,
+                            std::uint64_t lanes) {
+    for (std::size_t r = 0; r < regs.size(); ++r)
+      into[r] |= sim.LaneWord(regs[r]) & lanes;
+  };
+
+  std::vector<std::uint64_t> now(static_cast<std::size_t>(slices));
+  for (int t = 0; t < ticks; ++t) {
     for (std::size_t i = 0; i < streams.size(); ++i) {
-      const std::uint64_t v =
-          streams[i].data[static_cast<std::size_t>(t)];
+      // Past the stimulus end a slice only finishes the run uncounted
+      // and beyond its seams; it holds the last sample.
+      for (int g = 0; g < slices; ++g)
+        now[static_cast<std::size_t>(g)] = streams[i].data[
+            static_cast<std::size_t>(
+                std::min(start[static_cast<std::size_t>(g)] + t, last))];
       const std::vector<netlist::NetId>& bits = streams[i].bus->bits;
-      for (std::size_t b = 0; b < bits.size(); ++b)
-        sim.SetInput(bits[b], ((v >> b) & 1ULL) ? keep[i][b] : 0ULL);
+      for (std::size_t b = 0; b < bits.size(); ++b) {
+        std::uint64_t w = 0;
+        for (int g = 0; g < slices; ++g)
+          if ((now[static_cast<std::size_t>(g)] >> b) & 1ULL)
+            w |= lanes_of(g);
+        sim.SetInput(bits[b], w & keep[i][b]);
+      }
     }
-    sim.Tick();
+    std::uint64_t count = 0;
+    for (int g = 0; g < slices; ++g) {
+      const std::size_t gi = static_cast<std::size_t>(g);
+      if (t >= count_from[gi] && t <= count_to[gi]) count |= lanes_of(g);
+    }
+    sim.Tick(count);
+    for (int g = 0; g < slices; ++g) {
+      const std::size_t gi = static_cast<std::size_t>(g);
+      if (g > 0 && t == count_from[gi] - 1)
+        snapshot(seam_in, lanes_of(g));
+      if (g + 1 < slices && t == count_to[gi])
+        snapshot(seam_out, lanes_of(g));
+    }
   }
 
-  std::vector<ActivityProfile> out(lanes);
-  const double denom =
-      static_cast<double>(std::max<std::uint64_t>(1, sim.cycles()));
-  for (std::size_t j = 0; j < lanes; ++j) {
-    out[j].cycles = sim.cycles();
-    out[j].toggle_rate.resize(nl.num_nets(), 0.0);
-    for (std::size_t n = 0; n < nl.num_nets(); ++n)
-      out[j].toggle_rate[n] =
-          static_cast<double>(
-              sim.Toggles(netlist::NetId(static_cast<std::uint32_t>(n)),
-                          static_cast<int>(j))) /
-          denom;
+  SlicedRun run;
+  if (slices > 1) {
+    std::uint64_t diff = 0;
+    for (std::size_t r = 0; r < regs.size(); ++r)
+      diff |= seam_in[r] ^ (seam_out[r] << modes);
+    for (int g = 1; g < slices; ++g)
+      run.seam_failures |= (diff >> (g * modes)) & mode_lanes;
   }
-  return out;
+  run.profiles.resize(zs.size());
+  const double denom = static_cast<double>(last);
+  for (int j = 0; j < modes; ++j) {
+    ActivityProfile& prof = run.profiles[static_cast<std::size_t>(j)];
+    prof.cycles = static_cast<std::uint64_t>(last);
+    prof.toggle_rate.resize(nl.num_nets(), 0.0);
+    for (std::size_t n = 0; n < nl.num_nets(); ++n) {
+      const netlist::NetId net(static_cast<std::uint32_t>(n));
+      std::uint64_t toggles = 0;
+      for (int g = 0; g < slices; ++g)
+        toggles += sim.Toggles(net, g * modes + j);
+      prof.toggle_rate[n] = static_cast<double>(toggles) / denom;
+    }
+  }
+  return run;
 }
 
 }  // namespace
@@ -241,12 +387,57 @@ ActivityProfile ExtractActivityScalar(const gen::Operator& op,
   return prof;
 }
 
+int ActivitySlices(std::size_t modes, int cycles) {
+  ADQ_CHECK(modes >= 1 &&
+            modes <= static_cast<std::size_t>(PackedLogicSim::kLanes));
+  ADQ_CHECK(cycles >= 2);
+  const int transitions = cycles - 1;
+  const int fit = PackedLogicSim::kLanes / static_cast<int>(modes);
+  const int slices = std::min(fit, transitions);
+  const int span = (transitions + slices - 1) / slices;
+  return (transitions + span - 1) / span;  // drop empty trailing slices
+}
+
+std::vector<ActivityProfile> ExtractActivityPacked(
+    const gen::Operator& op, std::span<const int> zeroed_lsbs, int cycles,
+    std::uint64_t seed, StimulusKind kind, int* seam_fallbacks) {
+  static obs::Counter& fallbacks =
+      obs::GetCounter("sim.activity_seam_fallbacks");
+  CheckArgs(op, zeroed_lsbs, cycles);
+  const std::vector<BusStream> streams =
+      GenerateStreams(op, cycles, seed, kind);
+  const int warmup = RegisterStages(op.nl) + op.spec.accumulation_cycles;
+  std::vector<ActivityProfile> out;
+  out.reserve(zeroed_lsbs.size());
+  int fell_back = 0;
+  constexpr std::size_t kLanes = PackedLogicSim::kLanes;
+  for (std::size_t at = 0; at < zeroed_lsbs.size(); at += kLanes) {
+    const std::span<const int> zs =
+        zeroed_lsbs.subspan(at, std::min(zeroed_lsbs.size() - at, kLanes));
+    SlicedRun run = RunPackedChunk(op, streams, zs, cycles,
+                                   ActivitySlices(zs.size(), cycles), warmup);
+    if (run.seam_failures) {
+      // A single slice is the unsliced schedule: exact by construction.
+      std::vector<int> redo;
+      for (std::size_t j = 0; j < zs.size(); ++j)
+        if ((run.seam_failures >> j) & 1ULL) redo.push_back(zs[j]);
+      SlicedRun whole = RunPackedChunk(op, streams, redo, cycles, 1, warmup);
+      for (std::size_t j = 0, k = 0; j < zs.size(); ++j)
+        if ((run.seam_failures >> j) & 1ULL)
+          run.profiles[j] = std::move(whole.profiles[k++]);
+      fell_back += static_cast<int>(redo.size());
+    }
+    for (ActivityProfile& prof : run.profiles) out.push_back(std::move(prof));
+  }
+  fallbacks.Add(static_cast<std::uint64_t>(fell_back));
+  if (seam_fallbacks) *seam_fallbacks = fell_back;
+  return out;
+}
+
 std::vector<ActivityProfile> ExtractActivityBatch(
     const gen::Operator& op, std::span<const int> zeroed_lsbs, int cycles,
     std::uint64_t seed, StimulusKind kind) {
-  ADQ_TRACE_SCOPE2("sim.extract_activity_batch",
-                   op.spec.name + " modes=" +
-                       std::to_string(zeroed_lsbs.size()));
+  obs::TraceSpan span("sim.extract_activity_batch");
   static obs::Counter& extractions =
       obs::GetCounter("sim.activity_extractions");
   static obs::Counter& sim_cycles = obs::GetCounter("sim.activity_cycles");
@@ -258,57 +449,59 @@ std::vector<ActivityProfile> ExtractActivityBatch(
   extractions.Add(static_cast<std::uint64_t>(zeroed_lsbs.size()));
   sim_cycles.Add(static_cast<std::uint64_t>(cycles) * zeroed_lsbs.size());
 
-  const std::string canon = CanonicalStructure(op);
-  const std::uint64_t struct_hash = StructuralDigest(canon);
+  std::string canon = CanonicalStructure(op);
+  const std::uint64_t digest = StructuralDigest(canon);
   ActivityCache& cache = TheCache();
 
   // Find the modes not yet cached (deduplicated, first-seen order).
   std::vector<int> missing;
   {
     std::lock_guard<std::mutex> lock(cache.mu);
+    const StructureEntry* entry = cache.Find(op.spec.name, digest, canon);
     for (const int zs : zeroed_lsbs) {
-      const CacheKey key =
-          MakeKey(op, struct_hash, canon, zs, cycles, seed, kind);
-      if (!cache.entries.count(key) &&
+      const bool cached =
+          entry && entry->profiles.count(MakeKey(zs, cycles, seed, kind));
+      if (!cached &&
           std::find(missing.begin(), missing.end(), zs) == missing.end())
         missing.push_back(zs);
     }
   }
-
-  // Simulate the missing modes outside the lock, 64 lanes at a time.
-  if (!missing.empty()) {
-    const std::vector<BusStream> streams =
-        GenerateStreams(op, cycles, seed, kind);
-    std::vector<std::pair<int, ActivityProfile>> fresh;
-    fresh.reserve(missing.size());
-    for (std::size_t at = 0; at < missing.size();
-         at += static_cast<std::size_t>(PackedLogicSim::kLanes)) {
-      const std::size_t n =
-          std::min(missing.size() - at,
-                   static_cast<std::size_t>(PackedLogicSim::kLanes));
-      std::vector<ActivityProfile> profs = RunPackedChunk(
-          op, streams, std::span<const int>(missing).subspan(at, n),
-          cycles);
-      for (std::size_t j = 0; j < n; ++j)
-        fresh.emplace_back(missing[at + j], std::move(profs[j]));
-    }
-    std::lock_guard<std::mutex> lock(cache.mu);
-    for (auto& [zs, prof] : fresh)
-      cache.entries.try_emplace(
-          MakeKey(op, struct_hash, canon, zs, cycles, seed, kind),
-          std::move(prof));
+  if (obs::TraceEnabled()) {
+    const int slices =
+        missing.empty()
+            ? 0
+            : ActivitySlices(std::min(missing.size(),
+                                      static_cast<std::size_t>(
+                                          PackedLogicSim::kLanes)),
+                             cycles);
+    span.SetDetail(op.spec.name + " modes=" +
+                   std::to_string(zeroed_lsbs.size()) +
+                   " slices=" + std::to_string(slices));
   }
 
-  // Assemble results in request order; everything is cached now.
+  // Simulate the missing modes outside the lock.
+  std::vector<ActivityProfile> fresh;
+  if (!missing.empty())
+    fresh = ExtractActivityPacked(op, missing, cycles, seed, kind);
+
+  // Publish, then assemble results in request order.
   std::vector<ActivityProfile> out;
   out.reserve(zeroed_lsbs.size());
   std::uint64_t hits = 0;
   {
     std::lock_guard<std::mutex> lock(cache.mu);
+    StructureEntry* entry = cache.Find(op.spec.name, digest, canon);
+    if (!entry)
+      entry = &cache.structures
+                   .emplace(digest, StructureEntry{op.spec.name,
+                                                   std::move(canon), {}})
+                   ->second;
+    for (std::size_t j = 0; j < missing.size(); ++j)
+      entry->profiles.try_emplace(MakeKey(missing[j], cycles, seed, kind),
+                                  std::move(fresh[j]));
     for (const int zs : zeroed_lsbs) {
-      const auto it = cache.entries.find(
-          MakeKey(op, struct_hash, canon, zs, cycles, seed, kind));
-      ADQ_CHECK(it != cache.entries.end());
+      const auto it = entry->profiles.find(MakeKey(zs, cycles, seed, kind));
+      ADQ_CHECK(it != entry->profiles.end());
       out.push_back(it->second);
     }
     hits = zeroed_lsbs.size() - missing.size();
@@ -337,14 +530,16 @@ ActivityProfile ExtractActivity(const gen::Operator& op, int zeroed_lsbs,
 ActivityCacheStats GetActivityCacheStats() {
   ActivityCache& cache = TheCache();
   std::lock_guard<std::mutex> lock(cache.mu);
-  return ActivityCacheStats{cache.hits, cache.misses,
-                            cache.entries.size()};
+  std::uint64_t entries = 0;
+  for (const auto& [digest, entry] : cache.structures)
+    entries += entry.profiles.size();
+  return ActivityCacheStats{cache.hits, cache.misses, entries};
 }
 
 void ClearActivityCache() {
   ActivityCache& cache = TheCache();
   std::lock_guard<std::mutex> lock(cache.mu);
-  cache.entries.clear();
+  cache.structures.clear();
   cache.hits = 0;
   cache.misses = 0;
 }

@@ -70,14 +70,31 @@ ActivityProfile ExtractActivityScalar(
     std::uint64_t seed, StimulusKind kind = StimulusKind::kCorrelated);
 
 /// Extracts one profile per requested accuracy mode in a single
-/// bit-parallel simulation (chunks of up to 64 modes per run). Each
-/// returned profile is bit-identical to ExtractActivityScalar(op,
+/// bit-parallel simulation (ExtractActivityPacked). Each returned
+/// profile is bit-identical to ExtractActivityScalar(op,
 /// zeroed_lsbs[i], cycles, seed, kind). Populates and consults the
 /// process-wide cache; duplicate entries in `zeroed_lsbs` are
 /// simulated once.
 std::vector<ActivityProfile> ExtractActivityBatch(
     const gen::Operator& op, std::span<const int> zeroed_lsbs, int cycles,
     std::uint64_t seed, StimulusKind kind = StimulusKind::kCorrelated);
+
+/// Uncached packed engine behind ExtractActivityBatch: one profile
+/// per entry of `zeroed_lsbs` (duplicates get their own lanes), 64
+/// modes per run, each run time-sliced and seam-checked as described
+/// above. Every profile is bit-identical to ExtractActivityScalar.
+/// `seam_fallbacks`, if given, receives the number of modes
+/// re-simulated unsliced (also added to the counter
+/// sim.activity_seam_fallbacks).
+std::vector<ActivityProfile> ExtractActivityPacked(
+    const gen::Operator& op, std::span<const int> zeroed_lsbs, int cycles,
+    std::uint64_t seed, StimulusKind kind = StimulusKind::kCorrelated,
+    int* seam_fallbacks = nullptr);
+
+/// Time slices one packed run of `modes` (1..64) modes over `cycles`
+/// (>= 2) cycles uses: min(64 / modes, cycles - 1), less any slice the
+/// rounded-up slice length leaves empty.
+int ActivitySlices(std::size_t modes, int cycles);
 
 /// Counters for the process-wide activity cache (plain values, always
 /// maintained — independent of the obs metrics switch).

@@ -20,6 +20,20 @@ PackedLogicSim::PackedLogicSim(const netlist::Netlist& nl)
   for (const InstId id : netlist::TopologicalOrder(nl)) {
     if (!nl.inst(id).is_sequential()) order_.push_back(id);
   }
+  // Primary-input fan-out cone: one pass in topological order marks a
+  // cell when any of its inputs is a PI or a marked cell's output.
+  std::vector<bool> in_cone(nl.num_nets(), false);
+  for (const NetId pi : nl.primary_inputs()) in_cone[pi.index()] = true;
+  for (const InstId id : order_) {
+    const netlist::Instance& inst = nl.inst(id);
+    bool fed = false;
+    for (int p = 0; p < inst.num_inputs(); ++p)
+      fed = fed || in_cone[inst.in[p].index()];
+    if (!fed) continue;
+    pi_cone_.push_back(id);
+    for (int o = 0; o < inst.num_outputs(); ++o)
+      in_cone[inst.out[o].index()] = true;
+  }
   Settle();
 }
 
@@ -43,10 +57,12 @@ void PackedLogicSim::SetBus(const netlist::Bus& bus,
   }
 }
 
-void PackedLogicSim::Settle() {
+void PackedLogicSim::Settle() { Evaluate(order_); }
+
+void PackedLogicSim::Evaluate(std::span<const InstId> cells) {
   std::uint64_t in[tech::kMaxCellInputs];
   std::uint64_t out[tech::kMaxCellOutputs];
-  for (const InstId id : order_) {
+  for (const InstId id : cells) {
     const netlist::Instance& inst = nl_.inst(id);
     const int n_in = inst.num_inputs();
     ADQ_DCHECK(n_in <= tech::kMaxCellInputs);
@@ -58,11 +74,12 @@ void PackedLogicSim::Settle() {
   }
 }
 
-void PackedLogicSim::Tick() {
+void PackedLogicSim::Tick(std::uint64_t count_lanes) {
   static obs::Counter& ticks = obs::GetCounter("sim.packed_ticks");
   ticks.Add();
   // Mirror LogicSim::Tick: settle D pins, clock edge, settle anew.
-  Settle();
+  // Only the PI cone can be stale before the edge (see the header).
+  Evaluate(pi_cone_);
   for (const netlist::Instance& inst : nl_.instances()) {
     if (!inst.is_sequential()) continue;
     values_[inst.out[0].index()] = values_[inst.in[0].index()];
@@ -77,10 +94,12 @@ void PackedLogicSim::Tick() {
     // Ripple-carry the toggle words of U64::kWidth adjacent nets into
     // the counter planes at once; the carry chain dies as soon as no
     // net in the group still carries (integer ops, bit-exact).
+    const simd::U64 count_mask = simd::U64::Broadcast(count_lanes);
     std::size_t n = 0;
     for (; n + simd::U64::kWidth <= n_nets; n += simd::U64::kWidth) {
-      simd::U64 x = simd::Xor(simd::U64::Load(&values_[n]),
-                              simd::U64::Load(&prev_values_[n]));
+      simd::U64 x = simd::And(simd::Xor(simd::U64::Load(&values_[n]),
+                                        simd::U64::Load(&prev_values_[n])),
+                              count_mask);
       for (std::size_t p = 0; simd::AnyNonZero(x); ++p) {
         ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
         std::uint64_t* w = &planes_[p * n_nets + n];
@@ -91,7 +110,7 @@ void PackedLogicSim::Tick() {
       }
     }
     for (; n < n_nets; ++n) {
-      std::uint64_t x = values_[n] ^ prev_values_[n];
+      std::uint64_t x = (values_[n] ^ prev_values_[n]) & count_lanes;
       for (std::size_t p = 0; x; ++p) {
         ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
         std::uint64_t& w = planes_[p * n_nets + n];
@@ -178,13 +197,6 @@ std::uint64_t PackedLogicSim::ReadBus(const netlist::Bus& bus,
     if (Value(bus.bits[static_cast<std::size_t>(i)], lane))
       v |= 1ULL << i;
   return v;
-}
-
-std::uint64_t PackedLogicSim::Toggles(NetId net, int lane) const {
-  ADQ_DCHECK(lane >= 0 && lane < kLanes);
-  FlushCounters();
-  return lane_toggles_[net.index() * kLanes +
-                       static_cast<std::size_t>(lane)];
 }
 
 std::uint64_t PackedLogicSim::TotalToggles(NetId net) const {

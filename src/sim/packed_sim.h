@@ -17,7 +17,17 @@
 /// kCounterPlanes binary counter planes by ripple carry (amortized
 /// ~2 word ops per net), and the planes are flushed into plain 64-bit
 /// per-lane counters every 2^kCounterPlanes - 1 ticks — this is what
-/// keeps counting from costing 64x the evaluation work.
+/// keeps counting from costing 64x the evaluation work. A per-tick
+/// lane mask restricts which lanes count, so independent stimulus time
+/// slices can share one run and each count only inside its own window
+/// (the activity engine's slicing, sim/activity.cpp).
+///
+/// The pre-edge settle of Tick re-evaluates only the combinational
+/// cells in the primary-input fan-out cone, computed once at
+/// construction: every other combinational net depends only on
+/// register outputs and ties, which have not changed since the
+/// previous post-edge settle. The generated operators register every
+/// input, so their cone is empty.
 
 #include <cstdint>
 #include <span>
@@ -50,8 +60,10 @@ class PackedLogicSim {
   void Settle();
 
   /// Clock edge: DFF Q <= D in every lane, then re-settles. Counts
-  /// per-lane toggles exactly as LogicSim::Tick does per run.
-  void Tick();
+  /// per-lane toggles exactly as LogicSim::Tick does per run, in the
+  /// lanes set in `count_lanes`; the other lanes simulate but do not
+  /// count this tick's transitions.
+  void Tick(std::uint64_t count_lanes = ~0ULL);
 
   /// Resets all state registers to 0 in every lane and clears toggle
   /// statistics.
@@ -72,13 +84,23 @@ class PackedLogicSim {
   /// Number of value changes observed on `net` in `lane` at clock
   /// edges — identical to LogicSim::toggles()[net] for a scalar run
   /// over the same lane stimulus.
-  std::uint64_t Toggles(netlist::NetId net, int lane) const;
+  std::uint64_t Toggles(netlist::NetId net, int lane) const {
+    ADQ_DCHECK(lane >= 0 && lane < kLanes);
+    if (pending_) FlushCounters();
+    return lane_toggles_[net.index() * kLanes +
+                         static_cast<std::size_t>(lane)];
+  }
 
   /// Toggles summed across all 64 lanes (popcount accumulation).
   std::uint64_t TotalToggles(netlist::NetId net) const;
 
-  /// Clocked cycles counted per lane (same for every lane).
+  /// Clocked cycles after the baseline tick, whatever the lane masks
+  /// (with the default mask, every lane's counted cycles).
   std::uint64_t cycles() const { return cycles_; }
+
+  /// Number of combinational cells the pre-edge settle re-evaluates
+  /// (the primary-input fan-out cone).
+  std::size_t pre_edge_cells() const { return pi_cone_.size(); }
 
  private:
   /// Bit-sliced counter depth: flush period is 2^kCounterPlanes - 1
@@ -91,8 +113,12 @@ class PackedLogicSim {
   /// accessors trigger it lazily; only mutates the mutable counters.
   void FlushCounters() const;
 
+  /// Evaluates `cells` (a topologically ordered subset of order_).
+  void Evaluate(std::span<const netlist::InstId> cells);
+
   const netlist::Netlist& nl_;
   std::vector<netlist::InstId> order_;     // topological, comb only
+  std::vector<netlist::InstId> pi_cone_;   // order_ cells fed by a PI
   std::vector<std::uint64_t> values_;      // per net, 64 lanes
   std::vector<std::uint64_t> prev_values_; // per net, at last edge
   // Vertical counters: planes_[p * num_nets + n] holds bit p of every

@@ -14,8 +14,9 @@ using tech::CellKind;
 using tech::DriveStrength;
 
 TEST(Evaluate3, MatchesExhaustiveEnumeration) {
-  // For every kind and every 3-valued input assignment, Evaluate3 must
-  // equal the agreement of all boolean completions.
+  // For every kind and every 3-valued input assignment, Evaluate3's
+  // table lookup must equal the agreement of all boolean completions,
+  // enumerated here by brute force.
   for (int k = 0; k < tech::kNumCellKinds; ++k) {
     const auto kind = static_cast<CellKind>(k);
     const int n_in = tech::NumInputs(kind);

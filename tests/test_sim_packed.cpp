@@ -4,12 +4,15 @@
 /// of per-net toggle counts between PackedLogicSim-based batch
 /// extraction and the scalar LogicSim oracle across operators /
 /// stimulus kinds / accuracy modes, vertical-counter flush behavior
-/// on long runs, cache hit/miss accounting, and a determinism pin for
-/// cached exploration at several thread counts.
+/// on long runs, the time-sliced engine (bit-identity over mode counts
+/// and run lengths, the seam fallback on state that never converges),
+/// the primary-input pre-edge cone, cache hit/miss accounting, and a
+/// determinism pin for cached exploration at several thread counts.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/explore.h"
@@ -122,6 +125,84 @@ TEST(PackedLogicSim, MatchesScalarLogicSimTickForTick) {
   }
 }
 
+TEST(PackedLogicSim, PreEdgeConeMatchesScalarTickForTick) {
+  // Unregistered primary inputs feed logic into registers (a
+  // non-empty pre-edge cone) next to register-only logic outside it.
+  // Four lanes with distinct stimulus each match their own scalar run.
+  netlist::Netlist nl;
+  const auto a = nl.AddInputPort("a");
+  const auto b = nl.AddInputPort("b");
+  const auto c = nl.AddInputPort("c");
+  const auto q0 = nl.NewNet();
+  const auto q1 = nl.NewNet();
+  const auto n1 = nl.AddGate(CellKind::kAnd2, {a, q0});
+  const auto n2 = nl.AddGate(CellKind::kXor2, {n1, b});
+  const auto n3 = nl.AddGate(CellKind::kMux2, {n2, q1, c});
+  const auto n4 = nl.AddGate(CellKind::kXor2, {q0, q1});  // outside cone
+  const auto n5 = nl.AddGate(CellKind::kInv, {n4});       // outside cone
+  nl.AddCellWithOutputs(CellKind::kDff, tech::DriveStrength::kX1, {n3},
+                        {q0});
+  nl.AddCellWithOutputs(CellKind::kDff, tech::DriveStrength::kX1, {n5},
+                        {q1});
+  nl.AddOutputPort("y", nl.AddGate(CellKind::kDff, {n3}));
+  nl.Validate();
+
+  PackedLogicSim packed(nl);
+  EXPECT_EQ(packed.pre_edge_cells(), 3u);
+  constexpr int kRuns = 4;
+  std::vector<LogicSim> ref(kRuns, LogicSim(nl));
+  packed.Reset();
+  for (LogicSim& r : ref) r.Reset();
+  util::Rng rng(5);
+  for (int t = 0; t < 64; ++t) {
+    for (const netlist::NetId pi : {a, b, c}) {
+      const std::uint64_t w = rng.Word() & 0xFULL;
+      packed.SetInput(pi, w);
+      for (int l = 0; l < kRuns; ++l)
+        ref[static_cast<std::size_t>(l)].SetInput(pi, (w >> l) & 1ULL);
+    }
+    packed.Tick();
+    for (LogicSim& r : ref) r.Tick();
+    for (int l = 0; l < kRuns; ++l)
+      for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
+        ASSERT_EQ(ref[static_cast<std::size_t>(l)].Value(netlist::NetId(n)),
+                  packed.Value(netlist::NetId(n), l))
+            << "tick " << t << " lane " << l << " net " << n;
+  }
+  for (int l = 0; l < kRuns; ++l)
+    for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
+      EXPECT_EQ(ref[static_cast<std::size_t>(l)].toggles()[n],
+                packed.Toggles(netlist::NetId(n), l))
+          << "lane " << l << " net " << n;
+}
+
+TEST(PackedLogicSim, GeneratedOperatorsHaveEmptyPreEdgeCone) {
+  // Every generator registers its inputs, so Tick's pre-edge settle
+  // evaluates nothing on them.
+  for (const gen::Operator& op :
+       {gen::BuildBoothOperator(8), gen::BuildArrayMultOperator(8),
+        gen::BuildMacOperator(8), gen::BuildFirMacOperator(8),
+        gen::BuildButterflyOperator(8)})
+    EXPECT_EQ(PackedLogicSim(op.nl).pre_edge_cells(), 0u) << op.spec.name;
+}
+
+TEST(PackedLogicSim, CountMaskLimitsCountingToSelectedLanes) {
+  netlist::Netlist nl;
+  const auto d = nl.AddInputPort("d");
+  const auto q = nl.AddGate(CellKind::kDff, {d});
+  nl.AddOutputPort("q", q);
+  PackedLogicSim sim(nl);
+  sim.Reset();
+  for (int t = 0; t < 10; ++t) {
+    sim.SetInput(d, (t % 2) ? ~0ULL : 0ULL);
+    sim.Tick(t < 5 ? 0x1ULL : 0x2ULL);  // lane 0 first, then lane 1
+  }
+  EXPECT_EQ(sim.Toggles(q, 0), 4u);  // ticks 1..4 (tick 0 is baseline)
+  EXPECT_EQ(sim.Toggles(q, 1), 5u);  // ticks 5..9
+  EXPECT_EQ(sim.Toggles(q, 2), 0u);
+  EXPECT_EQ(sim.cycles(), 9u);
+}
+
 TEST(PackedLogicSim, VerticalCountersSurviveFlushBoundary) {
   // > 2^16 - 1 ticks forces at least one mid-run counter-plane flush;
   // lane-dependent stimulus checks the flush keeps lanes separate.
@@ -182,6 +263,111 @@ TEST(ActivityBatch, BitIdenticalToScalarOracleAcrossOperators) {
         EXPECT_EQ(batch[i].toggle_rate, scalar.toggle_rate);
       }
     }
+  }
+}
+
+// The sliced engine against the scalar oracle for every lane layout
+// that matters: one slice (33, 64 modes), several slices with unused
+// lanes left over (3, 5, 17, 21), exact fits (1, 2, 16, 32), and runs
+// too short for the slices to warm up (2, 3, 17 cycles). Modes repeat
+// across lanes (an 8-bit operator has 9), which the uncached engine
+// simulates lane by lane.
+TEST(ActivitySliced, BitIdenticalToScalarOracleAcrossLayouts) {
+  const gen::Operator ops[] = {
+      gen::BuildBoothOperator(8), gen::BuildArrayMultOperator(8),
+      gen::BuildMacOperator(8), gen::BuildFirMacOperator(8)};
+  const std::uint64_t kSeed = 17;
+  for (const gen::Operator& op : ops) {
+    for (const StimulusKind kind :
+         {StimulusKind::kUniform, StimulusKind::kCorrelated}) {
+      for (const int cycles : {2, 3, 17, 1024}) {
+        std::map<int, ActivityProfile> scalar;
+        for (int z = 0; z <= op.spec.data_width; ++z)
+          scalar[z] = ExtractActivityScalar(op, z, cycles, kSeed, kind);
+        for (const int modes : {1, 2, 3, 5, 16, 17, 21, 32, 33, 64}) {
+          std::vector<int> zs(static_cast<std::size_t>(modes));
+          for (int j = 0; j < modes; ++j)
+            zs[static_cast<std::size_t>(j)] =
+                (7 * j + modes) % (op.spec.data_width + 1);
+          SCOPED_TRACE(op.spec.name + " kind=" +
+                       std::to_string(static_cast<int>(kind)) +
+                       " cycles=" + std::to_string(cycles) +
+                       " modes=" + std::to_string(modes));
+          int fallbacks = -1;
+          const std::vector<ActivityProfile> packed =
+              ExtractActivityPacked(op, zs, cycles, kSeed, kind, &fallbacks);
+          // The derived warm-up converges on every generator.
+          EXPECT_EQ(fallbacks, 0);
+          ASSERT_EQ(packed.size(), zs.size());
+          for (std::size_t j = 0; j < zs.size(); ++j) {
+            EXPECT_EQ(packed[j].cycles, scalar.at(zs[j]).cycles);
+            ASSERT_EQ(packed[j].toggle_rate, scalar.at(zs[j]).toggle_rate)
+                << "lane mode " << j << " zs=" << zs[j];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ActivitySliced, SliceCounts) {
+  EXPECT_EQ(ActivitySlices(16, 1024), 4);  // the explorers' schedule
+  EXPECT_EQ(ActivitySlices(17, 2048), 3);
+  EXPECT_EQ(ActivitySlices(1, 1024), 64);
+  EXPECT_EQ(ActivitySlices(33, 1024), 1);
+  EXPECT_EQ(ActivitySlices(64, 1024), 1);
+  EXPECT_EQ(ActivitySlices(1, 2), 1);
+  EXPECT_EQ(ActivitySlices(2, 17), 16);
+  // 5 transitions over 4 slices round to 2 each: the fourth is empty.
+  EXPECT_EQ(ActivitySlices(16, 6), 3);
+  EXPECT_THROW(ActivitySlices(0, 1024), CheckError);
+  EXPECT_THROW(ActivitySlices(65, 1024), CheckError);
+}
+
+/// Registered 4-bit input a, state q' = q ^ a: q holds the parity of
+/// every past input, so a slice started from reset never converges to
+/// the unsliced state unless the skipped prefix happens to be even.
+gen::Operator ParityOperator() {
+  gen::Operator op;
+  op.spec.name = "parity4";
+  op.spec.scalable_buses = {"a"};
+  op.spec.data_width = 4;
+  const gen::Word a = gen::RegisteredInputBus(op.nl, "a", 4);
+  const gen::Word q = gen::StateRegisterOutputs(op.nl, 4);
+  gen::Word d;
+  for (std::size_t i = 0; i < q.size(); ++i)
+    d.push_back(op.nl.AddGate(CellKind::kXor2, {q[i], a[i]}));
+  gen::ConnectStateRegisters(op.nl, q, d);
+  gen::RegisteredOutputBus(op.nl, "q", q);
+  return op;
+}
+
+TEST(ActivitySliced, SeamFallbackKeepsNonConvergingStateExact) {
+  const gen::Operator op = ParityOperator();
+  const std::vector<int> zs = {0, 1, 2, 3, 4};
+  for (const StimulusKind kind :
+       {StimulusKind::kUniform, StimulusKind::kCorrelated}) {
+    SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)));
+#ifndef ADQ_OBS_DISABLED
+    obs::EnableMetrics(true);
+    obs::ResetMetrics();
+#endif
+    int fallbacks = 0;
+    const std::vector<ActivityProfile> packed =
+        ExtractActivityPacked(op, zs, 1024, 3, kind, &fallbacks);
+#ifndef ADQ_OBS_DISABLED
+    const obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+    obs::EnableMetrics(false);
+    EXPECT_EQ(snap.counters.at("sim.activity_seam_fallbacks"),
+              static_cast<std::uint64_t>(fallbacks));
+#endif
+    // Mode 4 zeroes every input bit: its parity stays 0 and converges.
+    EXPECT_GT(fallbacks, 0);
+    EXPECT_LT(fallbacks, 5);
+    for (std::size_t j = 0; j < zs.size(); ++j)
+      EXPECT_EQ(packed[j].toggle_rate,
+                ExtractActivityScalar(op, zs[j], 1024, 3, kind).toggle_rate)
+          << "zs=" << zs[j];
   }
 }
 
