@@ -1,53 +1,24 @@
 /// \file bench_sta_batch.cpp
-/// \brief Throughput study of the multi-mask STA engines:
+/// \brief Throughput study of the batched STA engine: masks/sec of
+/// TimingAnalyzer::AnalyzeBatch at several batch widths vs the scalar
+/// lane-by-lane Analyze baseline (the pre-batching exploration inner
+/// loop), with an in-run check that every batch lane reproduces its
+/// scalar report bit-for-bit (non-zero exit otherwise).
 ///
-///   1. masks/sec of TimingAnalyzer::AnalyzeBatch at several batch
-///      widths vs the scalar lane-by-lane Analyze baseline (the
-///      pre-batching exploration inner loop), with an in-run check
-///      that every batch lane reproduces its scalar report
-///      bit-for-bit;
-///   2. masks/sec of the incremental cone-bounded engine
-///      (sta::IncrementalSta) vs AnalyzeBatch on delta-structured
-///      workloads at batch width 16 on a 32-bit Booth, 3x3 grid — a
-///      Gray-code exhaustive sweep and a neighborhood-delta walk
-///      (Hamming <= 2 batches around a moving base point) over the 9
-///      placement domains (near-full cones: the incremental engine's
-///      worst case), plus a mode_walk over depth-bucketed domains
-///      where only the shallow output-stage domains are retuned (the
-///      runtime dynamic-accuracy pattern; small cones, the headline
-///      speedup) — with an in-run check that the incremental engine
-///      is bit-identical to the oracle on every lane it ever returns;
-///   3. the same three workloads on the adaptive dispatcher (the
-///      default engine configuration): predicted-dense calls route
-///      back to the vectorized batch engine, so every workload must
-///      hold a >= 1.0x floor vs dense batch while mode_walk keeps the
-///      incremental win (adaptive_speedup_* series, gated by
-///      benchdiff against BENCH_HISTORY.jsonl per SIMD backend).
-///
-/// Usage: bench_sta_batch [reps] [--smoke=SECONDS]
-///                        [--trace=f] [--metrics=f] [--progress]
-/// Defaults: reps = 0 (auto-calibrate to ~0.5 s per timed section).
-/// --smoke=S skips the timing study and instead runs S seconds of
-/// randomized incremental-vs-oracle differential checking (the CI
-/// gate), exiting nonzero on any bit mismatch.
+/// Usage: bench_sta_batch [reps] [--trace=f] [--metrics=f] [--progress]
+/// Defaults: reps = 0 (auto-calibrate to ~0.5 s of scalar work).
 ///
 /// Appends to the perf trajectory by writing BENCH_sta_batch.json
-/// (engine-tagged masks/sec rows; headline incremental_speedup_w16).
+/// (engine-tagged masks/sec rows; headline simd_masks_per_sec).
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
-#include <random>
 #include <vector>
 
 #include "common.h"
 #include "core/accuracy.h"
-#include "netlist/topo.h"
-#include "sta/incremental.h"
 #include "sta/sta.h"
 #include "util/table.h"
 
@@ -66,175 +37,12 @@ bool SameReport(const adq::sta::TimingReport& a,
          a.num_disabled_endpoints == b.num_disabled_endpoints;
 }
 
-/// A delta-structured batch workload: a fixed sequence of (vdd,
-/// masks-chunk) calls, replayable against either engine.
-struct DeltaWorkload {
-  const char* name;
-  std::vector<double> vdd_of_call;
-  std::vector<std::vector<adq::tech::DomainMask>> chunk_of_call;
-  /// Bias-domain map the workload's masks index into (set by the
-  /// caller; workloads on the same design may use different maps).
-  const std::vector<int>* domain_of = nullptr;
-
-  long TotalMasks() const {
-    long n = 0;
-    for (const auto& c : chunk_of_call) n += static_cast<long>(c.size());
-    return n;
-  }
-};
-
-/// Exhaustive 2^ndom sweep in Gray-code order, chunked at `width`,
-/// repeated per VDD: consecutive chunks differ in a handful of
-/// domains — the schedule core::ExploreSweep's delta ordering
-/// approximates.
-DeltaWorkload GraySweep(int ndom, std::size_t width,
-                        const std::vector<double>& vdds) {
-  DeltaWorkload w;
-  w.name = "gray_sweep";
-  const std::uint32_t nmasks = 1u << ndom;
-  for (const double vdd : vdds) {
-    for (std::uint32_t c = 0; c < nmasks; c += width) {
-      std::vector<adq::tech::DomainMask> chunk;
-      for (std::uint32_t i = c;
-           i < std::min<std::uint32_t>(c + width, nmasks); ++i)
-        chunk.push_back(i ^ (i >> 1));  // Gray code
-      w.vdd_of_call.push_back(vdd);
-      w.chunk_of_call.push_back(std::move(chunk));
-    }
-  }
-  return w;
-}
-
-/// Random walk of neighborhood batches: every lane within Hamming
-/// distance 2 of a moving base mask — the runtime-controller /
-/// frontier-refinement access pattern the incremental engine targets.
-/// `flip_bits` restricts which domains the walk may toggle (0 = all):
-/// the localized variants model a runtime accuracy controller that
-/// only reconfigures a subset of the bias domains.
-DeltaWorkload NeighborhoodWalk(int ndom, std::size_t width, int calls,
-                               double vdd, std::uint32_t seed,
-                               const char* name = "neighborhood",
-                               std::uint32_t flip_bits = 0) {
-  DeltaWorkload w;
-  w.name = name;
-  if (flip_bits == 0) flip_bits = (1u << ndom) - 1u;
-  std::vector<int> flips;
-  for (int d = 0; d < ndom; ++d)
-    if ((flip_bits >> d) & 1u) flips.push_back(d);
-  std::mt19937 rng(seed);
-  std::uint32_t base = rng() & ((1u << ndom) - 1u);
-  for (int k = 0; k < calls; ++k) {
-    std::vector<adq::tech::DomainMask> chunk(width);
-    for (adq::tech::DomainMask& m : chunk) {
-      m = base ^ (1u << flips[rng() % flips.size()]);
-      if (rng() % 2) m ^= 1u << flips[rng() % flips.size()];
-    }
-    w.vdd_of_call.push_back(vdd);
-    w.chunk_of_call.push_back(chunk);
-    base = chunk[width - 1];
-  }
-  return w;
-}
-
-/// Buckets instances into `ndom` bias domains by reverse logic depth
-/// (distance to the capture registers): domain 0 gets the registers
-/// plus the deepest input-side logic, the top domains the shallow
-/// output-stage cells whose fanout cones are a small slice of the
-/// design. This is the domain layout dynamic-accuracy operators tune
-/// at runtime — the output/rounding stages — and the regime where
-/// cone-bounded incremental STA pays off.
-std::vector<int> DepthDomains(const adq::netlist::Netlist& nl, int ndom) {
-  using adq::netlist::InstId;
-  const std::vector<InstId> order = adq::netlist::TopologicalOrder(nl);
-  std::vector<int> rlevel(nl.num_instances(), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const adq::netlist::Instance& inst = nl.inst(*it);
-    if (inst.is_sequential()) continue;
-    int r = 0;
-    for (int o = 0; o < inst.num_outputs(); ++o)
-      for (const adq::netlist::PinRef& s : nl.net(inst.out[o]).sinks)
-        if (!nl.inst(s.inst).is_sequential())
-          r = std::max(r, 1 + rlevel[s.inst.index()]);
-    rlevel[it->index()] = r;
-  }
-  // Raw reverse-level bucketing: domain ndom-1 holds the cells that
-  // feed registers directly (cone = themselves), ndom-2 one level up,
-  // ..., and domain 0 everything deeper plus the registers. The top
-  // domains are thin output-stage slices with genuinely small cones.
-  std::vector<int> dom(nl.num_instances(), 0);
-  for (const InstId id : order) {
-    if (nl.inst(id).is_sequential()) continue;  // registers: domain 0
-    dom[id.index()] = ndom - 1 - std::min(rlevel[id.index()], ndom - 1);
-  }
-  return dom;
-}
-
-/// S seconds of randomized differential checking: the CI smoke gate.
-int RunSmoke(double seconds) {
-  using namespace adq;
-  std::printf("smoke: %.3gs randomized incremental-vs-oracle "
-              "differential\n",
-              seconds);
-  const core::ImplementedDesign design =
-      bench::Implement(bench::kDesigns[0], {2, 2});
-  const int ndom = design.num_domains();
-  sta::IncrementalSta eng(design.op.nl, bench::Lib(), design.loads);
-  sta::TimingAnalyzer oracle(design.op.nl, bench::Lib(), design.loads);
-  const std::vector<double> vdds = {1.0, 0.9, 0.8, 0.7, 0.6};
-  std::vector<std::unique_ptr<const netlist::CaseAnalysis>> ca;
-  for (const int bw : {4, 8, 16})
-    ca.push_back(std::make_unique<const netlist::CaseAnalysis>(
-        design.op.nl, core::ForcedZeros(design.op, bw)));
-
-  std::mt19937 rng(20260808u);
-  std::uniform_int_distribution<int> dom(0, ndom - 1);
-  std::uniform_int_distribution<int> pct(0, 99);
-  double vdd = 0.8;
-  std::size_t cai = 1;
-  std::uint32_t base = 0;
-  long calls = 0, lanes = 0, mismatches = 0;
-  const auto t0 = Clock::now();
-  while (SecondsSince(t0) < seconds) {
-    if (pct(rng) < 10) vdd = vdds[rng() % vdds.size()];
-    if (pct(rng) < 10) cai = rng() % ca.size();
-    const std::size_t W = 1 + rng() % 16;
-    std::vector<tech::DomainMask> chunk(W);
-    for (tech::DomainMask& m : chunk) {
-      m = base ^ (1u << dom(rng));
-      if (rng() % 2) m ^= 1u << dom(rng);
-    }
-    const auto got = eng.AnalyzeBatch(vdd, design.clock_ns, chunk,
-                                      design.domain_of(), ca[cai].get());
-    const auto want = oracle.AnalyzeBatch(
-        vdd, design.clock_ns, chunk, design.domain_of(), ca[cai].get());
-    for (std::size_t l = 0; l < W; ++l)
-      if (!SameReport(got[l], want[l])) ++mismatches;
-    ++calls;
-    lanes += static_cast<long>(W);
-    base = chunk[0];
-  }
-  std::printf("smoke: %ld calls / %ld lanes checked, %ld mismatches "
-              "(%ld incremental hits, %ld fallbacks)\n",
-              calls, lanes, mismatches, eng.stats().incremental_hits,
-              eng.stats().full_fallbacks);
-  obs::Flush();
-  return mismatches == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace adq;
   bench::InitObs(argc, argv);
-  int reps = 0;
-  double smoke_s = -1.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--smoke=", 8) == 0)
-      smoke_s = std::atof(argv[i] + 8);
-    else
-      reps = std::atoi(argv[i]);
-  }
-  if (smoke_s >= 0.0) return RunSmoke(smoke_s);
+  int reps = argc > 1 ? std::atoi(argv[1]) : 0;
 
   std::printf("implementing 16-bit Booth, 2x2 grid\n");
   const core::ImplementedDesign design =
@@ -352,206 +160,11 @@ int main(int argc, char** argv) {
   }
   std::fputs(t.Render().c_str(), stdout);
   std::printf("\nbest batched speedup: %.2fx over scalar lane-by-lane "
-              "Analyze (simd backend: %s, f64 width %d)\n\n",
+              "Analyze (simd backend: %s, f64 width %d)\n",
               best_speedup, simd::kBackendName, simd::F64::kWidth);
   report.Num("best_speedup", best_speedup)
       .Num("simd_masks_per_sec", simd_masks_per_sec);
-
-  // --- Incremental engine on delta-structured workloads -----------------
-  // 32-bit Booth on a 3x3 grid (9 bias domains, 512 masks): the
-  // larger design is where cone-bounded reuse matters — full-sweep
-  // cost grows with the netlist while a localized delta's cone does
-  // not.
-  std::printf("implementing 32-bit Booth, 3x3 grid (incremental study)\n");
-  const core::ImplementedDesign d3 = [] {
-    core::FlowOptions fopt;
-    fopt.grid = {3, 3};
-    return core::RunImplementationFlow(gen::BuildBoothOperator(32),
-                                       bench::Lib(), fopt);
-  }();
-  const int ndom3 = d3.num_domains();
-  // Two incremental engines: `inc` with adaptive dispatch forced off
-  // (the pure cone-bounded path, comparable to the committed
-  // incremental_speedup_w16 history) and `adap` with the default
-  // adaptive dispatcher, which routes predicted-dense calls back to
-  // the vectorized batch engine — the configuration explore.cpp runs.
-  sta::IncrementalSta inc(d3.op.nl, bench::Lib(), d3.loads);
-  {
-    sta::DispatchOptions nd;
-    nd.adaptive = false;
-    inc.set_dispatch(nd);
-  }
-  sta::IncrementalSta adap(d3.op.nl, bench::Lib(), d3.loads);
-  sta::TimingAnalyzer oracle3(d3.op.nl, bench::Lib(), d3.loads);
-  const netlist::CaseAnalysis ca3(d3.op.nl, core::ForcedZeros(d3.op, 16));
-  constexpr std::size_t kIncWidth = 16;
-
-  // Depth-bucketed domains for the runtime mode-switching workload:
-  // the controller only retunes the shallow output-stage domains (the
-  // top quarter), so each delta dirties a small fanout cone.
-  const int ndom_depth = 12;
-  const std::vector<int> depth_dom = DepthDomains(d3.op.nl, ndom_depth);
-  const std::uint32_t out_stage_bits =
-      ((1u << ndom_depth) - 1u) ^ ((1u << (ndom_depth - 3)) - 1u);
-
-  std::vector<DeltaWorkload> workloads = {
-      GraySweep(ndom3, kIncWidth, vdds),
-      NeighborhoodWalk(ndom3, kIncWidth, 256, 0.8, 20260808u),
-      NeighborhoodWalk(ndom_depth, kIncWidth, 256, 0.8, 20260809u,
-                       "mode_walk", out_stage_bits),
-  };
-  workloads[0].domain_of = &d3.domain_of();
-  workloads[1].domain_of = &d3.domain_of();
-  workloads[2].domain_of = &depth_dom;
-
-  // Replays one workload against an engine; returns the wns sink.
-  auto replay_engine = [&](sta::IncrementalSta& eng,
-                           const DeltaWorkload& w) {
-    double sink = 0.0;
-    for (std::size_t k = 0; k < w.chunk_of_call.size(); ++k)
-      for (const sta::TimingReport& r :
-           eng.AnalyzeBatch(w.vdd_of_call[k], d3.clock_ns,
-                            w.chunk_of_call[k], *w.domain_of, &ca3))
-        sink += r.wns_ns;
-    return sink;
-  };
-  auto replay_inc = [&](const DeltaWorkload& w) {
-    return replay_engine(inc, w);
-  };
-  auto replay_adap = [&](const DeltaWorkload& w) {
-    return replay_engine(adap, w);
-  };
-  auto replay_batch = [&](const DeltaWorkload& w) {
-    double sink = 0.0;
-    for (std::size_t k = 0; k < w.chunk_of_call.size(); ++k)
-      for (const sta::TimingReport& r : oracle3.AnalyzeBatch(
-               w.vdd_of_call[k], d3.clock_ns, w.chunk_of_call[k],
-               *w.domain_of, &ca3))
-        sink += r.wns_ns;
-    return sink;
-  };
-
-  // Bit-identity gate: replay every workload once through BOTH
-  // incremental configurations, comparing every lane against the
-  // oracle — the adaptive dispatcher must be invisible in the values.
-  bool inc_identical = true;
-  for (sta::IncrementalSta* eng : {&inc, &adap})
-    for (const DeltaWorkload& w : workloads)
-      for (std::size_t k = 0; k < w.chunk_of_call.size(); ++k) {
-        const auto got =
-            eng->AnalyzeBatch(w.vdd_of_call[k], d3.clock_ns,
-                              w.chunk_of_call[k], *w.domain_of, &ca3);
-        const auto want = oracle3.AnalyzeBatch(
-            w.vdd_of_call[k], d3.clock_ns, w.chunk_of_call[k],
-            *w.domain_of, &ca3);
-        for (std::size_t l = 0; l < got.size(); ++l)
-          inc_identical = inc_identical && SameReport(got[l], want[l]);
-      }
-  std::printf("incremental + adaptive lanes bit-checked: %s\n",
-              inc_identical ? "identical" : "DIVERGE");
-
-  int inc_reps = reps;
-  {  // calibrate the (slower) batch side to ~0.3 s per trial
-    const auto t0 = Clock::now();
-    replay_batch(workloads[0]);
-    const double t1 = SecondsSince(t0);
-    inc_reps = std::min(200, std::max(1, static_cast<int>(0.3 / t1)));
-  }
-
-  util::Table ti({"workload", "engine", "wall [s]", "masks/s", "speedup",
-                  "cone%", "dense"});
-  // Best-of-N wall time per engine: on a loaded machine a single
-  // timed run is hostage to scheduler noise; the minimum over a few
-  // trials estimates the undisturbed cost of the same work.
-  constexpr int kTrials = 3;
-  double speedup_w16 = 0.0;
-  bool adaptive_floor_ok = true;
-  for (const DeltaWorkload& w : workloads) {
-    const double wl_masks =
-        static_cast<double>(w.TotalMasks()) * inc_reps;
-    const long v0 = inc.stats().visited_instances;
-    const long s0 = inc.stats().scanned_instances;
-    const long dense0 = adap.stats().dispatch_dense;
-    double t_batch = std::numeric_limits<double>::infinity();
-    double t_inc = std::numeric_limits<double>::infinity();
-    double t_adap = std::numeric_limits<double>::infinity();
-    // Interleaved trials: each round times all three engines on the
-    // same work back to back, so the per-engine minima are taken over
-    // comparable cache / scheduler conditions instead of three
-    // disjoint time blocks.
-    for (int trial = 0; trial < kTrials; ++trial) {
-      const auto tb = Clock::now();
-      for (int r = 0; r < inc_reps; ++r) replay_batch(w);
-      t_batch = std::min(t_batch, SecondsSince(tb));
-      const auto tn = Clock::now();
-      for (int r = 0; r < inc_reps; ++r) replay_inc(w);
-      t_inc = std::min(t_inc, SecondsSince(tn));
-      const auto ta = Clock::now();
-      for (int r = 0; r < inc_reps; ++r) replay_adap(w);
-      t_adap = std::min(t_adap, SecondsSince(ta));
-    }
-    const long dv =
-        (inc.stats().visited_instances - v0) / kTrials;
-    const long ds =
-        (inc.stats().scanned_instances - s0) / kTrials;
-    const long ddense =
-        (adap.stats().dispatch_dense - dense0) / (kTrials * inc_reps);
-    const double cone_pct =
-        ds > 0 ? 100.0 * static_cast<double>(dv) / static_cast<double>(ds)
-               : 0.0;
-    const double speedup = t_batch / t_inc;
-    const double adap_speedup = t_batch / t_adap;
-    if (std::strcmp(w.name, "mode_walk") == 0) speedup_w16 = speedup;
-    // The dispatcher's contract: never slower than the dense batch
-    // engine (it IS the dense engine plus a cheap predictor on the
-    // workloads where incremental re-propagation loses).
-    adaptive_floor_ok = adaptive_floor_ok && adap_speedup >= 1.0;
-    ti.AddRow({w.name, "batch", util::Table::Num(t_batch, 3),
-               util::Table::Num(wl_masks / t_batch, 0), "1.00", "", ""});
-    ti.AddRow({w.name, "incremental", util::Table::Num(t_inc, 3),
-               util::Table::Num(wl_masks / t_inc, 0),
-               util::Table::Num(speedup, 2),
-               util::Table::Num(cone_pct, 1), ""});
-    ti.AddRow({w.name, "adaptive", util::Table::Num(t_adap, 3),
-               util::Table::Num(wl_masks / t_adap, 0),
-               util::Table::Num(adap_speedup, 2), "",
-               std::to_string(ddense)});
-    report.Row("incremental")
-        .Str("workload", w.name)
-        .Str("engine", "incremental")
-        .Str("design", "booth32_3x3")
-        .Str("simd_backend", simd::kBackendName)
-        .Int("batch_width", static_cast<long long>(kIncWidth))
-        .Int("reps", inc_reps)
-        .Num("batch_wall_s", t_batch)
-        .Num("incremental_wall_s", t_inc)
-        .Num("adaptive_wall_s", t_adap)
-        .Num("batch_masks_per_sec", wl_masks / t_batch)
-        .Num("incremental_masks_per_sec", wl_masks / t_inc)
-        .Num("adaptive_masks_per_sec", wl_masks / t_adap)
-        .Num("cone_pct", cone_pct)
-        .Num("speedup", speedup)
-        .Num("adaptive_speedup", adap_speedup)
-        .Int("adaptive_dense_calls_per_replay", ddense);
-    report.Num(std::string("adaptive_speedup_") + w.name, adap_speedup);
-  }
-  std::fputs(ti.Render().c_str(), stdout);
-  std::printf("\nincremental speedup at width %zu (mode_walk "
-              "deltas): %.2fx over AnalyzeBatch\n",
-              kIncWidth, speedup_w16);
-  std::printf("adaptive dispatch floor (>= 1.00x on every workload): %s\n",
-              adaptive_floor_ok ? "ok" : "MISSED");
-  std::printf("cone stats: %ld visited / %ld scanned instances over "
-              "%ld hits (%ld fallbacks); adaptive engine: %ld hits, "
-              "%ld dense dispatches, %ld fallbacks\n",
-              inc.stats().visited_instances, inc.stats().scanned_instances,
-              inc.stats().incremental_hits, inc.stats().full_fallbacks,
-              adap.stats().incremental_hits, adap.stats().dispatch_dense,
-              adap.stats().full_fallbacks);
-  report.Bool("incremental_identical", inc_identical)
-      .Bool("adaptive_floor_ok", adaptive_floor_ok)
-      .Num("incremental_speedup_w16", speedup_w16);
   report.Write("sta_batch");
   obs::Flush();
-  return (identical && inc_identical) ? 0 : 1;
+  return identical ? 0 : 1;
 }

@@ -279,11 +279,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(ss.lookups),
         store->Flush() ? "ok" : "FAILED");
   }
-  // The --metrics snapshot accumulates over every exploration in the
-  // process (the main sweep plus both DVAS baselines); print the same
-  // totals so the two outputs reconcile exactly.
-  const core::ExplorationStats* all[] = {&ours.stats, &dvas_fbb.stats,
-                                         &dvas_nobb.stats};
+  // The --metrics explore.* counters accumulate over every exhaustive
+  // sweep in the process (the main sweep, unless the frontier engine
+  // ran it, plus both DVAS baselines); print the same totals so the
+  // two outputs reconcile exactly. Frontier counts are on their own
+  // `frontier:` line above (frontier.* counters).
+  std::vector<const core::ExplorationStats*> all = {&dvas_fbb.stats,
+                                                    &dvas_nobb.stats};
+  if (!use_frontier) all.insert(all.begin(), &ours.stats);
   core::ExplorationStats tot;
   for (const core::ExplorationStats* s : all) {
     tot.points_considered += s->points_considered;

@@ -4,18 +4,12 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
 
-#include "analysis/analysis.h"
-#include "core/accuracy.h"
+#include "core/mode_context.h"
 #include "obs/obs.h"
-#include "sta/incremental.h"
 #include "sta/sta.h"
-#include "util/thread_pool.h"
 
 namespace adq::core {
 
@@ -116,33 +110,27 @@ namespace {
 /// Greedy RBB demotion of the mode's best point (see ExploreOptions::
 /// enable_rbb_sleep). Serial by design: it mutates one point and its
 /// STA count, and its cost is O(ndom) next to the O(2^ndom) sweep.
-void RbbSleepPass(const ImplementedDesign& design,
-                  const power::PowerModel& pmodel,
-                  const std::vector<double>& dom_weight,
-                  sta::TimingAnalyzer& analyzer,
-                  const netlist::CaseAnalysis& ca,
-                  std::vector<BiasState>& bias, ModeResult& mode,
+void RbbSleepPass(const ImplementedDesign& design, ModeContext& ctx,
+                  const netlist::CaseAnalysis& ca, ModeResult& mode,
                   ExplorationStats& stats) {
   const netlist::Netlist& nl = design.op.nl;
   const int ndom = design.num_domains();
   ExploredPoint& best = mode.best;
-  auto rebuild_bias = [&]() {
-    for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-      bias[i] = best.DomainState(design.partition.domain_of[i]);
-  };
+  std::vector<BiasState> bias(nl.num_instances());
   for (int d = 0; d < ndom; ++d) {
     if (tech::MaskHas(best.mask, d)) continue;  // boosted domains stay
     best.rbb_mask |= tech::MaskBit(d);
-    rebuild_bias();
+    for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
+      bias[i] = best.DomainState(design.partition.domain_of[i]);
     ++stats.sta_runs;
     const sta::TimingReport rep =
-        analyzer.Analyze(best.vdd, design.clock_ns, bias, &ca);
+        ctx.analyzer(0).Analyze(best.vdd, design.clock_ns, bias, &ca);
     if (!rep.feasible()) best.rbb_mask &= ~tech::MaskBit(d);
   }
   double leak_w = 0.0;
   for (int d = 0; d < ndom; ++d)
-    leak_w += pmodel.DomainLeakageW(
-        dom_weight[static_cast<std::size_t>(d)], best.vdd,
+    leak_w += ctx.pmodel().DomainLeakageW(
+        ctx.dom_weight()[static_cast<std::size_t>(d)], best.vdd,
         best.DomainState(d));
   best.power.leakage_w = leak_w;
 }
@@ -173,107 +161,29 @@ struct BatchChunk {
   std::size_t count = 0;
 };
 
-/// The one exploration sweep. A 1-thread pool runs every ParallelFor
-/// inline on the caller, so there is no separate serial code path to
-/// keep in sync — bit-identity across num_threads holds by
-/// construction of the merge, not by duplicated logic.
+/// The one exploration sweep over the context's modes. A 1-thread
+/// pool runs every ParallelFor inline on the caller, so there is no
+/// separate serial code path to keep in sync — bit-identity across
+/// num_threads holds by construction of the merge, not by duplicated
+/// logic.
 ExplorationResult ExploreSweep(const ImplementedDesign& design,
-                               const tech::CellLibrary& lib,
                                const ExploreOptions& opt,
-                               const std::vector<int>& bitwidths,
                                const std::vector<tech::DomainMask>& masks,
-                               const power::PowerModel& pmodel,
-                               const std::vector<double>& dom_weight,
-                               int num_threads) {
-  const netlist::Netlist& nl = design.op.nl;
-  const int ndom = design.num_domains();
+                               ModeContext& ctx) {
   const std::vector<int>& domain_of = design.domain_of();
-  const bool incremental = opt.sta_engine == StaEngine::kIncremental;
-  std::size_t batch_width =
+  const std::vector<int>& bitwidths = ctx.bitwidths();
+  const std::size_t batch_width =
       static_cast<std::size_t>(opt.batch_width > 0 ? opt.batch_width : 8);
-  // The incremental engine tracks dirty lanes in 64-bit sets.
-  if (incremental)
-    batch_width = std::min(batch_width, sta::IncrementalSta::kMaxLanes);
   // Recorded infeasible points need their computed wns_ns, so the
   // dominance prune (which never computes one) must stand down.
   const bool mask_prune = opt.mask_pruning && !opt.keep_all_points;
 
-  util::ThreadPool pool(num_threads);
-  const int nworkers = pool.num_threads();
-
-  // Persistent-store context: resolved once per sweep (the canonical
-  // key encodes the whole implemented design). All lookups happen in
-  // the serial Phase A and all insertions in a serial post-B pass, so
-  // the store never sees concurrent traffic from this sweep and the
-  // sta_runs / store_hits split is deterministic.
-  store::ExplorationStore* const store = opt.store;
-  const int store_ctx =
-      store != nullptr ? store->Context(ExploreStoreKey(design)) : -1;
-
-  // Per-worker STA contexts: the analyzer reuses per-net scratch, so
-  // each worker owns an analyzer over the shared read-only netlist.
-  // Created lazily by the first point a worker claims (also spreading
-  // the construction cost across the pool).
-  std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
-      static_cast<std::size_t>(nworkers));
-  auto worker_analyzer = [&](int w) -> sta::TimingAnalyzer& {
-    auto& a = analyzer[static_cast<std::size_t>(w)];
-    if (!a)
-      a = std::make_unique<sta::TimingAnalyzer>(nl, lib, design.loads);
-    return *a;
-  };
-  // Incremental engines carry arrival state from chunk to chunk, so
-  // they are per-worker for the same reason the analyzers are.
-  std::vector<std::unique_ptr<sta::IncrementalSta>> inc_engine(
-      static_cast<std::size_t>(nworkers));
-  auto worker_incremental = [&](int w) -> sta::IncrementalSta& {
-    auto& e = inc_engine[static_cast<std::size_t>(w)];
-    if (!e)
-      e = std::make_unique<sta::IncrementalSta>(nl, lib, design.loads);
-    return *e;
-  };
-
-  // Lane naming for the trace viewer: each pool thread registers its
-  // stable worker index once (worker 0 is the calling thread).
-  auto name_lane = [](int w) {
-    if (!obs::TraceEnabled()) return;
-    thread_local bool named = false;
-    if (!named) {
-      obs::NameThisThreadLane("explore worker " + std::to_string(w));
-      named = true;
-    }
-  };
-
-  // Stage 1: per-mode constants. All bitwidths' activity profiles
-  // come from one bit-parallel simulation (one lane per accuracy
-  // mode), which also warms the process-wide activity cache; the
-  // remaining case analysis + switched energy are independent across
-  // bitwidths and stay on the pool.
-  std::vector<std::unique_ptr<const netlist::CaseAnalysis>> ca(
-      bitwidths.size());
-  std::vector<double> energy_fj(bitwidths.size(), 0.0);
-  {
-    ADQ_TRACE_SCOPE("explore.mode_constants");
-    std::vector<int> mode_lsbs(bitwidths.size());
-    for (std::size_t i = 0; i < bitwidths.size(); ++i)
-      mode_lsbs[i] = ZeroedLsbs(design.op, bitwidths[i]);
-    const std::vector<sim::ActivityProfile> acts =
-        sim::ExtractActivityBatch(design.op, mode_lsbs,
-                                  opt.activity_cycles, opt.seed,
-                                  opt.stimulus);
-    pool.ParallelFor(
-        static_cast<std::int64_t>(bitwidths.size()), 1,
-        [&](std::int64_t i, int w) {
-          name_lane(w);
-          const int bw = bitwidths[static_cast<std::size_t>(i)];
-          ca[static_cast<std::size_t>(i)] =
-              std::make_unique<const netlist::CaseAnalysis>(
-                  nl, ForcedZeros(design.op, bw));
-          energy_fj[static_cast<std::size_t>(i)] =
-              pmodel.SwitchedEnergyPerCycleFj(
-                  acts[static_cast<std::size_t>(i)]);
-        });
-  }
+  // Persistent store: all lookups happen in the serial Phase A and
+  // all insertions in a serial post-B pass, so the store never sees
+  // concurrent traffic from this sweep and the sta_runs / store_hits
+  // split is deterministic.
+  store::ExplorationStore* const store = ctx.store();
+  const int store_ctx = ctx.store_ctx();
 
   // Monotone-infeasibility table shared across shards, slot = lattice
   // index vi * |masks| + mi. A worker that proves (vdd, mask)
@@ -310,7 +220,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
           .push_back(mi);
   }
 
-  // Stage 2: per bitwidth (ascending, so pruning sees every smaller
+  // Per bitwidth (ascending, so pruning sees every smaller
   // mode), shard the (VDD, mask) lattice in batched chunks, then
   // merge serially.
   ExplorationResult result;
@@ -325,7 +235,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   std::vector<BatchChunk> chunks;
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = *ca[bi];
+    const netlist::CaseAnalysis& bca = ctx.case_analysis(bi);
 
     ADQ_TRACE_SCOPE2("explore.bitwidth", std::to_string(bw));
     obs::ProgressReporter prog("explore bw=" + std::to_string(bw),
@@ -381,8 +291,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
               r.wns_ns = wns;
               if (feas) {
                 r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = MaskLeakageW(pmodel, dom_weight, ndom,
-                                        opt.vdds[vi], masks[mi]);
+                r.leak_w = ctx.LeakageW(opt.vdds[vi], masks[mi]);
               } else {
                 r.kind = PointRecord::Kind::kInfeasible;
                 dead[slot].store(1, std::memory_order_release);
@@ -394,34 +303,6 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
           lane_mi.push_back(mi);
           lane_masks.push_back(masks[mi]);
         }
-        // Delta schedule for the incremental engine: greedily chain
-        // the row's surviving masks by Hamming adjacency, so each
-        // lane differs from its predecessor in few domains and the
-        // engine's dirty cones stay small. Runs in this serial phase
-        // and is a pure function of the surviving set (deterministic
-        // nearest-neighbor with smallest-mi tie-break), so the chunk
-        // contents — and therefore results, which are slot-addressed
-        // and merged in lattice order — are identical at every thread
-        // count. O(n^2) greedy, so bounded; rows beyond the bound keep
-        // the ascending-mi order (correct, just less local).
-        constexpr std::size_t kMaxDeltaSort = 4096;
-        const std::size_t row_end = lane_mi.size();
-        if (incremental && row_end - row_begin > 2 &&
-            row_end - row_begin <= kMaxDeltaSort) {
-          for (std::size_t a = row_begin + 1; a + 1 < row_end; ++a) {
-            std::size_t best = a;
-            int best_d = std::popcount(lane_masks[a - 1] ^ lane_masks[a]);
-            for (std::size_t b = a + 1; b < row_end; ++b) {
-              const int d = std::popcount(lane_masks[a - 1] ^ lane_masks[b]);
-              if (d < best_d || (d == best_d && lane_mi[b] < lane_mi[best])) {
-                best_d = d;
-                best = b;
-              }
-            }
-            std::swap(lane_masks[a], lane_masks[best]);
-            std::swap(lane_mi[a], lane_mi[best]);
-          }
-        }
         for (std::size_t c = row_begin; c < lane_mi.size();
              c += batch_width)
           chunks.push_back(
@@ -431,23 +312,18 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
       // Phase B (parallel): one AnalyzeBatch per chunk; lanes write
       // their own slots. The ParallelFor barrier makes every verdict
       // of this level visible before the next level classifies.
-      pool.ParallelFor(
+      ctx.pool().ParallelFor(
           static_cast<std::int64_t>(chunks.size()), 1,
           [&](std::int64_t idx, int w) {
-            name_lane(w);
+            ctx.NameLane(w);
             const BatchChunk& c = chunks[static_cast<std::size_t>(idx)];
             const double vdd = opt.vdds[c.vi];
             obs::TraceSpan batch_span("sta.batch");
             const std::span<const tech::DomainMask> chunk_masks(
                 lane_masks.data() + c.begin, c.count);
             const std::vector<sta::TimingReport> reps =
-                incremental
-                    ? worker_incremental(w).AnalyzeBatch(
-                          vdd, design.clock_ns, chunk_masks, domain_of,
-                          &bca)
-                    : worker_analyzer(w).AnalyzeBatch(
-                          vdd, design.clock_ns, chunk_masks, domain_of,
-                          &bca);
+                ctx.analyzer(w).AnalyzeBatch(vdd, design.clock_ns,
+                                             chunk_masks, domain_of, &bca);
             for (std::size_t l = 0; l < c.count; ++l) {
               const std::size_t mi = lane_mi[c.begin + l];
               const std::size_t slot = c.vi * nm + mi;
@@ -458,8 +334,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
                 dead[slot].store(1, std::memory_order_release);
               } else {
                 r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = MaskLeakageW(pmodel, dom_weight, ndom, vdd,
-                                        masks[mi]);
+                r.leak_w = ctx.LeakageW(vdd, masks[mi]);
               }
               prog.Tick();
             }
@@ -494,11 +369,11 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     // and batch width, so the result is bit-identical across both.
     ModeResult mode;
     mode.bitwidth = bw;
-    mode.switched_energy_fj = energy_fj[bi];
+    mode.switched_energy_fj = ctx.switched_energy_fj(bi);
     for (std::size_t vi = 0; vi < nv; ++vi) {
       const double vdd = opt.vdds[vi];
       const double dyn_w = power::PowerModel::DynamicW(
-          energy_fj[bi], vdd, design.fclk_ghz());
+          ctx.switched_energy_fj(bi), vdd, design.fclk_ghz());
       for (std::size_t mi = 0; mi < nm; ++mi) {
         const PointRecord& r = rec[vi * nm + mi];
         ++result.stats.points_considered;
@@ -547,26 +422,10 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
       }
     }
 
-    if (opt.enable_rbb_sleep && mode.has_solution) {
-      std::vector<BiasState> bias(nl.num_instances());
-      // The sleep pass needs a scalar Analyze; reuse the incremental
-      // engine's oracle instead of constructing a second analyzer.
-      sta::TimingAnalyzer& scalar =
-          incremental ? worker_incremental(0).oracle() : worker_analyzer(0);
-      RbbSleepPass(design, pmodel, dom_weight, scalar, bca, bias, mode,
-                   result.stats);
-    }
+    if (opt.enable_rbb_sleep && mode.has_solution)
+      RbbSleepPass(design, ctx, bca, mode, result.stats);
 
     result.modes.push_back(mode);
-  }
-
-  // Fold the per-worker engine telemetry (schedule-dependent at
-  // num_threads > 1; see ExplorationStats).
-  for (const auto& e : inc_engine) {
-    if (!e) continue;
-    result.stats.sta_incremental_hits += e->stats().incremental_hits;
-    result.stats.sta_full_fallbacks += e->stats().full_fallbacks;
-    result.stats.sta_dispatch_dense += e->stats().dispatch_dense;
   }
   return result;
 }
@@ -588,12 +447,6 @@ void RecordExploreMetrics(const ExplorationResult& r, double seconds) {
   obs::GetCounter("explore.static_mode_prunes")
       .Add(r.stats.static_mode_prunes);
   obs::GetCounter("explore.feasible").Add(r.stats.feasible);
-  obs::GetCounter("explore.sta_incremental_hits")
-      .Add(r.stats.sta_incremental_hits);
-  obs::GetCounter("explore.sta_full_fallbacks")
-      .Add(r.stats.sta_full_fallbacks);
-  obs::GetCounter("explore.sta_dispatch_dense")
-      .Add(r.stats.sta_dispatch_dense);
   obs::GetGauge("explore.wall_s").Add(seconds);
   if (seconds > 0.0)
     obs::GetGauge("explore.points_per_sec")
@@ -614,7 +467,6 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
                                      const ExploreOptions& opt) {
   ADQ_TRACE_SCOPE("explore");
   const auto obs_t0 = std::chrono::steady_clock::now();
-  const netlist::Netlist& nl = design.op.nl;
   const int ndom = design.num_domains();
   ADQ_CHECK_MSG(ndom >= 1 && ndom <= tech::kMaxDomains,
                 "domain count " << ndom << " outside [1, "
@@ -629,51 +481,6 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
         " = " + std::to_string(kMaxExhaustiveDomains) +
         "); restrict ExploreOptions::masks or use core::FrontierExplore");
 
-  // Signoff lint gate (shared with the flow and the frontier engine):
-  // exploring a corrupt netlist fails here, loudly, instead of deep
-  // inside a worker. Off by default.
-  SignoffLint(design, lib, opt.lint);
-
-  std::vector<int> bitwidths = opt.bitwidths;
-  if (bitwidths.empty()) {
-    for (int b = 1; b <= design.op.spec.data_width; ++b)
-      bitwidths.push_back(b);
-  }
-  std::sort(bitwidths.begin(), bitwidths.end());
-
-  // Static-prune stage: modes whose *proved* worst-case error bound
-  // (analysis::AccuracyAnalyzer — interval analysis of the validated
-  // word model, taint fallback otherwise) already violates the
-  // quality target are decided right here, with zero simulation and
-  // zero STA. The analyzer bound is sound (pinned against
-  // PackedLogicSim by tests/test_analysis_soundness), so a pruned
-  // mode could never have satisfied the target; surviving modes are
-  // swept exactly as before, and the per-mode activity extraction is
-  // a pure per-mode function, so their results are bit-identical to
-  // an unpruned run (tests/test_static_prune).
-  std::optional<analysis::AccuracyAnalyzer> quality;
-  const bool quality_finite = std::isfinite(opt.quality_max_abs_error);
-  if (quality_finite) quality.emplace(design.op);
-  std::vector<ModeResult> statically_pruned;
-  if (quality_finite && opt.static_prune) {
-    ADQ_TRACE_SCOPE("explore.static_prune");
-    std::vector<int> kept;
-    kept.reserve(bitwidths.size());
-    for (int bw : bitwidths) {
-      const double bound = quality->ProvedMaxAbsError(bw);
-      if (bound > opt.quality_max_abs_error) {
-        ModeResult m;
-        m.bitwidth = bw;
-        m.proved_max_abs_error = bound;
-        m.statically_pruned = true;
-        statically_pruned.push_back(m);
-      } else {
-        kept.push_back(bw);
-      }
-    }
-    bitwidths = std::move(kept);
-  }
-
   std::vector<tech::DomainMask> masks = opt.masks;
   if (masks.empty()) {
     const tech::DomainMask full = tech::FullMask(ndom);
@@ -681,48 +488,23 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
     for (tech::DomainMask m = 0; m <= full; ++m) masks.push_back(m);
   }
 
-  // Per-domain leakage weights: leakage of a mask is a ndom-term sum.
-  power::PowerModel pmodel(nl, lib, design.loads);
-  const std::vector<double> dom_weight =
-      pmodel.LeakWeightByDomain(design.partition.domain_of, ndom);
+  // Lint gate, mode list, static prune, power model, store context
+  // and mode constants: the setup shared with the frontier engine.
+  ModeContext ctx(ModeContext::Engine::kExhaustive, design, lib, opt);
 
-  const int num_threads = util::ResolveNumThreads(opt.num_threads);
-  // Every mode may have been statically pruned; the sweep (and its
-  // batched activity extraction) requires at least one mode, so skip
-  // it entirely in that case.
+  // Every mode may have been statically pruned; then there is nothing
+  // to sweep and the lattice tables are not worth allocating.
   ExplorationResult result;
-  if (!bitwidths.empty())
-    result = ExploreSweep(design, lib, opt, bitwidths, masks, pmodel,
-                          dom_weight, num_threads);
-
-  if (quality_finite) {
-    // Annotate swept modes with their proved bound; with the
-    // static-prune stage disabled, apply the same verdicts post-hoc
-    // so the returned modes are bit-identical either way (only the
-    // stats — and the wall time — differ).
-    for (ModeResult& m : result.modes) {
-      const double bound = quality->ProvedMaxAbsError(m.bitwidth);
-      if (!opt.static_prune && bound > opt.quality_max_abs_error) {
-        ModeResult repl;
-        repl.bitwidth = m.bitwidth;
-        repl.proved_max_abs_error = bound;
-        repl.statically_pruned = true;
-        m = repl;
-      } else {
+  if (!ctx.bitwidths().empty())
+    result = ExploreSweep(design, opt, masks, ctx);
+  result.stats.static_mode_prunes =
+      ctx.FinishModes(&result.modes, [](int bw, double bound) {
+        ModeResult m;
+        m.bitwidth = bw;
         m.proved_max_abs_error = bound;
-      }
-    }
-    if (!statically_pruned.empty()) {
-      result.stats.static_mode_prunes =
-          static_cast<long>(statically_pruned.size());
-      for (ModeResult& m : statically_pruned)
-        result.modes.push_back(std::move(m));
-      std::sort(result.modes.begin(), result.modes.end(),
-                [](const ModeResult& a, const ModeResult& b) {
-                  return a.bitwidth < b.bitwidth;
-                });
-    }
-  }
+        m.statically_pruned = true;
+        return m;
+      });
   RecordExploreMetrics(
       result, std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - obs_t0)

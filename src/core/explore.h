@@ -122,14 +122,6 @@ struct ExplorationStats {
                                 ///< enter points_considered, so the
                                 ///< identity above still holds.
   long feasible = 0;
-  // Incremental-engine telemetry (zero under StaEngine::kBatch).
-  // Unlike every field above, these depend on which worker served
-  // which chunk, so they are deterministic only at num_threads == 1;
-  // they never influence modes, points or the fields above.
-  long sta_incremental_hits = 0;  ///< engine calls served from cone state
-  long sta_full_fallbacks = 0;    ///< engine calls that ran a full sweep
-  long sta_dispatch_dense = 0;    ///< engine calls the adaptive dispatcher
-                                  ///< routed to the dense batch path
 
   double FilterRate() const {
     return points_considered == 0
@@ -145,16 +137,6 @@ struct ExplorationResult {
   std::vector<ExploredPoint> all_points;  ///< if keep_all_points
 
   const ModeResult& Mode(int bitwidth) const;
-};
-
-/// Which STA engine evaluates the (VDD, mask) lattice. Both produce
-/// bit-identical ExplorationResults (the incremental engine's
-/// contract, pinned by tests/test_sta_incremental); they differ only
-/// in throughput and in the sta_incremental_hits / sta_full_fallbacks
-/// telemetry.
-enum class StaEngine {
-  kBatch,        ///< full traversal per chunk (TimingAnalyzer)
-  kIncremental,  ///< cone-bounded reuse across chunks (IncrementalSta)
 };
 
 struct ExploreOptions {
@@ -183,15 +165,8 @@ struct ExploreOptions {
   /// Lanes per batched STA call (sta::TimingAnalyzer::AnalyzeBatch):
   /// one topological traversal serves this many masks. 0 or negative
   /// selects the default (8). Any value yields bit-identical results;
-  /// only throughput changes. The incremental engine clamps this to
-  /// sta::IncrementalSta::kMaxLanes (64).
+  /// only throughput changes.
   int batch_width = 8;
-  /// STA engine for the lattice sweep (see StaEngine). The default is
-  /// the incremental engine: the sweep is scheduled so consecutive
-  /// chunks are Hamming-adjacent, which is exactly the locality the
-  /// cone-bounded engine converts into speedup. kBatch keeps the PR-3
-  /// behavior (one full traversal per chunk).
-  StaEngine sta_engine = StaEngine::kIncremental;
   /// RBB sleep post-pass (extension beyond the paper's 2-state
   /// exploration): after the best (VDD, FBB mask) is found for a
   /// mode, domains still at NoBB are greedily demoted to reverse

@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <numeric>
-#include <optional>
 #include <queue>
 #include <set>
 #include <string>
 #include <utility>
 
-#include "analysis/analysis.h"
-#include "core/accuracy.h"
 #include "core/band_optimizer.h"
+#include "core/mode_context.h"
 #include "obs/obs.h"
 #include "sta/sta.h"
-#include "util/thread_pool.h"
 
 namespace adq::core {
 
@@ -41,7 +36,6 @@ ExplorationResult FrontierResult::ToExplorationResult() const {
     mr.proved_max_abs_error = m.proved_max_abs_error;
     mr.statically_pruned = m.statically_pruned;
     out.modes.push_back(mr);
-    if (m.has_solution) ++out.stats.feasible;
   }
   out.stats.sta_runs = stats.sta_runs;
   out.stats.store_hits = stats.store_hits;
@@ -146,7 +140,6 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
                                const FrontierOptions& opt) {
   ADQ_TRACE_SCOPE("frontier");
   const auto obs_t0 = std::chrono::steady_clock::now();
-  const netlist::Netlist& nl = design.op.nl;
   const int ndom = design.num_domains();
   const std::vector<int>& domain_of = design.domain_of();
   ADQ_CHECK_MSG(ndom >= 1 && ndom <= tech::kMaxDomains,
@@ -154,106 +147,15 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
                                 << tech::kMaxDomains << "]");
   ADQ_CHECK(!opt.vdds.empty());
 
-  // Same signoff lint gate as the flow and the exhaustive engine.
-  SignoffLint(design, lib, opt.lint);
-
-  std::vector<int> bitwidths = opt.bitwidths;
-  if (bitwidths.empty()) {
-    for (int b = 1; b <= design.op.spec.data_width; ++b)
-      bitwidths.push_back(b);
-  }
-  std::sort(bitwidths.begin(), bitwidths.end());
-
-  // Static-prune stage — the admissible accuracy bound of the B&B.
-  // analysis::AccuracyAnalyzer proves a sound per-mode error bound;
-  // a mode whose bound violates the quality target has an empty
-  // feasible set, so the whole mode is decided here: no activity
-  // extraction, no criticality probe, no search tree. The verdict is
-  // a proof, so the mode counts as certified.
-  std::optional<analysis::AccuracyAnalyzer> quality;
-  const bool quality_finite = std::isfinite(opt.quality_max_abs_error);
-  if (quality_finite) quality.emplace(design.op);
-  std::vector<FrontierModeResult> statically_pruned;
-  if (quality_finite && opt.static_prune) {
-    ADQ_TRACE_SCOPE("frontier.static_prune");
-    std::vector<int> kept;
-    kept.reserve(bitwidths.size());
-    for (int bw : bitwidths) {
-      const double bound = quality->ProvedMaxAbsError(bw);
-      if (bound > opt.quality_max_abs_error) {
-        FrontierModeResult m;
-        m.bitwidth = bw;
-        m.certified = true;
-        m.proved_max_abs_error = bound;
-        m.statically_pruned = true;
-        statically_pruned.push_back(m);
-      } else {
-        kept.push_back(bw);
-      }
-    }
-    bitwidths = std::move(kept);
-  }
-
-  power::PowerModel pmodel(nl, lib, design.loads);
-  const std::vector<double> dom_weight =
-      pmodel.LeakWeightByDomain(design.partition.domain_of, ndom);
-
-  const int num_threads = util::ResolveNumThreads(opt.num_threads);
-  util::ThreadPool pool(num_threads);
-  const int nworkers = pool.num_threads();
-
-  std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
-      static_cast<std::size_t>(nworkers));
-  auto worker_analyzer = [&](int w) -> sta::TimingAnalyzer& {
-    auto& a = analyzer[static_cast<std::size_t>(w)];
-    if (!a)
-      a = std::make_unique<sta::TimingAnalyzer>(nl, lib, design.loads);
-    return *a;
-  };
-  auto name_lane = [](int w) {
-    if (!obs::TraceEnabled()) return;
-    thread_local bool named = false;
-    if (!named) {
-      obs::NameThisThreadLane("frontier worker " + std::to_string(w));
-      named = true;
-    }
-  };
-
-  // Persistent store: same key as the exhaustive engine, so the two
-  // share verdicts. All store traffic is serial (classification and
-  // write-back phases), keeping the hit/run split deterministic.
-  store::ExplorationStore* const store = opt.store;
-  const int store_ctx =
-      store != nullptr ? store->Context(ExploreStoreKey(design)) : -1;
-
-  // Mode constants: one bit-parallel activity extraction for all
-  // modes, per-mode case analysis + switched energy on the pool
-  // (identical to the exhaustive engine's stage 1).
-  std::vector<std::unique_ptr<const netlist::CaseAnalysis>> ca(
-      bitwidths.size());
-  std::vector<double> energy_fj(bitwidths.size(), 0.0);
-  if (!bitwidths.empty()) {
-    ADQ_TRACE_SCOPE("frontier.mode_constants");
-    std::vector<int> mode_lsbs(bitwidths.size());
-    for (std::size_t i = 0; i < bitwidths.size(); ++i)
-      mode_lsbs[i] = ZeroedLsbs(design.op, bitwidths[i]);
-    const std::vector<sim::ActivityProfile> acts =
-        sim::ExtractActivityBatch(design.op, mode_lsbs,
-                                  opt.activity_cycles, opt.seed,
-                                  opt.stimulus);
-    pool.ParallelFor(
-        static_cast<std::int64_t>(bitwidths.size()), 1,
-        [&](std::int64_t i, int w) {
-          name_lane(w);
-          const int bw = bitwidths[static_cast<std::size_t>(i)];
-          ca[static_cast<std::size_t>(i)] =
-              std::make_unique<const netlist::CaseAnalysis>(
-                  nl, ForcedZeros(design.op, bw));
-          energy_fj[static_cast<std::size_t>(i)] =
-              pmodel.SwitchedEnergyPerCycleFj(
-                  acts[static_cast<std::size_t>(i)]);
-        });
-  }
+  // Lint gate, mode list, static prune (the admissible accuracy bound
+  // of the B&B: a mode whose proved error bound violates the quality
+  // target has an empty feasible set, so it gets no search tree and
+  // counts as certified), power model, store context and mode
+  // constants: the setup shared with the exhaustive engine.
+  ModeContext ctx(ModeContext::Engine::kFrontier, design, lib, opt);
+  const std::vector<int>& bitwidths = ctx.bitwidths();
+  store::ExplorationStore* const store = ctx.store();
+  const int store_ctx = ctx.store_ctx();
 
   // Branch order: most accuracy-critical domains first (they decide
   // feasibility highest in the tree). The criticality probe is
@@ -265,7 +167,7 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
     ADQ_TRACE_SCOPE("frontier.criticality");
     const std::vector<double> crit = AccuracyCriticality(
         design.op, lib, design.loads, design.clock_ns, bitwidths,
-        opt.criticality_slack_window_ns, num_threads);
+        opt.criticality_slack_window_ns, ctx.num_threads());
     std::vector<double> dom_crit(
         static_cast<std::size_t>(ndom),
         std::numeric_limits<double>::infinity());
@@ -274,9 +176,9 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       slot = std::min(slot, crit[i]);
     }
     std::stable_sort(perm.begin(), perm.end(), [&](int a, int b) {
-      const double ca_ = dom_crit[static_cast<std::size_t>(a)];
-      const double cb = dom_crit[static_cast<std::size_t>(b)];
-      if (ca_ != cb) return ca_ < cb;
+      const double da = dom_crit[static_cast<std::size_t>(a)];
+      const double db = dom_crit[static_cast<std::size_t>(b)];
+      if (da != db) return da < db;
       return a < b;
     });
   }
@@ -308,25 +210,23 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
 
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = *ca[bi];
+    const netlist::CaseAnalysis& bca = ctx.case_analysis(bi);
     ADQ_TRACE_SCOPE2("frontier.bitwidth", std::to_string(bw));
 
     std::vector<double> dyn(nv);
     for (std::size_t vi = 0; vi < nv; ++vi)
-      dyn[vi] = power::PowerModel::DynamicW(energy_fj[bi], opt.vdds[vi],
-                                            design.fclk_ghz());
+      dyn[vi] = power::PowerModel::DynamicW(ctx.switched_energy_fj(bi),
+                                            opt.vdds[vi], design.fclk_ghz());
 
     std::map<PointKey, Verdict> verdicts;
     Incumbent inc;
     FrontierModeResult mode;
     mode.bitwidth = bw;
-    mode.switched_energy_fj = energy_fj[bi];
+    mode.switched_energy_fj = ctx.switched_energy_fj(bi);
 
     std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
     for (std::size_t vi = 0; vi < nv; ++vi)
-      open.push(Node{vi, 0, 0,
-                     dyn[vi] + MaskLeakageW(pmodel, dom_weight, ndom,
-                                            opt.vdds[vi], 0)});
+      open.push(Node{vi, 0, 0, dyn[vi] + ctx.LeakageW(opt.vdds[vi], 0)});
 
     bool budget_hit = false;
     std::vector<Node> wave;
@@ -414,19 +314,18 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
                 {vi, c, std::min(batch_width, lane_idx.size() - c)});
         }
         std::vector<Verdict> slot(need.size());
-        pool.ParallelFor(
+        ctx.pool().ParallelFor(
             static_cast<std::int64_t>(chunks.size()), 1,
             [&](std::int64_t idx, int w) {
-              name_lane(w);
+              ctx.NameLane(w);
               const EvalChunk& c = chunks[static_cast<std::size_t>(idx)];
               obs::TraceSpan batch_span("sta.batch");
               const std::span<const tech::DomainMask> chunk_masks(
                   lane_masks.data() + c.begin, c.count);
               const std::vector<sta::TimingReport> reps =
-                  worker_analyzer(w).AnalyzeBatch(opt.vdds[c.vi],
-                                                  design.clock_ns,
-                                                  chunk_masks, domain_of,
-                                                  &bca);
+                  ctx.analyzer(w).AnalyzeBatch(opt.vdds[c.vi],
+                                               design.clock_ns, chunk_masks,
+                                               domain_of, &bca);
               for (std::size_t l = 0; l < c.count; ++l)
                 slot[lane_idx[c.begin + l]] =
                     Verdict{reps[l].feasible(), reps[l].wns_ns};
@@ -448,8 +347,7 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       for (const PointKey& key : resolved) {
         const Verdict& v = verdicts.find(key)->second;
         if (!v.feasible) continue;
-        const double leak = MaskLeakageW(pmodel, dom_weight, ndom,
-                                         opt.vdds[key.first], key.second);
+        const double leak = ctx.LeakageW(opt.vdds[key.first], key.second);
         if (BetterThanIncumbent(key.first, key.second,
                                 dyn[key.first] + leak, inc)) {
           inc.valid = true;
@@ -488,9 +386,7 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
         const int d = perm[static_cast<std::size_t>(n.depth)];
         const tech::DomainMask m1 = n.mask | tech::MaskBit(d);
         const Node child1{n.vi, n.depth + 1, m1,
-                          dyn[n.vi] + MaskLeakageW(pmodel, dom_weight,
-                                                   ndom, opt.vdds[n.vi],
-                                                   m1)};
+                          dyn[n.vi] + ctx.LeakageW(opt.vdds[n.vi], m1)};
         if (Prunable(child1, inc))
           ++result.stats.nodes_pruned_bound;
         else
@@ -526,45 +422,25 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
     } else {
       ++result.stats.certified_modes;
     }
-    if (quality_finite)
-      mode.proved_max_abs_error = quality->ProvedMaxAbsError(bw);
     result.modes.push_back(mode);
 
     for (const auto& [key, v] : verdicts)
       if (!v.feasible) carried_infeasible.insert(key);
   }
 
-  if (quality_finite) {
-    // Static-prune off: the violating modes were searched anyway —
-    // replace them with the very placeholders the prune stage emits,
-    // so the modes list is bit-identical either way (the stats keep
-    // the full search cost, which is the point of the ablation).
-    if (!opt.static_prune) {
-      for (FrontierModeResult& m : result.modes) {
-        if (m.proved_max_abs_error > opt.quality_max_abs_error) {
-          FrontierModeResult repl;
-          repl.bitwidth = m.bitwidth;
-          repl.certified = true;
-          repl.proved_max_abs_error = m.proved_max_abs_error;
-          repl.statically_pruned = true;
-          m = repl;
-        }
-      }
-    }
-    if (!statically_pruned.empty()) {
-      result.stats.static_mode_prunes =
-          static_cast<long>(statically_pruned.size());
-      result.stats.certified_modes +=
-          static_cast<int>(statically_pruned.size());
-      for (FrontierModeResult& m : statically_pruned)
-        result.modes.push_back(std::move(m));
-      std::sort(result.modes.begin(), result.modes.end(),
-                [](const FrontierModeResult& a,
-                   const FrontierModeResult& b) {
-                  return a.bitwidth < b.bitwidth;
-                });
-    }
-  }
+  // A proved-infeasible mode is certified: the empty feasible set is a
+  // proof, not a budget artifact.
+  result.stats.static_mode_prunes =
+      ctx.FinishModes(&result.modes, [](int bw, double bound) {
+        FrontierModeResult m;
+        m.bitwidth = bw;
+        m.certified = true;
+        m.proved_max_abs_error = bound;
+        m.statically_pruned = true;
+        return m;
+      });
+  result.stats.certified_modes +=
+      static_cast<int>(result.stats.static_mode_prunes);
 
   RecordFrontierMetrics(
       result, std::chrono::duration<double>(

@@ -148,8 +148,10 @@ struct FrontierResult {
 
   /// Adapts the result into the exhaustive engine's shape so existing
   /// consumers (RuntimeController, pareto::Frontier, the lint mode
-  /// gate) run unchanged. Stats map onto their exhaustive
-  /// counterparts where one exists (sta_runs, store_hits, feasible).
+  /// gate) run unchanged. Only sta_runs, store_hits and
+  /// static_mode_prunes carry over. `feasible` stays 0: it counts
+  /// feasible lattice points, which the search never enumerates, and
+  /// the frontier's own counts live in FrontierStats.
   ExplorationResult ToExplorationResult() const;
 };
 

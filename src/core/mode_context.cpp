@@ -1,0 +1,133 @@
+#include "core/mode_context.h"
+
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "core/accuracy.h"
+#include "obs/obs.h"
+
+namespace adq::core {
+
+namespace {
+
+struct EngineNames {
+  const char* static_prune;    ///< trace span of the static prune
+  const char* mode_constants;  ///< trace span of the mode constants
+  const char* lane;            ///< worker lane prefix
+};
+
+const EngineNames& NamesOf(ModeContext::Engine e) {
+  static constexpr EngineNames kNames[] = {
+      {"explore.static_prune", "explore.mode_constants", "explore worker "},
+      {"frontier.static_prune", "frontier.mode_constants",
+       "frontier worker "},
+  };
+  return kNames[static_cast<int>(e)];
+}
+
+/// Runs the signoff lint gate, so a corrupt netlist fails here, loudly,
+/// before any model is built over it.
+const ImplementedDesign& Linted(const ImplementedDesign& design,
+                                const tech::CellLibrary& lib,
+                                lint::LintGate gate) {
+  SignoffLint(design, lib, gate);
+  return design;
+}
+
+}  // namespace
+
+ModeContext::ModeContext(Engine engine, const ImplementedDesign& design,
+                         const tech::CellLibrary& lib, const Setup& setup)
+    : engine_(engine),
+      design_(Linted(design, lib, setup.lint)),
+      lib_(lib),
+      ndom_(design.num_domains()),
+      quality_max_abs_error_(setup.quality_max_abs_error),
+      static_prune_(setup.static_prune),
+      bitwidths_(setup.bitwidths),
+      pmodel_(design.op.nl, lib, design.loads),
+      dom_weight_(
+          pmodel_.LeakWeightByDomain(design.partition.domain_of, ndom_)),
+      pool_(setup.num_threads),
+      store_(setup.store),
+      store_ctx_(store_ != nullptr ? store_->Context(ExploreStoreKey(design))
+                                   : -1),
+      analyzers_(static_cast<std::size_t>(pool_.num_threads())) {
+  const EngineNames& names = NamesOf(engine);
+  if (bitwidths_.empty())
+    for (int b = 1; b <= design.op.spec.data_width; ++b)
+      bitwidths_.push_back(b);
+  std::sort(bitwidths_.begin(), bitwidths_.end());
+
+  // Static prune: a mode whose *proved* worst-case error bound
+  // (analysis::AccuracyAnalyzer — interval analysis of the validated
+  // word model, taint fallback otherwise) already violates the
+  // quality target has an empty feasible set, so it is decided here
+  // with zero simulation and zero STA. The bound is sound (pinned
+  // against PackedLogicSim by tests/test_analysis_soundness), and the
+  // per-mode activity extraction is a pure per-mode function, so the
+  // surviving modes come out bit-identical to an unpruned run
+  // (tests/test_static_prune).
+  if (std::isfinite(quality_max_abs_error_)) quality_.emplace(design.op);
+  if (quality_ && static_prune_) {
+    ADQ_TRACE_SCOPE(names.static_prune);
+    std::vector<int> kept;
+    kept.reserve(bitwidths_.size());
+    for (const int bw : bitwidths_) {
+      const double bound = quality_->ProvedMaxAbsError(bw);
+      if (bound > quality_max_abs_error_)
+        pruned_.push_back({bw, bound});
+      else
+        kept.push_back(bw);
+    }
+    bitwidths_ = std::move(kept);
+  }
+  if (bitwidths_.empty()) return;
+
+  // Mode constants: all modes' activity profiles come from one
+  // bit-parallel simulation (one lane per accuracy mode), which also
+  // warms the process-wide activity cache; the case analyses and
+  // switched energies are independent across modes and run on the
+  // pool.
+  ADQ_TRACE_SCOPE(names.mode_constants);
+  const std::size_t nmodes = bitwidths_.size();
+  std::vector<int> mode_lsbs(nmodes);
+  for (std::size_t i = 0; i < nmodes; ++i)
+    mode_lsbs[i] = ZeroedLsbs(design.op, bitwidths_[i]);
+  const std::vector<sim::ActivityProfile> acts = sim::ExtractActivityBatch(
+      design.op, mode_lsbs, setup.activity_cycles, setup.seed,
+      setup.stimulus);
+  ca_.resize(nmodes);
+  energy_fj_.assign(nmodes, 0.0);
+  pool_.ParallelFor(
+      static_cast<std::int64_t>(nmodes), 1, [&](std::int64_t i, int w) {
+        NameLane(w);
+        const auto m = static_cast<std::size_t>(i);
+        ca_[m] = std::make_unique<const netlist::CaseAnalysis>(
+            design.op.nl, ForcedZeros(design.op, bitwidths_[m]));
+        energy_fj_[m] = pmodel_.SwitchedEnergyPerCycleFj(acts[m]);
+      });
+}
+
+sta::TimingAnalyzer& ModeContext::analyzer(int w) {
+  std::unique_ptr<sta::TimingAnalyzer>& a =
+      analyzers_[static_cast<std::size_t>(w)];
+  if (!a)
+    a = std::make_unique<sta::TimingAnalyzer>(design_.op.nl, lib_,
+                                              design_.loads);
+  return *a;
+}
+
+void ModeContext::NameLane(int w) const {
+  if (!obs::TraceEnabled()) return;
+  // One flag per engine: the calling thread is worker 0 of every
+  // pool, and is renamed once by each engine it serves.
+  thread_local bool named[2] = {false, false};
+  bool& done = named[static_cast<int>(engine_)];
+  if (done) return;
+  obs::NameThisThreadLane(NamesOf(engine_).lane + std::to_string(w));
+  done = true;
+}
+
+}  // namespace adq::core

@@ -159,7 +159,7 @@ CaseAnalysis::CaseAnalysis(const Netlist& nl,
 
   // FNV-1a over the resolved per-net values. The object is immutable
   // after construction, so the digest is computed once here; callers
-  // that cache derived state (sta::IncrementalSta) compare digests
+  // that cache derived state (sta::TimingAnalyzer) compare digests
   // instead of object addresses, which stack reuse can alias.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const LogicV v : values_) {

@@ -51,8 +51,8 @@ class CaseAnalysis {
 
   /// Content digest of the resolved per-net values, computed once at
   /// construction. Two analyses with equal digests disable the same
-  /// nets — the identity sta::IncrementalSta keys its cached arrival
-  /// state on (object addresses are unreliable: a stack-allocated
+  /// nets — the identity sta::TimingAnalyzer keys its cached sweep
+  /// schedules on (object addresses are unreliable: a stack-allocated
   /// analysis can reuse the address of a destroyed one).
   std::uint64_t fingerprint() const { return fingerprint_; }
 

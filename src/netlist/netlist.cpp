@@ -5,7 +5,6 @@
 namespace adq::netlist {
 
 NetId Netlist::NewNet() {
-  ++version_;
   nets_.emplace_back();
   net_port_names_.emplace_back();
   return NetId(static_cast<std::uint32_t>(nets_.size() - 1));
@@ -17,7 +16,6 @@ InstId Netlist::AddInstance(tech::CellKind kind, tech::DriveStrength drive,
                 "cell " << tech::ToString(kind) << " wants "
                         << tech::NumInputs(kind) << " inputs, got "
                         << ins.size());
-  ++version_;
   Instance inst;
   inst.kind = kind;
   inst.drive = drive;
@@ -81,7 +79,6 @@ NetId Netlist::AddInputPort(const std::string& name) {
 }
 
 void Netlist::AddOutputPort(const std::string& name, NetId net) {
-  ++version_;
   ADQ_CHECK(net.valid() && net.index() < nets_.size());
   ADQ_CHECK_MSG(!nets_[net.index()].is_primary_output,
                 "net already declared as output port");
@@ -91,13 +88,11 @@ void Netlist::AddOutputPort(const std::string& name, NetId net) {
 }
 
 void Netlist::AddInputBus(const std::string& name, std::vector<NetId> bits) {
-  ++version_;
   for (NetId b : bits) ADQ_CHECK(net(b).is_primary_input);
   input_buses_.push_back(Bus{name, std::move(bits)});
 }
 
 void Netlist::AddOutputBus(const std::string& name, std::vector<NetId> bits) {
-  ++version_;
   for (NetId b : bits) ADQ_CHECK(net(b).is_primary_output);
   output_buses_.push_back(Bus{name, std::move(bits)});
 }
@@ -112,13 +107,11 @@ NetId Netlist::ConstNet(bool value) {
 }
 
 void Netlist::SetDrive(InstId inst, tech::DriveStrength d) {
-  ++version_;
   ADQ_CHECK(inst.index() < instances_.size());
   instances_[inst.index()].drive = d;
 }
 
 void Netlist::RewireSink(PinRef sink, NetId new_net) {
-  ++version_;
   ADQ_CHECK(sink.valid() && sink.inst.index() < instances_.size());
   ADQ_CHECK(new_net.valid() && new_net.index() < nets_.size());
   Instance& inst = instances_[sink.inst.index()];

@@ -108,14 +108,6 @@ class Netlist {
   const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }
 
-  /// Structure generation counter: bumped by every mutating operation
-  /// (cell/net/port creation, resizing, sink rewiring) and by every
-  /// RawAccess handout — taking mutable access counts as a mutation,
-  /// because the whole point of the counter is that caches keyed on it
-  /// (sta::IncrementalSta's levelization and arrival state) can trust
-  /// an unchanged value to mean an unchanged structure.
-  std::uint64_t version() const { return version_; }
-
   std::size_t num_instances() const { return instances_.size(); }
   std::size_t num_nets() const { return nets_.size(); }
 
@@ -169,37 +161,20 @@ class Netlist {
   std::vector<Bus> input_buses_;
   std::vector<Bus> output_buses_;
   NetId const_net_[2];  // lazily created TIELO / TIEHI outputs
-  std::uint64_t version_ = 0;
 };
 
 /// Mutable access to a Netlist's internals, for tests that need to
 /// construct deliberately broken netlists (lint rule fixtures).
-/// Every accessor bumps the netlist's structure version: handing out a
-/// mutable reference must be assumed to mutate, so structure-keyed
-/// caches (sta::IncrementalSta) fall back to a full recompute instead
-/// of silently serving stale state.
 struct RawAccess {
   explicit RawAccess(Netlist& nl) : nl_(nl) {}
 
-  Net& net(NetId id) { return (++nl_.version_, nl_.nets_[id.index()]); }
-  Instance& inst(InstId id) {
-    return (++nl_.version_, nl_.instances_[id.index()]);
-  }
-  std::vector<Bus>& input_buses() {
-    return (++nl_.version_, nl_.input_buses_);
-  }
-  std::vector<Bus>& output_buses() {
-    return (++nl_.version_, nl_.output_buses_);
-  }
-  std::vector<NetId>& primary_inputs() {
-    return (++nl_.version_, nl_.primary_inputs_);
-  }
-  std::vector<NetId>& primary_outputs() {
-    return (++nl_.version_, nl_.primary_outputs_);
-  }
-  std::vector<std::string>& port_names() {
-    return (++nl_.version_, nl_.net_port_names_);
-  }
+  Net& net(NetId id) { return nl_.nets_[id.index()]; }
+  Instance& inst(InstId id) { return nl_.instances_[id.index()]; }
+  std::vector<Bus>& input_buses() { return nl_.input_buses_; }
+  std::vector<Bus>& output_buses() { return nl_.output_buses_; }
+  std::vector<NetId>& primary_inputs() { return nl_.primary_inputs_; }
+  std::vector<NetId>& primary_outputs() { return nl_.primary_outputs_; }
+  std::vector<std::string>& port_names() { return nl_.net_port_names_; }
 
  private:
   Netlist& nl_;

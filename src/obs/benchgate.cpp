@@ -46,26 +46,9 @@ const PinnedSeries kPinned[] = {
      [](const util::Json& d) { return NumAt(d, "scalar_masks_per_sec"); }},
     {"sta_batch", "batch_masks_per_sec", false,
      [](const util::Json& d) { return MaxOver(d, "widths", "masks_per_sec"); }},
-    {"sta_batch", "incremental_speedup_w16", false,
-     [](const util::Json& d) { return NumAt(d, "incremental_speedup_w16"); }},
-    // SIMD value-lane engine (PR-8): width-16 batch throughput of the
-    // vectorized kernels, plus the adaptive dispatcher's per-workload
-    // speedup over the dense batch engine (the floors the ISSUE gates
-    // on: every workload >= 1.0x, mode_walk keeps its headline win).
+    // Width-16 batch throughput of the SIMD lane kernels.
     {"sta_batch", "simd_masks_per_sec", false,
      [](const util::Json& d) { return NumAt(d, "simd_masks_per_sec"); }},
-    {"sta_batch", "adaptive_speedup_gray_sweep", false,
-     [](const util::Json& d) {
-       return NumAt(d, "adaptive_speedup_gray_sweep");
-     }},
-    {"sta_batch", "adaptive_speedup_neighborhood", false,
-     [](const util::Json& d) {
-       return NumAt(d, "adaptive_speedup_neighborhood");
-     }},
-    {"sta_batch", "adaptive_speedup_mode_walk", false,
-     [](const util::Json& d) {
-       return NumAt(d, "adaptive_speedup_mode_walk");
-     }},
     {"sim_packed", "packed_speedup", false,
      [](const util::Json& d) { return NumAt(d, "speedup"); }},
     {"sim_packed", "packed_cycles_per_sec", false,

@@ -9,8 +9,8 @@
 ///
 ///   * ExtractBenchRun pulls the *pinned series* out of a bench
 ///     document — the throughput numbers the ROADMAP gates its open
-///     items on (masks/sec, incremental_speedup_w16, the packed-sim
-///     speedup, explore points/sec);
+///     items on (masks/sec, the packed-sim speedup, explore
+///     points/sec);
 ///   * BENCH_HISTORY.jsonl holds one append-only row per run
 ///     (RunToJsonLine / ParseHistoryLine);
 ///   * GateRun compares a fresh run against the baseline window with

@@ -7,12 +7,12 @@
 /// Rendering maps the registry onto the exposition format any
 /// Prometheus-compatible scraper ingests:
 ///
-///   counter    adq_sta_full_fallbacks_total 12
+///   counter    adq_sta_batch_lanes_total 12
 ///   gauge      adq_explore_points_per_sec 135383.2
-///   histogram  adq_sta_cone_frac_bucket{le="0.05"} 3
-///              ... adq_sta_cone_frac_bucket{le="+Inf"} 20
-///              adq_sta_cone_frac_count 20
-///              adq_sta_cone_frac_sum 1.25
+///   histogram  adq_explore_best_wns_ns_bucket{le="0.01"} 3
+///              ... adq_explore_best_wns_ns_bucket{le="+Inf"} 20
+///              adq_explore_best_wns_ns_count 20
+///              adq_explore_best_wns_ns_sum 1.25
 ///
 /// Metric names are sanitized ('.' and any non-[a-zA-Z0-9_:] byte
 /// become '_') and prefixed `adq_`; the original dotted name is kept

@@ -2,15 +2,15 @@
 /// \file lane_kernels.h
 /// \brief SIMD lane kernels for the STA arrival sweeps.
 ///
-/// Every hot loop of TimingAnalyzer::AnalyzeBatch and
-/// IncrementalSta::AnalyzeBatch is one of the small fixed shapes
-/// below, applied to a W-lane SoA row. Each kernel documents the
-/// exact scalar expression it computes; the vector body (util/simd.h)
-/// and the scalar tail evaluate that expression with the same
-/// operations in the same order, so results are bit-identical to the
-/// historical scalar loops — including for lanes == 1, where the main
-/// loop never runs and the tail *is* the historical code. That is the
-/// property the whole engine stack is pinned on (tests/test_simd).
+/// Every hot loop of TimingAnalyzer's arrival sweep is one of the
+/// small fixed shapes below, applied to a W-lane SoA row. Each kernel
+/// documents the exact scalar expression it computes; the vector body
+/// (util/simd.h) and the scalar tail evaluate that expression with
+/// the same operations in the same order, so results are
+/// bit-identical to the historical scalar loops — including for
+/// lanes == 1, where the main loop never runs and the tail *is* the
+/// historical code. That is the property the STA engine is pinned on
+/// (tests/test_simd).
 
 #include <algorithm>
 #include <cstddef>
@@ -31,39 +31,6 @@ inline void Launch(double* a, const double* m, double base, double wire,
   for (; l < n; ++l) a[l] = base * m[l] + wire;
 }
 
-/// acc[l] = std::max(acc[l], a[l])  — the input-arrival max fold.
-inline void MaxInPlace(double* acc, const double* a, std::size_t n) {
-  std::size_t l = 0;
-  for (; l + simd::F64::kWidth <= n; l += simd::F64::kWidth)
-    simd::Max(simd::F64::Load(acc + l), simd::F64::Load(a + l))
-        .Store(acc + l);
-  for (; l < n; ++l) acc[l] = std::max(acc[l], a[l]);
-}
-
-/// acc[l] = std::max(acc[l], b)  — same fold against a broadcast
-/// arrival (incremental engine reading a clean net's base value).
-inline void MaxBroadcast(double* acc, double b, std::size_t n) {
-  const simd::F64 vb = simd::F64::Broadcast(b);
-  std::size_t l = 0;
-  for (; l + simd::F64::kWidth <= n; l += simd::F64::kWidth)
-    simd::Max(simd::F64::Load(acc + l), vb).Store(acc + l);
-  for (; l < n; ++l) acc[l] = std::max(acc[l], b);
-}
-
-/// out[l] = in[l] + base * m[l] + wire  — the output-arc expression.
-inline void Propagate(double* out, const double* in, const double* m,
-                      double base, double wire, std::size_t n) {
-  const simd::F64 vb = simd::F64::Broadcast(base);
-  const simd::F64 vw = simd::F64::Broadcast(wire);
-  std::size_t l = 0;
-  for (; l + simd::F64::kWidth <= n; l += simd::F64::kWidth)
-    simd::Add(simd::Add(simd::F64::Load(in + l),
-                        simd::Mul(vb, simd::F64::Load(m + l))),
-              vw)
-        .Store(out + l);
-  for (; l < n; ++l) out[l] = in[l] + base * m[l] + wire;
-}
-
 /// One output arc of the fused whole-cell kernel below.
 struct OutArc {
   double* out = nullptr;
@@ -74,11 +41,10 @@ struct OutArc {
 /// Whole-cell sweep step in a single pass over the lane row:
 ///   acc      = std::max(-inf, in_0[l], in_1[l], ...)   (pin order)
 ///   out_o[l] = acc + base_o * m[l] + wire_o            (each arc)
-/// The accumulator lives in registers across the fold, so the scratch
-/// row of the Launch/MaxInPlace/Propagate formulation — its refill,
-/// its per-input read-modify-write and its per-output reload — never
-/// touches memory. Expressions and their order are exactly the
-/// scalar sweep's, so lanes stay bit-identical to the oracle.
+/// The accumulator lives in registers across the fold, so no scratch
+/// row is refilled, read-modified-written per input or reloaded per
+/// output. Expressions and their order are exactly the scalar
+/// sweep's, so lanes stay bit-identical to the oracle.
 inline void PropagateCell(const double* const* in_rows, int nin,
                           const OutArc* outs, int nout, const double* m,
                           double neg_inf, std::size_t n) {
@@ -106,33 +72,6 @@ inline void PropagateCell(const double* const* in_rows, int nin,
   }
 }
 
-/// Propagate + convergence test in one pass: bit l of the returned
-/// mask is set iff out[l] != cmp (movemask of the lane compares; the
-/// incremental engine's early exit is mask == 0). Requires n <= 64.
-inline std::uint64_t PropagateNeq(double* out, const double* in,
-                                  const double* m, double base,
-                                  double wire, double cmp,
-                                  std::size_t n) {
-  const simd::F64 vb = simd::F64::Broadcast(base);
-  const simd::F64 vw = simd::F64::Broadcast(wire);
-  const simd::F64 vc = simd::F64::Broadcast(cmp);
-  std::uint64_t dm = 0;
-  std::size_t l = 0;
-  for (; l + simd::F64::kWidth <= n; l += simd::F64::kWidth) {
-    const simd::F64 o =
-        simd::Add(simd::Add(simd::F64::Load(in + l),
-                            simd::Mul(vb, simd::F64::Load(m + l))),
-                  vw);
-    o.Store(out + l);
-    dm |= static_cast<std::uint64_t>(simd::NeqMask(o, vc)) << l;
-  }
-  for (; l < n; ++l) {
-    out[l] = in[l] + base * m[l] + wire;
-    if (out[l] != cmp) dm |= 1ull << l;
-  }
-  return dm;
-}
-
 /// The endpoint fold over SoA accumulators:
 ///   slack   = clock - setup * m[l] - arr[l]
 ///   wns[l]  = std::min(wns[l], slack)
@@ -154,30 +93,6 @@ inline void EndpointFold(double* wns, std::uint64_t* viol,
   }
   for (; l < n; ++l) {
     const double slack = clock - setup * m[l] - arr[l];
-    wns[l] = std::min(wns[l], slack);
-    if (slack < 0.0) ++viol[l];
-  }
-}
-
-/// EndpointFold against a broadcast arrival (incremental engine, D
-/// net clean in every lane).
-inline void EndpointFoldBcast(double* wns, std::uint64_t* viol,
-                              const double* m, double arr, double clock,
-                              double setup, std::size_t n) {
-  const simd::F64 vc = simd::F64::Broadcast(clock);
-  const simd::F64 vs = simd::F64::Broadcast(setup);
-  const simd::F64 va = simd::F64::Broadcast(arr);
-  const simd::F64 vz = simd::F64::Broadcast(0.0);
-  std::size_t l = 0;
-  for (; l + simd::F64::kWidth <= n; l += simd::F64::kWidth) {
-    const simd::F64 slack = simd::Sub(
-        simd::Sub(vc, simd::Mul(vs, simd::F64::Load(m + l))), va);
-    simd::Min(simd::F64::Load(wns + l), slack).Store(wns + l);
-    simd::AccumulateLt(simd::U64::Load(viol + l), slack, vz)
-        .Store(viol + l);
-  }
-  for (; l < n; ++l) {
-    const double slack = clock - setup * m[l] - arr;
     wns[l] = std::min(wns[l], slack);
     if (slack < 0.0) ++viol[l];
   }

@@ -29,8 +29,9 @@ TimingAnalyzer::TimingAnalyzer(const Netlist& nl,
   SetLoads(loads);
 }
 
-void DelayTables::Build(const Netlist& nl, const tech::CellLibrary& lib,
-                        const place::NetLoads& loads) {
+void TimingAnalyzer::DelayTables::Build(const Netlist& nl,
+                                        const tech::CellLibrary& lib,
+                                        const place::NetLoads& loads) {
   ADQ_CHECK(loads.cap_ff.size() == nl.num_nets());
   base_delay.assign(nl.num_instances() * 2, 0.0);
   wire_delay.assign(nl.num_instances() * 2, 0.0);
@@ -50,7 +51,6 @@ void DelayTables::Build(const Netlist& nl, const tech::CellLibrary& lib,
 }
 
 void TimingAnalyzer::SetLoads(const place::NetLoads& loads) {
-  last_batch_sched_ = nullptr;  // aliases the schedule cache
   tab_.Build(nl_, lib_, loads);
   // The schedules hoist base/wire delays out of the tables; rebuild.
   schedules_.clear();
@@ -234,7 +234,6 @@ std::vector<TimingReport> TimingAnalyzer::AnalyzeBatch(
     const netlist::CaseAnalysis* ca) {
   ADQ_CHECK(domain_of_inst.size() == nl_.num_instances());
   const std::size_t W = lane_masks.size();
-  last_batch_lanes_ = 0;
   std::vector<TimingReport> reports(W);
   if (W == 0) return reports;
   static obs::Counter& batch_calls = obs::GetCounter("sta.batch_calls");
@@ -259,8 +258,6 @@ std::vector<TimingReport> TimingAnalyzer::AnalyzeBatch(
 
   const SweepSchedule& sched = ScheduleFor(ca);
   arrival_lanes_.resize(nl_.num_nets() * W);
-  last_batch_lanes_ = W;
-  last_batch_sched_ = &sched;
   PropagateArrivals(W, arrival_lanes_.data(), sched, [&](std::uint32_t i) {
     return &scale_lanes_[static_cast<std::size_t>(domain_of_inst[i]) * W];
   });

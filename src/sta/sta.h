@@ -61,21 +61,6 @@ struct TimingReport {
   bool feasible() const { return num_violations == 0; }
 };
 
-/// Precomputed load-dependent delay model shared by every STA engine
-/// (full-traversal TimingAnalyzer and cone-bounded IncrementalSta):
-/// per output pin, the unscaled cell delay `d0 + kd * Cload` plus the
-/// fixed Elmore wire term; per instance, the unscaled register setup.
-/// Rebuilt whenever parasitics change (SetLoads); everything VDD/Vth
-/// dependent stays outside, in the per-analysis scale factors.
-struct DelayTables {
-  std::vector<double> base_delay;  ///< 2 per instance (output pins)
-  std::vector<double> wire_delay;  ///< 2 per instance (output pins)
-  std::vector<double> setup_ns;    ///< per instance (registers only)
-
-  void Build(const netlist::Netlist& nl, const tech::CellLibrary& lib,
-             const place::NetLoads& loads);
-};
-
 class TimingAnalyzer {
  public:
   TimingAnalyzer(const netlist::Netlist& nl, const tech::CellLibrary& lib,
@@ -150,41 +135,24 @@ class TimingAnalyzer {
   const netlist::Netlist& nl() const { return nl_; }
   const tech::CellLibrary& lib() const { return lib_; }
 
-  /// The precomputed delay model (engine-support hook: IncrementalSta
-  /// shares these tables so its cone recomputation evaluates exactly
-  /// the expressions the full traversal would).
-  const DelayTables& tables() const { return tab_; }
-
-  /// Per-net arrival lanes of the most recent AnalyzeBatch call
-  /// (net n, lane l at [n * W + l]; valid until the next Analyze*).
-  /// Engine-support hook: IncrementalSta's full-traversal fallback
-  /// seeds its cached base state from lane 0 of this buffer. Only the
-  /// rows of nets flagged in LastBatchReached() are defined — the hot
-  /// sweep never clears (or writes) the rows of unreached nets.
-  std::span<const double> LastBatchArrivals() const {
-    return {arrival_lanes_.data(), last_batch_lanes_ * nl_.num_nets()};
-  }
-
-  /// Per-net flags of the most recent AnalyzeBatch call: 1 iff the
-  /// net is active under the call's case analysis AND reachable from
-  /// an active launch point — exactly the nets whose arrival rows the
-  /// sweep wrote (and exactly the nets the historical full-clear
-  /// sweep would have left finite). Everything else is semantically
-  /// -inf. Like LastBatchArrivals, valid only until the next Analyze*
-  /// (the span aliases the cached sweep schedule, which the LRU may
-  /// recycle on a later call).
-  std::span<const std::uint8_t> LastBatchReached() const {
-    if (last_batch_sched_ == nullptr) return {};
-    return {last_batch_sched_->reached.data(),
-            last_batch_sched_->reached.size()};
-  }
-
  private:
   const netlist::Netlist& nl_;
   const tech::CellLibrary& lib_;
   std::vector<netlist::InstId> order_;  // topological, comb cells only
 
-  // Precomputed unscaled delay model; see DelayTables.
+  /// Precomputed load-dependent delay model: per output pin, the
+  /// unscaled cell delay `d0 + kd * Cload` plus the fixed Elmore wire
+  /// term; per instance, the unscaled register setup. Rebuilt whenever
+  /// parasitics change (SetLoads); everything VDD/Vth dependent stays
+  /// outside, in the per-analysis scale factors.
+  struct DelayTables {
+    std::vector<double> base_delay;  ///< 2 per instance (output pins)
+    std::vector<double> wire_delay;  ///< 2 per instance (output pins)
+    std::vector<double> setup_ns;    ///< per instance (registers only)
+
+    void Build(const netlist::Netlist& nl, const tech::CellLibrary& lib,
+               const place::NetLoads& loads);
+  };
   DelayTables tab_;
 
   /// One case-analysis-specialized sweep schedule: the launch points,
@@ -216,7 +184,10 @@ class TimingAnalyzer {
     std::vector<SweepLaunch> launches;
     std::vector<std::uint32_t> pis;  // active primary-input nets
     std::vector<SweepCell> cells;
-    std::vector<std::uint8_t> reached;  // per net; see LastBatchReached
+    /// Per net: 1 iff active under the case analysis AND reachable
+    /// from an active launch point — exactly the nets whose arrival
+    /// rows the sweep writes. Everything else is semantically -inf.
+    std::vector<std::uint8_t> reached;
   };
   /// Returns the cached schedule for `ca` (keyed on its fingerprint),
   /// building and LRU-caching it on first use. Invalidated by
@@ -228,9 +199,7 @@ class TimingAnalyzer {
   long sched_tick_ = 0;
 
   std::vector<double> arrival_;        // per net, scratch (W = 1)
-  std::size_t last_batch_lanes_ = 0;   // W of the last AnalyzeBatch
   std::vector<double> arrival_lanes_;  // per net x lane, batch scratch
-  const SweepSchedule* last_batch_sched_ = nullptr;  // see LastBatchReached
   std::vector<double> scale_lanes_;    // per domain x lane, batch scales
   std::vector<double> wns_lanes_;      // W doubles, batch capture fold
   std::vector<std::uint64_t> viol_lanes_;  // W counts, batch capture fold

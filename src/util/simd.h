@@ -2,12 +2,12 @@
 /// \file simd.h
 /// \brief Portable fixed-width SIMD value lanes (f64 / f32 / u64).
 ///
-/// The hot kernels of this repo — the batched STA arrival sweep, the
-/// incremental engine's dirty-cone re-propagation, and the packed
-/// logic simulator's bit-sliced toggle counters — all iterate short
-/// per-net "lane" rows in structure-of-arrays form. This header gives
-/// them explicit vector types so one instruction processes
-/// F64::kWidth lanes, with the backend chosen at compile time:
+/// The hot kernels of this repo — the batched STA arrival sweep and
+/// the packed logic simulator's bit-sliced toggle counters — both
+/// iterate short per-net "lane" rows in structure-of-arrays form.
+/// This header gives them explicit vector types so one instruction
+/// processes F64::kWidth lanes, with the backend chosen at compile
+/// time:
 ///
 ///   * AVX2  (x86-64, `-mavx2`): 4 x f64, 8 x f32, 4 x u64;
 ///   * SSE2  (x86-64 baseline):  2 x f64, 4 x f32, 2 x u64;
@@ -87,11 +87,6 @@ inline F64 Select(F64 m, F64 a, F64 b) {
 inline unsigned LtMask(F64 a, F64 b) {
   return static_cast<unsigned>(_mm256_movemask_pd(Lt(a, b).v));
 }
-/// Bit l of the result = (a[l] != b[l]) — true on NaN, like C++ `!=`.
-inline unsigned NeqMask(F64 a, F64 b) {
-  return static_cast<unsigned>(
-      _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_NEQ_UQ)));
-}
 
 #elif defined(ADQ_SIMD_BACKEND_SSE2)
 
@@ -112,9 +107,6 @@ inline F64 Select(F64 m, F64 a, F64 b) {
 }
 inline unsigned LtMask(F64 a, F64 b) {
   return static_cast<unsigned>(_mm_movemask_pd(Lt(a, b).v));
-}
-inline unsigned NeqMask(F64 a, F64 b) {
-  return static_cast<unsigned>(_mm_movemask_pd(_mm_cmpneq_pd(a.v, b.v)));
 }
 
 #elif defined(ADQ_SIMD_BACKEND_NEON)
@@ -140,12 +132,6 @@ inline unsigned LtMask(F64 a, F64 b) {
   const uint64x2_t m = vcltq_f64(a.v, b.v);
   return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1u) |
                                ((vgetq_lane_u64(m, 1) & 1u) << 1));
-}
-inline unsigned NeqMask(F64 a, F64 b) {
-  // vceq is false on NaN; C++ `!=` is its negation (true on NaN).
-  const uint64x2_t eq = vceqq_f64(a.v, b.v);
-  return static_cast<unsigned>(((~vgetq_lane_u64(eq, 0)) & 1u) |
-                               (((~vgetq_lane_u64(eq, 1)) & 1u) << 1));
 }
 
 #else  // scalar fallback
@@ -214,12 +200,6 @@ inline unsigned LtMask(F64 a, F64 b) {
   unsigned m = 0;
   for (int i = 0; i < F64::kWidth; ++i)
     if (a.v[i] < b.v[i]) m |= 1u << i;
-  return m;
-}
-inline unsigned NeqMask(F64 a, F64 b) {
-  unsigned m = 0;
-  for (int i = 0; i < F64::kWidth; ++i)
-    if (a.v[i] != b.v[i]) m |= 1u << i;
   return m;
 }
 

@@ -17,7 +17,7 @@ namespace adq::obs {
 namespace {
 
 BenchRun MakeRun(const std::string& bench, const std::string& build,
-                 const std::string& host, double scalar, double speedup) {
+                 const std::string& host, double scalar, double simd) {
   BenchRun r;
   r.schema_version = 2;
   r.bench = bench;
@@ -26,7 +26,7 @@ BenchRun MakeRun(const std::string& bench, const std::string& build,
   r.host = host;
   r.hardware_threads = 8;
   r.series["scalar_masks_per_sec"] = scalar;
-  r.series["incremental_speedup_w16"] = speedup;
+  r.series["simd_masks_per_sec"] = simd;
   return r;
 }
 
@@ -34,7 +34,7 @@ TEST(BenchGate, ExtractsPinnedSeriesFromBenchDocument) {
   const std::string body = R"({
     "schema_version": 2, "bench": "sta_batch", "build": "abc123",
     "ts_utc": "2026-08-08T01:02:03Z", "host": "box", "hardware_threads": 16,
-    "scalar_masks_per_sec": 1500.5, "incremental_speedup_w16": 6.25,
+    "scalar_masks_per_sec": 1500.5, "simd_masks_per_sec": 12000.0,
     "widths": [{"width": 4, "masks_per_sec": 3000.0},
                {"width": 16, "masks_per_sec": 9000.0}]})";
   std::string err;
@@ -48,7 +48,7 @@ TEST(BenchGate, ExtractsPinnedSeriesFromBenchDocument) {
   EXPECT_EQ(run.host, "box");
   EXPECT_EQ(run.hardware_threads, 16);
   EXPECT_DOUBLE_EQ(run.series.at("scalar_masks_per_sec"), 1500.5);
-  EXPECT_DOUBLE_EQ(run.series.at("incremental_speedup_w16"), 6.25);
+  EXPECT_DOUBLE_EQ(run.series.at("simd_masks_per_sec"), 12000.0);
   // batch_masks_per_sec = max over the width sweep.
   EXPECT_DOUBLE_EQ(run.series.at("batch_masks_per_sec"), 9000.0);
 }
@@ -127,7 +127,7 @@ TEST(BenchGate, FailsNamingSeriesOnTwoXSlowdown) {
   std::vector<BenchRun> hist;
   for (int i = 0; i < 5; ++i)
     hist.push_back(MakeRun("sta_batch", "a1", "box", 1000.0, 5.0));
-  // scalar halves, speedup holds.
+  // scalar halves, simd holds.
   const BenchRun fresh = MakeRun("sta_batch", "a2", "box", 500.0, 5.0);
   const auto verdicts = GateRun(fresh, hist, GateOptions{});
   bool scalar_flagged = false;
@@ -227,11 +227,14 @@ TEST(BenchGate, ThinHistoryIsAdvisory) {
   EXPECT_FALSE(AnyRegression(verdicts));
 }
 
-TEST(BenchGate, SimdBackendAndAdaptiveSeriesAreExtracted) {
+TEST(BenchGate, SimdBackendIsExtractedAndRetiredSeriesAreNot) {
+  // The incremental-engine series are no longer pinned: an old bench
+  // document that still carries them yields only the live series.
   const std::string body = R"({
     "schema_version": 2, "bench": "sta_batch", "build": "abc123",
     "ts_utc": "2026-08-09T01:02:03Z", "host": "box", "hardware_threads": 16,
     "simd_backend": "avx2", "simd_masks_per_sec": 650000.0,
+    "incremental_speedup_w16": 6.25,
     "adaptive_speedup_gray_sweep": 1.1,
     "adaptive_speedup_neighborhood": 1.05,
     "adaptive_speedup_mode_walk": 2.3})";
@@ -242,9 +245,7 @@ TEST(BenchGate, SimdBackendAndAdaptiveSeriesAreExtracted) {
   ASSERT_TRUE(ExtractBenchRun(doc, &run, &err)) << err;
   EXPECT_EQ(run.simd_backend, "avx2");
   EXPECT_DOUBLE_EQ(run.series.at("simd_masks_per_sec"), 650000.0);
-  EXPECT_DOUBLE_EQ(run.series.at("adaptive_speedup_gray_sweep"), 1.1);
-  EXPECT_DOUBLE_EQ(run.series.at("adaptive_speedup_neighborhood"), 1.05);
-  EXPECT_DOUBLE_EQ(run.series.at("adaptive_speedup_mode_walk"), 2.3);
+  EXPECT_EQ(run.series.size(), 1u);
 }
 
 TEST(BenchGate, SimdBackendRoundTripsAndLegacyRowsStayByteStable) {

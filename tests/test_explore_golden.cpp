@@ -32,13 +32,11 @@ const ImplementedDesign& Design() {
   return design;
 }
 
-ExploreOptions GoldenOptions(int num_threads,
-                             StaEngine engine = StaEngine::kIncremental) {
+ExploreOptions GoldenOptions(int num_threads) {
   ExploreOptions opt;
   opt.bitwidths = {2, 4, 6, 8};
   opt.activity_cycles = 128;
   opt.num_threads = num_threads;
-  opt.sta_engine = engine;
   return opt;
 }
 
@@ -123,55 +121,28 @@ TEST(ExploreGolden, PerModeOptimaPinned) {
   }
 }
 
-// The golden pins hold for BOTH STA engines at BOTH thread counts:
-// the incremental engine's bit-identity contract means swapping
-// engines (or re-scheduling chunks across workers) can change no
-// stat, no optimum and no wns — only the hits/fallbacks telemetry.
-TEST(ExploreGolden, EngineAndThreadCountInvariant) {
+// The golden pins hold at every thread count: re-scheduling chunks
+// across workers can change no stat, no optimum and no wns.
+TEST(ExploreGolden, ThreadCountInvariant) {
   const ExplorationResult& ref = Result();
-  for (const StaEngine engine : {StaEngine::kBatch, StaEngine::kIncremental}) {
-    for (const int nt : {1, 8}) {
-      SCOPED_TRACE(std::string(engine == StaEngine::kBatch
-                                   ? "batch"
-                                   : "incremental") +
-                   " nt=" + std::to_string(nt));
-      const ExplorationResult r =
-          ExploreDesignSpace(Design(), Lib(), GoldenOptions(nt, engine));
-      EXPECT_EQ(r.stats.points_considered, kPointsConsidered);
-      EXPECT_EQ(r.stats.sta_runs, kStaRuns);
-      EXPECT_EQ(r.stats.filtered, kFiltered);
-      EXPECT_EQ(r.stats.pruned, kPruned);
-      EXPECT_EQ(r.stats.mask_pruned, kMaskPruned);
-      EXPECT_EQ(r.stats.feasible, kFeasible);
-      if (engine == StaEngine::kBatch) {
-        EXPECT_EQ(r.stats.sta_incremental_hits, 0);
-        EXPECT_EQ(r.stats.sta_full_fallbacks, 0);
-        EXPECT_EQ(r.stats.sta_dispatch_dense, 0);
-      } else {
-        // Every engine call is a fallback, an incremental hit, or an
-        // adaptive dense dispatch; the first call of each context is
-        // always a fallback.
-        EXPECT_GT(r.stats.sta_full_fallbacks, 0);
-        // Hit counts depend on how chunks land on workers, so they
-        // are only guaranteed (and deterministic) on the serial
-        // schedule: with 8 workers this tiny fixture can spread its
-        // few chunks one-per-engine.
-        if (nt == 1) {
-          EXPECT_GT(r.stats.sta_incremental_hits +
-                        r.stats.sta_dispatch_dense,
-                    0);
-        }
-      }
-      ASSERT_EQ(r.modes.size(), ref.modes.size());
-      for (std::size_t i = 0; i < ref.modes.size(); ++i) {
-        // Bit-identical to the reference run, not merely close: the
-        // engines share every FP expression.
-        EXPECT_EQ(r.modes[i].best.vdd, ref.modes[i].best.vdd);
-        EXPECT_EQ(r.modes[i].best.mask, ref.modes[i].best.mask);
-        EXPECT_EQ(r.modes[i].best.wns_ns, ref.modes[i].best.wns_ns);
-        EXPECT_EQ(r.modes[i].best.total_power_w(),
-                  ref.modes[i].best.total_power_w());
-      }
+  for (const int nt : {1, 8}) {
+    SCOPED_TRACE("nt=" + std::to_string(nt));
+    const ExplorationResult r =
+        ExploreDesignSpace(Design(), Lib(), GoldenOptions(nt));
+    EXPECT_EQ(r.stats.points_considered, kPointsConsidered);
+    EXPECT_EQ(r.stats.sta_runs, kStaRuns);
+    EXPECT_EQ(r.stats.filtered, kFiltered);
+    EXPECT_EQ(r.stats.pruned, kPruned);
+    EXPECT_EQ(r.stats.mask_pruned, kMaskPruned);
+    EXPECT_EQ(r.stats.feasible, kFeasible);
+    ASSERT_EQ(r.modes.size(), ref.modes.size());
+    for (std::size_t i = 0; i < ref.modes.size(); ++i) {
+      // Bit-identical to the reference run, not merely close.
+      EXPECT_EQ(r.modes[i].best.vdd, ref.modes[i].best.vdd);
+      EXPECT_EQ(r.modes[i].best.mask, ref.modes[i].best.mask);
+      EXPECT_EQ(r.modes[i].best.wns_ns, ref.modes[i].best.wns_ns);
+      EXPECT_EQ(r.modes[i].best.total_power_w(),
+                ref.modes[i].best.total_power_w());
     }
   }
 }
@@ -208,20 +179,11 @@ TEST(ExploreGolden, MetricsSnapshotMirrorsStats) {
     EXPECT_EQ(r.stats.sta_runs, kStaRuns);
     EXPECT_EQ(r.stats.pruned, kPruned);
     EXPECT_EQ(r.stats.mask_pruned, kMaskPruned);
-    // The live sta.* counters mirror the explorer's accounting: under
-    // the (default) incremental engine every explore-issued STA run is
-    // one lane of one IncrementalSta::AnalyzeBatch call, and the
-    // batch-kernel lanes are exactly the fallback subset re-run on the
-    // oracle.
-    ASSERT_TRUE(snap.counters.count("sta.incremental_lanes"));
+    // The live sta.* counters mirror the explorer's accounting: every
+    // explore-issued STA run is exactly one lane of one
+    // TimingAnalyzer::AnalyzeBatch call.
     ASSERT_TRUE(snap.counters.count("sta.batch_lanes"));
-    EXPECT_EQ(snap.counters.at("sta.incremental_lanes"),
-              r.stats.sta_runs);
-    EXPECT_LE(snap.counters.at("sta.batch_lanes"), r.stats.sta_runs);
-    EXPECT_EQ(snap.counters.at("sta.incremental_hits"),
-              r.stats.sta_incremental_hits);
-    EXPECT_EQ(snap.counters.at("sta.full_fallbacks"),
-              r.stats.sta_full_fallbacks);
+    EXPECT_EQ(snap.counters.at("sta.batch_lanes"), r.stats.sta_runs);
   }
 #endif
 }

@@ -293,6 +293,10 @@ TEST(Frontier, ToExplorationResultFeedsExistingConsumers) {
   }
   EXPECT_EQ(as_ex.stats.sta_runs, fr.stats.sta_runs);
   EXPECT_EQ(as_ex.stats.store_hits, fr.stats.store_hits);
+  // `feasible` counts feasible lattice points, which the search never
+  // enumerates: the adapter leaves it unset rather than filling it
+  // with a count of solved modes.
+  EXPECT_EQ(as_ex.stats.feasible, 0);
   // Mode lookup mirrors ExplorationResult::Mode.
   EXPECT_EQ(fr.Mode(4).bitwidth, 4);
 }

@@ -12,8 +12,7 @@
 ///     canary-guarded;
 ///   * the batched STA sweep built from these kernels stays
 ///     bit-identical to scalar Analyze across all four generator
-///     families x operator widths {8,16,32}, and its arrival lanes
-///     are NaN/∞-free on every reached net.
+///     families x operator widths {8,16,32}.
 ///
 /// The same binary compiled with -DADQ_SIMD=OFF runs this file on the
 /// guaranteed scalar backend; CI's simd-off leg relies on that to
@@ -152,16 +151,12 @@ TEST(SimdF64, CompareSelectMinMaxMatchStdSemantics) {
       for (int l = 0; l < simd::F64::kWidth; ++l)
         EXPECT_TRUE(SameBits(r[l], b[l] < a[l] ? b[l] : a[l]))
             << "Min lane " << l;
-      // Movemask compares: ordered < (false on NaN), unordered !=
-      // (true on NaN) — the C++ operators exactly.
+      // Movemask compare: ordered < (false on NaN) — the C++ operator
+      // exactly.
       const unsigned lt = simd::LtMask(va, vb);
-      const unsigned neq = simd::NeqMask(va, vb);
-      for (int l = 0; l < simd::F64::kWidth; ++l) {
+      for (int l = 0; l < simd::F64::kWidth; ++l)
         EXPECT_EQ((lt >> l) & 1u, a[l] < b[l] ? 1u : 0u)
             << "LtMask lane " << l;
-        EXPECT_EQ((neq >> l) & 1u, a[l] != b[l] ? 1u : 0u)
-            << "NeqMask lane " << l;
-      }
       // Select routes lane l from its mask lane alone.
       simd::Select(simd::Lt(va, vb), va, vb).Store(r);
       for (int l = 0; l < simd::F64::kWidth; ++l)
@@ -336,66 +331,16 @@ void ExpectCanaryIntact(const std::vector<double>& buf, std::size_t n) {
     EXPECT_EQ(buf[i], kCanary) << "overwrite at lane " << i;
 }
 
-TEST(LaneKernels, LaunchMaxPropagateMatchReferenceAtEveryTail) {
+TEST(LaneKernels, LaunchMatchesReferenceAtEveryTail) {
   for (std::size_t n = 1; n <= 2 * kW + 3; ++n) {
     SCOPED_TRACE("n=" + std::to_string(n));
     const std::vector<double> m = ArrivalRow(n, 100 + n);
-    const std::vector<double> in = ArrivalRow(n, 200 + n);
-    const double base = 0.37, wire = 0.05, bcast = 1.25;
+    const double base = 0.37, wire = 0.05;
 
     std::vector<double> out(n + kW, kCanary);
     sta::lanes::Launch(out.data(), m.data(), base, wire, n);
     for (std::size_t l = 0; l < n; ++l)
       EXPECT_TRUE(SameBits(out[l], base * m[l] + wire)) << l;
-    ExpectCanaryIntact(out, n);
-
-    std::vector<double> acc = ArrivalRow(n, 300 + n);
-    std::vector<double> ref = acc;
-    acc.resize(n + kW, kCanary);
-    sta::lanes::MaxInPlace(acc.data(), in.data(), n);
-    for (std::size_t l = 0; l < n; ++l)
-      EXPECT_TRUE(SameBits(acc[l], std::max(ref[l], in[l]))) << l;
-    ExpectCanaryIntact(acc, n);
-
-    std::vector<double> acc2 = ref;
-    acc2.resize(n + kW, kCanary);
-    sta::lanes::MaxBroadcast(acc2.data(), bcast, n);
-    for (std::size_t l = 0; l < n; ++l)
-      EXPECT_TRUE(SameBits(acc2[l], std::max(ref[l], bcast))) << l;
-    ExpectCanaryIntact(acc2, n);
-
-    std::vector<double> prop(n + kW, kCanary);
-    sta::lanes::Propagate(prop.data(), in.data(), m.data(), base, wire,
-                          n);
-    for (std::size_t l = 0; l < n; ++l)
-      EXPECT_TRUE(SameBits(prop[l], in[l] + base * m[l] + wire)) << l;
-    ExpectCanaryIntact(prop, n);
-  }
-}
-
-TEST(LaneKernels, PropagateNeqMaskMatchesReferenceAtEveryTail) {
-  for (std::size_t n = 1; n <= 2 * kW + 3; ++n) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    const std::vector<double> m = ArrivalRow(n, 400 + n);
-    const std::vector<double> in = ArrivalRow(n, 500 + n);
-    const double base = 0.21, wire = 0.04;
-    // cmp equals the recomputed value in some lanes (convergence) and
-    // not in others; build it from the reference expression.
-    std::vector<double> cmp_src(n);
-    for (std::size_t l = 0; l < n; ++l)
-      cmp_src[l] = in[l] + base * m[l] + wire;
-    const double cmp = cmp_src[n / 2];  // converges where values tie
-
-    std::vector<double> out(n + kW, kCanary);
-    const std::uint64_t dm = sta::lanes::PropagateNeq(
-        out.data(), in.data(), m.data(), base, wire, cmp, n);
-    std::uint64_t want = 0;
-    for (std::size_t l = 0; l < n; ++l) {
-      const double v = in[l] + base * m[l] + wire;
-      EXPECT_TRUE(SameBits(out[l], v)) << l;
-      if (v != cmp) want |= 1ull << l;
-    }
-    EXPECT_EQ(dm, want);
     ExpectCanaryIntact(out, n);
   }
 }
@@ -443,7 +388,7 @@ TEST(LaneKernels, EndpointFoldsMatchReferenceAtEveryTail) {
     SCOPED_TRACE("n=" + std::to_string(n));
     const std::vector<double> m = ArrivalRow(n, 800 + n);
     const std::vector<double> arr = ArrivalRow(n, 900 + n);
-    const double clock = 0.55, setup = 0.06, barr = 0.31;
+    const double clock = 0.55, setup = 0.06;
 
     std::vector<double> wns(n, 0.2), wns_ref(wns.begin(), wns.end());
     std::vector<std::uint64_t> viol(n, 3), viol_ref(viol.begin(),
@@ -460,26 +405,12 @@ TEST(LaneKernels, EndpointFoldsMatchReferenceAtEveryTail) {
     ExpectCanaryIntact(wns, n);
     for (std::size_t i = n; i < viol.size(); ++i)
       EXPECT_EQ(viol[i], 77u) << i;
-
-    std::vector<double> wns2(n, 0.2);
-    std::vector<std::uint64_t> viol2(n, 3);
-    wns2.resize(n + kW, kCanary);
-    viol2.resize(n + kW, 77);
-    sta::lanes::EndpointFoldBcast(wns2.data(), viol2.data(), m.data(),
-                                  barr, clock, setup, n);
-    for (std::size_t l = 0; l < n; ++l) {
-      const double slack = clock - setup * m[l] - barr;
-      EXPECT_TRUE(SameBits(wns2[l], std::min(0.2, slack))) << l;
-      EXPECT_EQ(viol2[l], 3u + (slack < 0.0 ? 1u : 0u)) << l;
-    }
-    ExpectCanaryIntact(wns2, n);
   }
 }
 
 // ====================================================================
 // The full sweep on top of the kernels: batch lanes == scalar Analyze
-// across all four generator families x operator widths, and the
-// arrival lanes stay NaN/∞-free on every reached net.
+// across all four generator families x operator widths.
 // ====================================================================
 
 struct Generator {
@@ -516,20 +447,6 @@ TEST(SimdSta, BatchBitIdenticalToScalarAcrossOperatorsAndWidths) {
         const auto batch =
             an.AnalyzeBatch(vdd, d.clock_ns, lanes, d.domain_of(), &ca);
         ASSERT_EQ(batch.size(), W);
-
-        // NaN/∞-free invariant: every reached net's whole lane row is
-        // finite (unreached rows are undefined by contract).
-        const std::span<const double> arr = an.LastBatchArrivals();
-        const std::span<const std::uint8_t> reached =
-            an.LastBatchReached();
-        ASSERT_EQ(reached.size(), d.op.nl.num_nets());
-        for (std::size_t n = 0; n < reached.size(); ++n) {
-          if (!reached[n]) continue;
-          for (std::size_t l = 0; l < W; ++l)
-            ASSERT_TRUE(std::isfinite(arr[n * W + l]))
-                << "net " << n << " lane " << l << " = "
-                << arr[n * W + l];
-        }
 
         for (std::size_t l = 0; l < W; ++l) {
           SCOPED_TRACE("lane " + std::to_string(l) + " mask " +
