@@ -139,7 +139,7 @@ void RbbSleepPass(const ImplementedDesign& design, ModeContext& ctx,
 /// a worker. The sweep writes these into index-addressed slots; the
 /// deterministic merge then folds them serially in lattice order, so
 /// stats, best-point ties and all_points ordering cannot depend on
-/// thread scheduling (or batch width).
+/// thread scheduling.
 struct PointRecord {
   enum class Kind : std::uint8_t {
     kPruned,      ///< implied infeasible by a smaller bitwidth
@@ -153,7 +153,7 @@ struct PointRecord {
   double leak_w = 0.0;
 };
 
-/// A ≤batch_width run of same-VDD lattice points handed to one
+/// A ≤kStaBatchWidth run of same-VDD lattice points handed to one
 /// AnalyzeBatch call. Lane l is lattice point (vi, lane_mi[begin+l]).
 struct BatchChunk {
   std::size_t vi = 0;
@@ -172,11 +172,9 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
                                ModeContext& ctx) {
   const std::vector<int>& domain_of = design.domain_of();
   const std::vector<int>& bitwidths = ctx.bitwidths();
-  const std::size_t batch_width =
-      static_cast<std::size_t>(opt.batch_width > 0 ? opt.batch_width : 8);
-  // Recorded infeasible points need their computed wns_ns, so the
-  // dominance prune (which never computes one) must stand down.
-  const bool mask_prune = opt.mask_pruning && !opt.keep_all_points;
+  // Recorded points need their computed wns_ns, so both prunes
+  // (which never compute one) stand down in the reference sweep.
+  const bool prune = !opt.keep_all_points;
 
   // Persistent store: all lookups happen in the serial Phase A and
   // all insertions in a serial post-B pass, so the store never sees
@@ -194,8 +192,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   // makes the publication self-contained rather than barrier-reliant.)
   // Mask-dominance hits publish the same way: they are proofs of
   // infeasibility, so later bitwidths prune them exactly as if the
-  // STA had run — which is why every stat except the sta_runs /
-  // mask_pruned split is independent of the mask_pruning switch.
+  // STA had run.
   const std::size_t nv = opt.vdds.size();
   const std::size_t nm = masks.size();
   std::vector<std::atomic<std::uint8_t>> dead(nv * nm);
@@ -207,7 +204,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   // level is classified every potential dominator has a settled
   // verdict (ParallelFor is a barrier). Equal popcount never
   // dominates (M ⊆ F with |M| == |F| forces M == F), so decisions are
-  // independent of batch width, thread count and within-level order.
+  // independent of chunking, thread count and within-level order.
   std::vector<std::vector<std::size_t>> levels;
   {
     int max_pop = 0;
@@ -255,12 +252,11 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
         const std::size_t row_begin = lane_mi.size();
         for (const std::size_t mi : level) {
           const std::size_t slot = vi * nm + mi;
-          if (opt.monotonic_pruning &&
-              dead[slot].load(std::memory_order_acquire)) {
+          if (prune && dead[slot].load(std::memory_order_acquire)) {
             prog.Tick();
             continue;  // record stays kPruned
           }
-          if (mask_prune) {
+          if (prune) {
             const tech::DomainMask mask = masks[mi];
             bool dominated = false;
             for (const tech::DomainMask f : row_infeasible[vi])
@@ -304,9 +300,9 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
           lane_masks.push_back(masks[mi]);
         }
         for (std::size_t c = row_begin; c < lane_mi.size();
-             c += batch_width)
+             c += kStaBatchWidth)
           chunks.push_back(
-              {vi, c, std::min(batch_width, lane_mi.size() - c)});
+              {vi, c, std::min(kStaBatchWidth, lane_mi.size() - c)});
       }
 
       // Phase B (parallel): one AnalyzeBatch per chunk; lanes write
@@ -355,7 +351,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
 
       // Phase C (serial): extend the per-VDD antichains with this
       // level's fresh failures, in deterministic (vi, mi) order.
-      if (mask_prune)
+      if (prune)
         for (std::size_t vi = 0; vi < nv; ++vi)
           for (const std::size_t mi : level)
             if (rec[vi * nm + mi].kind == PointRecord::Kind::kInfeasible)
@@ -365,8 +361,8 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     // Deterministic merge: fold the records in (vi, mi) lattice
     // order, regardless of the popcount-level order they were
     // computed in. Every number below is either copied from a record
-    // or recomputed from the same expressions for every thread count
-    // and batch width, so the result is bit-identical across both.
+    // or recomputed from the same expressions for every thread count,
+    // so the result is bit-identical across all of them.
     ModeResult mode;
     mode.bitwidth = bw;
     mode.switched_energy_fj = ctx.switched_energy_fj(bi);

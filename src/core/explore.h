@@ -20,8 +20,10 @@
 /// antitone in the FBB mask lattice (forward bias only lowers delay),
 /// so a mask that fails at (VDD, b) proves every submask infeasible
 /// at the same point without running STA (mask-dominance pruning).
-/// Surviving masks are evaluated in batches of ExploreOptions::
-/// batch_width lanes per topological traversal (sta::AnalyzeBatch).
+/// Both prunes are exact and always on, except in the unpruned
+/// reference sweep that ExploreOptions::keep_all_points selects.
+/// Surviving masks are evaluated in batches of kStaBatchWidth lanes
+/// per topological traversal (sta::AnalyzeBatch).
 
 #include <cstdint>
 #include <limits>
@@ -150,23 +152,14 @@ struct ExploreOptions {
   int activity_cycles = 1024;
   std::uint64_t seed = 7;
   sim::StimulusKind stimulus = sim::StimulusKind::kCorrelated;
-  bool monotonic_pruning = true;
-  /// Mask-dominance pruning: FBB only lowers delay, so WNS is
-  /// monotone non-increasing in the mask lattice and an infeasible
-  /// mask condemns all its submasks at the same (VDD, bitwidth). The
-  /// prune is exact (never changes modes or stats other than trading
-  /// sta_runs for mask_pruned) and deterministic at any num_threads /
-  /// batch_width: masks are swept in descending-popcount levels, and
-  /// dominance is only checked against infeasibles from completed
-  /// levels. Automatically inactive when keep_all_points is set,
-  /// because recorded infeasible points need their computed wns_ns.
-  bool mask_pruning = true;
+  /// The unpruned reference sweep: record every lattice point in
+  /// ExplorationResult::all_points, each with its computed wns_ns.
+  /// This turns both exact prunes off (the monotone-in-bitwidth one
+  /// and mask dominance), so every point is evaluated by STA and
+  /// stats.pruned == stats.mask_pruned == 0. The modes are identical
+  /// either way; the prunes only trade sta_runs for pruned and
+  /// mask_pruned.
   bool keep_all_points = false;
-  /// Lanes per batched STA call (sta::TimingAnalyzer::AnalyzeBatch):
-  /// one topological traversal serves this many masks. 0 or negative
-  /// selects the default (8). Any value yields bit-identical results;
-  /// only throughput changes.
-  int batch_width = 8;
   /// RBB sleep post-pass (extension beyond the paper's 2-state
   /// exploration): after the best (VDD, FBB mask) is found for a
   /// mode, domains still at NoBB are greedily demoted to reverse

@@ -192,8 +192,6 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   const std::size_t nv = opt.vdds.size();
   const std::size_t wave_width =
       static_cast<std::size_t>(std::max(1, opt.wave_width));
-  const std::size_t batch_width =
-      static_cast<std::size_t>(opt.batch_width > 0 ? opt.batch_width : 8);
 
   FrontierResult result;
   using PointKey = std::pair<std::size_t, tech::DomainMask>;
@@ -309,9 +307,9 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
               lane_masks.push_back(need[i].second);
             }
           for (std::size_t c = row_begin; c < lane_idx.size();
-               c += batch_width)
+               c += kStaBatchWidth)
             chunks.push_back(
-                {vi, c, std::min(batch_width, lane_idx.size() - c)});
+                {vi, c, std::min(kStaBatchWidth, lane_idx.size() - c)});
         }
         std::vector<Verdict> slot(need.size());
         ctx.pool().ParallelFor(

@@ -72,8 +72,6 @@ struct FrontierOptions {
   /// certificate). When the budget stops a mode early, its result
   /// carries certified = false and the proved gap_w.
   long node_budget = 0;
-  /// Lanes per batched STA call, as in ExploreOptions.
-  int batch_width = 8;
   /// Branch-order criticality probe: the slack window handed to
   /// core::AccuracyCriticality. 0 disables the probe (domains are
   /// decided in index order) — results stay identical, only the

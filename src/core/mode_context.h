@@ -25,6 +25,7 @@
 /// engine, so per-engine profiles stay separable.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -36,6 +37,16 @@
 #include "util/thread_pool.h"
 
 namespace adq::core {
+
+/// Lanes per batched STA call (sta::TimingAnalyzer::AnalyzeBatch) in
+/// both engines: one topological traversal serves this many masks.
+/// Every width is bit-identical (pinned lane by lane in
+/// tests/test_sta_batch); only throughput changes. bench_sta_batch's
+/// width study sets 8: on a full row it already gives most of the
+/// batching gain (8.7x over scalar vs 11x at width 16, Booth 2x2,
+/// AVX2), and the pruned sweep's rows average 2.6 lanes per call in
+/// bench_fig5_pareto, so wider batches rarely fill.
+inline constexpr std::size_t kStaBatchWidth = 8;
 
 class ModeContext {
  public:

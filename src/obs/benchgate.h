@@ -27,9 +27,6 @@
 /// match any run); with none available the gate passes advisorily
 /// (verdict.advisory) instead of comparing apples to oranges. Rows carrying a `-dirty` or `unknown` build id are
 /// refused as baselines — an unpinnable number cannot gate anything.
-///
-/// Not gated on ADQ_OBS_DISABLED: this is offline tooling over files,
-/// not runtime instrumentation.
 
 #include <map>
 #include <string>

@@ -15,9 +15,7 @@ void AppendNum(std::string& out, double v) {
   out += buf;
 }
 
-// Only WriteMetrics (compiled out under ADQ_OBS_DISABLED) uses this.
-[[maybe_unused]] bool WriteFile(const std::string& path,
-                                const std::string& body) {
+bool WriteFile(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
   const bool wrote = std::fwrite(body.data(), 1, body.size(), f) == body.size();
@@ -88,8 +86,6 @@ std::string MetricsSnapshot::ToCsv() const {
   }
   return out;
 }
-
-#ifndef ADQ_OBS_DISABLED
 
 namespace detail {
 std::atomic<bool> g_metrics_enabled{false};
@@ -182,7 +178,5 @@ bool WriteMetrics(const std::string& path) {
     return WriteFile(path, ToOpenMetrics(snap));
   return WriteFile(path, snap.ToJson());
 }
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs

@@ -16,25 +16,18 @@
 /// fetch-adds; histogram observations take a per-histogram mutex, so
 /// keep them out of per-point parallel loops (the explorer folds its
 /// histograms in the serial merge instead).
-///
-/// Compiles out under -DADQ_OBS_DISABLED — see the stub section.
 
+#include <atomic>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#ifndef ADQ_OBS_DISABLED
-#include <atomic>
-#include <mutex>
-
 #include "util/histogram.h"
-#endif
 
 namespace adq::obs {
 
-/// One consistent copy of every metric, with serializers. (Defined
-/// unconditionally so tooling that consumes snapshots compiles in
-/// both build flavors; with ADQ_OBS_DISABLED it is always empty.)
+/// One consistent copy of every metric, with serializers.
 struct MetricsSnapshot {
   struct Histo {
     double lo = 0.0, hi = 0.0;
@@ -49,8 +42,6 @@ struct MetricsSnapshot {
   std::string ToJson() const;
   std::string ToCsv() const;
 };
-
-#ifndef ADQ_OBS_DISABLED
 
 namespace detail {
 extern std::atomic<bool> g_metrics_enabled;
@@ -138,48 +129,5 @@ MetricsSnapshot SnapshotMetrics();
 /// Snapshot to a file: ".csv" suffix selects CSV, anything else JSON.
 /// Returns false on I/O failure.
 bool WriteMetrics(const std::string& path);
-
-#else  // ADQ_OBS_DISABLED
-
-constexpr bool MetricsEnabled() { return false; }
-inline void EnableMetrics(bool) {}
-inline void ResetMetrics() {}
-
-class Counter {
- public:
-  void Add(long = 1) {}
-  long value() const { return 0; }
-  void Reset() {}
-};
-class Gauge {
- public:
-  void Set(double) {}
-  void Add(double) {}
-  double value() const { return 0.0; }
-  void Reset() {}
-};
-class HistogramMetric {
- public:
-  void Observe(double) {}
-  void Reset() {}
-};
-
-inline Counter& GetCounter(const std::string&) {
-  static Counter c;
-  return c;
-}
-inline Gauge& GetGauge(const std::string&) {
-  static Gauge g;
-  return g;
-}
-inline HistogramMetric& GetHistogram(const std::string&, double, double,
-                                     int) {
-  static HistogramMetric h;
-  return h;
-}
-inline MetricsSnapshot SnapshotMetrics() { return {}; }
-inline bool WriteMetrics(const std::string&) { return false; }
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs

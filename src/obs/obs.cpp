@@ -1,13 +1,10 @@
 #include "obs/obs.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#ifndef ADQ_OBS_DISABLED
-#include <chrono>
 #include <mutex>
-#endif
 
 namespace adq::obs {
 
@@ -55,8 +52,6 @@ bool ParseObsFlag(const char* arg, Options* opt) {
   }
   return false;
 }
-
-#ifndef ADQ_OBS_DISABLED
 
 namespace {
 
@@ -146,12 +141,5 @@ PhaseScope::~PhaseScope() {
     GetGauge(std::string("phase.") + name_ + ".wall_ms").Add(ms);
   }
 }
-
-#else
-
-void Configure(const Options&) {}
-void Flush() {}
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs

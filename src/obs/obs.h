@@ -28,8 +28,7 @@
 ///   obs::Flush();              // writes the requested files
 ///
 /// Everything is inert by default: an unconfigured process pays one
-/// relaxed atomic load per instrumentation site. Building with CMake
-/// -DADQ_OBS=OFF (the `obs-off` preset) removes even that.
+/// relaxed atomic load per instrumentation site.
 
 #include <string>
 
@@ -61,16 +60,12 @@ Options OptionsFromEnv();
 bool ParseObsFlag(const char* arg, Options* opt);
 
 /// Applies `opt` to the global gates (idempotent; also remembers the
-/// dump paths for Flush). With ADQ_OBS_DISABLED this is a no-op and
-/// Flush writes nothing — the flags still parse, so the CLI surface
-/// is identical in both build flavors.
+/// dump paths for Flush).
 void Configure(const Options& opt);
 
 /// Writes the trace/metrics files requested by the last Configure,
 /// reporting each written path on stderr. Safe to call repeatedly.
 void Flush();
-
-#ifndef ADQ_OBS_DISABLED
 
 /// RAII phase instrumentation: one trace span plus an accumulating
 /// `phase.<name>.wall_ms` gauge. Use for coarse stages (flow phases,
@@ -92,15 +87,6 @@ class PhaseScope {
   TraceSpan span_;
   std::int64_t t0_ns_;
 };
-
-#else
-
-class PhaseScope {
- public:
-  explicit PhaseScope(const char*) {}
-};
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs
 

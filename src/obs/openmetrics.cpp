@@ -1,7 +1,11 @@
 #include "obs/openmetrics.h"
 
 #include <cctype>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
+#include <thread>
 
 namespace adq::obs {
 
@@ -98,17 +102,6 @@ std::string ToOpenMetrics(const MetricsSnapshot& snap,
   out += "# EOF\n";
   return out;
 }
-
-}  // namespace adq::obs
-
-#ifndef ADQ_OBS_DISABLED
-
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-
-namespace adq::obs {
 
 namespace {
 
@@ -244,5 +237,3 @@ bool MetricsPumpRunning() {
 }
 
 }  // namespace adq::obs
-
-#endif  // ADQ_OBS_DISABLED

@@ -26,8 +26,7 @@
 /// obs.h) rewrites the snapshot file atomically (tmp + rename) every
 /// interval — or, for a `.jsonl` path, appends one timestamped
 /// compact-JSON snapshot line per interval so a single file holds the
-/// whole time series of a long run. Compiled out with the rest of the
-/// subsystem under -DADQ_OBS_DISABLED.
+/// whole time series of a long run.
 
 #include <cstdint>
 #include <string>
@@ -46,8 +45,6 @@ std::string OpenMetricsName(const std::string& name);
 std::string ToOpenMetrics(const MetricsSnapshot& snap,
                           std::int64_t timestamp_ms = 0);
 
-#ifndef ADQ_OBS_DISABLED
-
 /// One compact single-line JSON snapshot ({"ts_ms":..., "counters":
 /// {...}, "gauges": {...}}) for the `.jsonl` streaming mode.
 std::string SnapshotJsonLine(const MetricsSnapshot& snap,
@@ -65,16 +62,5 @@ bool StartMetricsPump(const std::string& path, int interval_ms);
 void StopMetricsPump();
 
 bool MetricsPumpRunning();
-
-#else  // ADQ_OBS_DISABLED
-
-inline std::string SnapshotJsonLine(const MetricsSnapshot&, std::int64_t) {
-  return "";
-}
-inline bool StartMetricsPump(const std::string&, int) { return false; }
-inline void StopMetricsPump() {}
-inline bool MetricsPumpRunning() { return false; }
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs

@@ -1,7 +1,5 @@
 #include "obs/profiler.h"
 
-#ifndef ADQ_OBS_DISABLED
-
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <execinfo.h>
@@ -272,5 +270,3 @@ bool WriteFoldedProfile(const std::string& path) {
 }
 
 }  // namespace adq::obs
-
-#endif  // ADQ_OBS_DISABLED

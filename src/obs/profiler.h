@@ -29,17 +29,14 @@
 /// Overhead: at the default 997 Hz (prime, to dodge lockstep with
 /// periodic work) a sample costs one backtrace + ~300 B copy;
 /// measured <5% on bench_sta_batch (see EXPERIMENTS.md) and ~1% is
-/// typical. Compiles out entirely under -DADQ_OBS_DISABLED.
+/// typical.
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#ifndef ADQ_OBS_DISABLED
-#include <algorithm>
-#include <atomic>
 #include <vector>
-#endif
 
 namespace adq::obs {
 
@@ -65,8 +62,6 @@ struct ProfilerStats {
   long samples = 0;  ///< committed into the ring
   long dropped = 0;  ///< lost to a full ring
 };
-
-#ifndef ADQ_OBS_DISABLED
 
 /// Lock-free multi-producer sample ring. Writers (signal handlers on
 /// any thread) claim a slot with one fetch-add and commit it with a
@@ -184,21 +179,5 @@ std::string FoldedProfile();
 
 /// FoldedProfile() to a file; returns false on I/O failure.
 bool WriteFoldedProfile(const std::string& path);
-
-#else  // ADQ_OBS_DISABLED
-
-constexpr bool ProfilerEnabled() { return false; }
-inline bool PushProfSpan(const char*) { return false; }
-inline void PopProfSpan() {}
-inline void SetProfLane(const std::string&) {}
-inline bool StartProfiler(const ProfilerOptions& = {}) { return false; }
-inline void StopProfiler() {}
-inline bool ProfilerRunning() { return false; }
-inline ProfilerStats GetProfilerStats() { return {}; }
-inline void ResetProfiler() {}
-inline std::string FoldedProfile() { return ""; }
-inline bool WriteFoldedProfile(const std::string&) { return false; }
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs

@@ -1,7 +1,5 @@
 #include "obs/progress.h"
 
-#ifndef ADQ_OBS_DISABLED
-
 #include <cstdio>
 #include <utility>
 
@@ -79,5 +77,3 @@ void ProgressReporter::PrintLine(std::int64_t done, bool final_line) {
 }
 
 }  // namespace adq::obs
-
-#endif  // ADQ_OBS_DISABLED

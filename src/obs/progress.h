@@ -8,20 +8,14 @@
 /// the bottleneck: Tick() is a relaxed fetch-add plus a time check,
 /// and only the thread that wins a CAS on the shared "last printed"
 /// stamp formats and writes. Enabled via ADQ_PROGRESS=1 (see obs.h)
-/// or EnableProgress(); off by default and in ADQ_OBS_DISABLED
-/// builds.
+/// or EnableProgress(); off by default.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
-#ifndef ADQ_OBS_DISABLED
-#include <atomic>
-#include <chrono>
-#endif
-
 namespace adq::obs {
-
-#ifndef ADQ_OBS_DISABLED
 
 namespace detail {
 extern std::atomic<bool> g_progress_enabled;
@@ -61,19 +55,5 @@ class ProgressReporter {
   std::atomic<std::int64_t> last_print_us_{0};
   std::atomic<bool> printed_{false};
 };
-
-#else  // ADQ_OBS_DISABLED
-
-constexpr bool ProgressEnabled() { return false; }
-inline void EnableProgress(bool) {}
-inline void SetProgressIntervalMs(int) {}
-
-class ProgressReporter {
- public:
-  ProgressReporter(const std::string&, std::int64_t) {}
-  void Tick(std::int64_t = 1) {}
-};
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs

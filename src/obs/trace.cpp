@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#ifndef ADQ_OBS_DISABLED
-
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -223,5 +221,3 @@ bool WriteTrace(const std::string& path) {
 }
 
 }  // namespace adq::obs
-
-#endif  // ADQ_OBS_DISABLED

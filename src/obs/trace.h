@@ -17,23 +17,14 @@
 ///     (`tid`s) in the viewer;
 ///   * events survive thread exit: buffers are owned by a process-
 ///     wide registry, so a pool destroyed mid-run loses nothing.
-///
-/// The whole subsystem compiles out under -DADQ_OBS_DISABLED (CMake
-/// option ADQ_OBS=OFF): the macros expand to nothing and the inline
-/// stubs below keep call sites compiling.
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 
 #include "obs/profiler.h"
 
-#ifndef ADQ_OBS_DISABLED
-#include <atomic>
-#include <cstdint>
-#endif
-
 namespace adq::obs {
-
-#ifndef ADQ_OBS_DISABLED
 
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
@@ -112,29 +103,6 @@ class TraceSpan {
   bool active_ = false;
   bool prof_pushed_ = false;
 };
-
-#else  // ADQ_OBS_DISABLED
-
-constexpr bool TraceEnabled() { return false; }
-inline void StartTracing() {}
-inline void StopTracing() {}
-inline void ResetTracing() {}
-inline void NameThisThreadLane(const std::string&) {}
-inline void TraceInstant(const char*) {}
-inline void TraceCounterSample(const char*, double) {}
-inline std::string TraceToJson() { return "{\"traceEvents\":[]}"; }
-inline bool WriteTrace(const std::string&) { return false; }
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-  TraceSpan(const char*, const std::string&) {}
-  void SetDetail(const std::string&) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#endif  // ADQ_OBS_DISABLED
 
 }  // namespace adq::obs
 

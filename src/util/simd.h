@@ -1,6 +1,6 @@
 #pragma once
 /// \file simd.h
-/// \brief Portable fixed-width SIMD value lanes (f64 / f32 / u64).
+/// \brief Portable fixed-width SIMD value lanes (f64 / u64).
 ///
 /// The hot kernels of this repo — the batched STA arrival sweep and
 /// the packed logic simulator's bit-sliced toggle counters — both
@@ -9,10 +9,10 @@
 /// processes F64::kWidth lanes, with the backend chosen at compile
 /// time:
 ///
-///   * AVX2  (x86-64, `-mavx2`): 4 x f64, 8 x f32, 4 x u64;
-///   * SSE2  (x86-64 baseline):  2 x f64, 4 x f32, 2 x u64;
-///   * NEON  (aarch64):          2 x f64, 4 x f32, 2 x u64;
-///   * scalar fallback:          4 x f64, 8 x f32, 4 x u64 arrays,
+///   * AVX2  (x86-64, `-mavx2`): 4 x f64, 4 x u64;
+///   * SSE2  (x86-64 baseline):  2 x f64, 2 x u64;
+///   * NEON  (aarch64):          2 x f64, 2 x u64;
+///   * scalar fallback:          4 x f64, 4 x u64 arrays,
 ///     forced by defining ADQ_SIMD_DISABLED (cmake -DADQ_SIMD=OFF).
 ///
 /// Contract — the reason this layer may sit under bit-pinned kernels:
@@ -83,10 +83,6 @@ inline F64 Lt(F64 a, F64 b) {
 inline F64 Select(F64 m, F64 a, F64 b) {
   return {_mm256_blendv_pd(b.v, a.v, m.v)};
 }
-/// Bit l of the result = (a[l] < b[l]).
-inline unsigned LtMask(F64 a, F64 b) {
-  return static_cast<unsigned>(_mm256_movemask_pd(Lt(a, b).v));
-}
 
 #elif defined(ADQ_SIMD_BACKEND_SSE2)
 
@@ -104,9 +100,6 @@ inline F64 Mul(F64 a, F64 b) { return {_mm_mul_pd(a.v, b.v)}; }
 inline F64 Lt(F64 a, F64 b) { return {_mm_cmplt_pd(a.v, b.v)}; }
 inline F64 Select(F64 m, F64 a, F64 b) {
   return {_mm_or_pd(_mm_and_pd(m.v, a.v), _mm_andnot_pd(m.v, b.v))};
-}
-inline unsigned LtMask(F64 a, F64 b) {
-  return static_cast<unsigned>(_mm_movemask_pd(Lt(a, b).v));
 }
 
 #elif defined(ADQ_SIMD_BACKEND_NEON)
@@ -127,11 +120,6 @@ inline F64 Lt(F64 a, F64 b) {
 }
 inline F64 Select(F64 m, F64 a, F64 b) {
   return {vbslq_f64(vreinterpretq_u64_f64(m.v), a.v, b.v)};
-}
-inline unsigned LtMask(F64 a, F64 b) {
-  const uint64x2_t m = vcltq_f64(a.v, b.v);
-  return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1u) |
-                               ((vgetq_lane_u64(m, 1) & 1u) << 1));
 }
 
 #else  // scalar fallback
@@ -196,12 +184,6 @@ inline F64 Select(F64 m, F64 a, F64 b) {
     r.v[i] = detail::LaneTrue(m.v[i]) ? a.v[i] : b.v[i];
   return r;
 }
-inline unsigned LtMask(F64 a, F64 b) {
-  unsigned m = 0;
-  for (int i = 0; i < F64::kWidth; ++i)
-    if (a.v[i] < b.v[i]) m |= 1u << i;
-  return m;
-}
 
 #endif  // F64 backends
 
@@ -210,155 +192,6 @@ inline unsigned LtMask(F64 a, F64 b) {
 inline F64 Max(F64 a, F64 b) { return Select(Lt(a, b), b, a); }
 /// Elementwise std::min: (b[l] < a[l]) ? b[l] : a[l].
 inline F64 Min(F64 a, F64 b) { return Select(Lt(b, a), b, a); }
-
-// ====================================================================
-// F32 — float lanes (reserved for quantized / DNN workloads; pinned
-// by the same elementwise contract as F64).
-// ====================================================================
-
-#if defined(ADQ_SIMD_BACKEND_AVX2)
-
-struct F32 {
-  static constexpr int kWidth = 8;
-  __m256 v;
-  static F32 Load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static F32 Broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  void Store(float* p) const { _mm256_storeu_ps(p, v); }
-};
-
-inline F32 Add(F32 a, F32 b) { return {_mm256_add_ps(a.v, b.v)}; }
-inline F32 Sub(F32 a, F32 b) { return {_mm256_sub_ps(a.v, b.v)}; }
-inline F32 Mul(F32 a, F32 b) { return {_mm256_mul_ps(a.v, b.v)}; }
-inline F32 Lt(F32 a, F32 b) {
-  return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)};
-}
-inline F32 Select(F32 m, F32 a, F32 b) {
-  return {_mm256_blendv_ps(b.v, a.v, m.v)};
-}
-inline unsigned LtMask(F32 a, F32 b) {
-  return static_cast<unsigned>(_mm256_movemask_ps(Lt(a, b).v));
-}
-
-#elif defined(ADQ_SIMD_BACKEND_SSE2)
-
-struct F32 {
-  static constexpr int kWidth = 4;
-  __m128 v;
-  static F32 Load(const float* p) { return {_mm_loadu_ps(p)}; }
-  static F32 Broadcast(float x) { return {_mm_set1_ps(x)}; }
-  void Store(float* p) const { _mm_storeu_ps(p, v); }
-};
-
-inline F32 Add(F32 a, F32 b) { return {_mm_add_ps(a.v, b.v)}; }
-inline F32 Sub(F32 a, F32 b) { return {_mm_sub_ps(a.v, b.v)}; }
-inline F32 Mul(F32 a, F32 b) { return {_mm_mul_ps(a.v, b.v)}; }
-inline F32 Lt(F32 a, F32 b) { return {_mm_cmplt_ps(a.v, b.v)}; }
-inline F32 Select(F32 m, F32 a, F32 b) {
-  return {_mm_or_ps(_mm_and_ps(m.v, a.v), _mm_andnot_ps(m.v, b.v))};
-}
-inline unsigned LtMask(F32 a, F32 b) {
-  return static_cast<unsigned>(_mm_movemask_ps(Lt(a, b).v));
-}
-
-#elif defined(ADQ_SIMD_BACKEND_NEON)
-
-struct F32 {
-  static constexpr int kWidth = 4;
-  float32x4_t v;
-  static F32 Load(const float* p) { return {vld1q_f32(p)}; }
-  static F32 Broadcast(float x) { return {vdupq_n_f32(x)}; }
-  void Store(float* p) const { vst1q_f32(p, v); }
-};
-
-inline F32 Add(F32 a, F32 b) { return {vaddq_f32(a.v, b.v)}; }
-inline F32 Sub(F32 a, F32 b) { return {vsubq_f32(a.v, b.v)}; }
-inline F32 Mul(F32 a, F32 b) { return {vmulq_f32(a.v, b.v)}; }
-inline F32 Lt(F32 a, F32 b) {
-  return {vreinterpretq_f32_u32(vcltq_f32(a.v, b.v))};
-}
-inline F32 Select(F32 m, F32 a, F32 b) {
-  return {vbslq_f32(vreinterpretq_u32_f32(m.v), a.v, b.v)};
-}
-inline unsigned LtMask(F32 a, F32 b) {
-  const uint32x4_t m = vcltq_f32(a.v, b.v);
-  unsigned r = 0;
-  for (int i = 0; i < 4; ++i)
-    if (m[i]) r |= 1u << i;
-  return r;
-}
-
-#else  // scalar fallback
-
-struct F32 {
-  static constexpr int kWidth = 8;
-  float v[kWidth];
-  static F32 Load(const float* p) {
-    F32 r;
-    for (int i = 0; i < kWidth; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static F32 Broadcast(float x) {
-    F32 r;
-    for (int i = 0; i < kWidth; ++i) r.v[i] = x;
-    return r;
-  }
-  void Store(float* p) const {
-    for (int i = 0; i < kWidth; ++i) p[i] = v[i];
-  }
-};
-
-namespace detail {
-inline float MaskLaneF(bool b) {
-  const std::uint32_t bits = b ? ~0u : 0u;
-  float f;
-  __builtin_memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-inline bool LaneTrueF(float m) {
-  std::uint32_t bits;
-  __builtin_memcpy(&bits, &m, sizeof(bits));
-  return bits != 0;
-}
-}  // namespace detail
-
-inline F32 Add(F32 a, F32 b) {
-  F32 r;
-  for (int i = 0; i < F32::kWidth; ++i) r.v[i] = a.v[i] + b.v[i];
-  return r;
-}
-inline F32 Sub(F32 a, F32 b) {
-  F32 r;
-  for (int i = 0; i < F32::kWidth; ++i) r.v[i] = a.v[i] - b.v[i];
-  return r;
-}
-inline F32 Mul(F32 a, F32 b) {
-  F32 r;
-  for (int i = 0; i < F32::kWidth; ++i) r.v[i] = a.v[i] * b.v[i];
-  return r;
-}
-inline F32 Lt(F32 a, F32 b) {
-  F32 r;
-  for (int i = 0; i < F32::kWidth; ++i)
-    r.v[i] = detail::MaskLaneF(a.v[i] < b.v[i]);
-  return r;
-}
-inline F32 Select(F32 m, F32 a, F32 b) {
-  F32 r;
-  for (int i = 0; i < F32::kWidth; ++i)
-    r.v[i] = detail::LaneTrueF(m.v[i]) ? a.v[i] : b.v[i];
-  return r;
-}
-inline unsigned LtMask(F32 a, F32 b) {
-  unsigned m = 0;
-  for (int i = 0; i < F32::kWidth; ++i)
-    if (a.v[i] < b.v[i]) m |= 1u << i;
-  return m;
-}
-
-#endif  // F32 backends
-
-inline F32 Max(F32 a, F32 b) { return Select(Lt(a, b), b, a); }
-inline F32 Min(F32 a, F32 b) { return Select(Lt(b, a), b, a); }
 
 // ====================================================================
 // U64 — unsigned 64-bit lanes (bit-sliced counters, violation
@@ -391,7 +224,6 @@ struct U64 {
 };
 
 inline U64 Add(U64 a, U64 b) { return {_mm256_add_epi64(a.v, b.v)}; }
-inline U64 SubU(U64 a, U64 b) { return {_mm256_sub_epi64(a.v, b.v)}; }
 inline U64 And(U64 a, U64 b) { return {_mm256_and_si256(a.v, b.v)}; }
 inline U64 Or(U64 a, U64 b) { return {_mm256_or_si256(a.v, b.v)}; }
 inline U64 Xor(U64 a, U64 b) { return {_mm256_xor_si256(a.v, b.v)}; }
@@ -429,7 +261,6 @@ struct U64 {
 };
 
 inline U64 Add(U64 a, U64 b) { return {_mm_add_epi64(a.v, b.v)}; }
-inline U64 SubU(U64 a, U64 b) { return {_mm_sub_epi64(a.v, b.v)}; }
 inline U64 And(U64 a, U64 b) { return {_mm_and_si128(a.v, b.v)}; }
 inline U64 Or(U64 a, U64 b) { return {_mm_or_si128(a.v, b.v)}; }
 inline U64 Xor(U64 a, U64 b) { return {_mm_xor_si128(a.v, b.v)}; }
@@ -468,7 +299,6 @@ struct U64 {
 };
 
 inline U64 Add(U64 a, U64 b) { return {vaddq_u64(a.v, b.v)}; }
-inline U64 SubU(U64 a, U64 b) { return {vsubq_u64(a.v, b.v)}; }
 inline U64 And(U64 a, U64 b) { return {vandq_u64(a.v, b.v)}; }
 inline U64 Or(U64 a, U64 b) { return {vorrq_u64(a.v, b.v)}; }
 inline U64 Xor(U64 a, U64 b) { return {veorq_u64(a.v, b.v)}; }
@@ -514,11 +344,6 @@ struct U64 {
 inline U64 Add(U64 a, U64 b) {
   U64 r;
   for (int i = 0; i < U64::kWidth; ++i) r.v[i] = a.v[i] + b.v[i];
-  return r;
-}
-inline U64 SubU(U64 a, U64 b) {
-  U64 r;
-  for (int i = 0; i < U64::kWidth; ++i) r.v[i] = a.v[i] - b.v[i];
   return r;
 }
 inline U64 And(U64 a, U64 b) {

@@ -54,10 +54,11 @@ TEST(Explore, StatsAddUp) {
 }
 
 TEST(Explore, PruningDoesNotChangeResults) {
-  ExploreOptions fast = FastOptions();
+  // The default sweep prunes; keep_all_points is the unpruned
+  // reference that runs STA on every lattice point.
+  const ExploreOptions fast = FastOptions();
   ExploreOptions slow = FastOptions();
-  fast.monotonic_pruning = true;
-  slow.monotonic_pruning = false;
+  slow.keep_all_points = true;
   const ExplorationResult a = ExploreDesignSpace(Design22(), Lib(), fast);
   const ExplorationResult b = ExploreDesignSpace(Design22(), Lib(), slow);
   ASSERT_EQ(a.modes.size(), b.modes.size());
@@ -76,7 +77,6 @@ TEST(Explore, PruningDoesNotChangeResults) {
 TEST(Explore, BestIsMinimumOverKeptPoints) {
   ExploreOptions opt = FastOptions();
   opt.keep_all_points = true;
-  opt.monotonic_pruning = false;
   const ExplorationResult r = ExploreDesignSpace(Design22(), Lib(), opt);
   for (const ModeResult& m : r.modes) {
     if (!m.has_solution) continue;

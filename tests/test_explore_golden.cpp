@@ -152,9 +152,6 @@ TEST(ExploreGolden, ThreadCountInvariant) {
 // deterministic merge, so the counters are identical at any thread
 // count. Pinned at 1 (serial reference) and 8 (sharded path).
 TEST(ExploreGolden, MetricsSnapshotMirrorsStats) {
-#ifdef ADQ_OBS_DISABLED
-  GTEST_SKIP() << "observability compiled out (ADQ_OBS=OFF)";
-#else
   for (const int nt : {1, 8}) {
     obs::EnableMetrics(true);
     obs::ResetMetrics();
@@ -185,7 +182,6 @@ TEST(ExploreGolden, MetricsSnapshotMirrorsStats) {
     ASSERT_TRUE(snap.counters.count("sta.batch_lanes"));
     EXPECT_EQ(snap.counters.at("sta.batch_lanes"), r.stats.sta_runs);
   }
-#endif
 }
 
 }  // namespace

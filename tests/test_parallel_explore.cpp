@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
 
@@ -156,56 +157,37 @@ core::ExplorationResult RunExplore(core::ExploreOptions opt, int num_threads) {
   return core::ExploreDesignSpace(Design22(), Lib(), opt);
 }
 
-TEST(ParallelExplore, BitIdenticalAcrossThreadCounts) {
-  const core::ExplorationResult serial = RunExplore(BaseOptions(), 1);
-  for (const int nt : {2, 8}) {
-    SCOPED_TRACE("num_threads = " + std::to_string(nt));
-    ExpectResultsIdentical(serial, RunExplore(BaseOptions(), nt));
+/// Runs `opt` serially and at each of `thread_counts`, once as the
+/// unpruned reference sweep (keep_all_points) and once with both
+/// prunes on, so the threaded publication of prune verdicts is raced
+/// too. Each variant must be bit-identical to its serial run.
+void ExpectThreadCountInvariant(core::ExploreOptions opt,
+                                std::initializer_list<int> thread_counts) {
+  for (const bool keep_all : {true, false}) {
+    opt.keep_all_points = keep_all;
+    const core::ExplorationResult serial = RunExplore(opt, 1);
+    for (const int nt : thread_counts) {
+      SCOPED_TRACE("keep_all_points = " + std::to_string(keep_all) +
+                   ", num_threads = " + std::to_string(nt));
+      ExpectResultsIdentical(serial, RunExplore(opt, nt));
+    }
   }
 }
 
-TEST(ParallelExplore, BitIdenticalWithoutPruning) {
-  core::ExploreOptions opt = BaseOptions();
-  opt.monotonic_pruning = false;
-  const core::ExplorationResult serial = RunExplore(opt, 1);
-  for (const int nt : {2, 8}) {
-    SCOPED_TRACE("num_threads = " + std::to_string(nt));
-    ExpectResultsIdentical(serial, RunExplore(opt, nt));
-  }
+TEST(ParallelExplore, BitIdenticalAcrossThreadCounts) {
+  ExpectThreadCountInvariant(BaseOptions(), {2, 8});
 }
 
 TEST(ParallelExplore, BitIdenticalWithRbbSleep) {
   core::ExploreOptions opt = BaseOptions();
   opt.enable_rbb_sleep = true;
-  const core::ExplorationResult serial = RunExplore(opt, 1);
-  for (const int nt : {2, 8}) {
-    SCOPED_TRACE("num_threads = " + std::to_string(nt));
-    ExpectResultsIdentical(serial, RunExplore(opt, nt));
-  }
+  ExpectThreadCountInvariant(opt, {2, 8});
 }
 
 TEST(ParallelExplore, HardwareDefaultMatchesSerial) {
   // num_threads = 0 resolves to hardware concurrency — whatever that
   // is on the machine running the test, the contract holds.
-  ExpectResultsIdentical(RunExplore(BaseOptions(), 1), RunExplore(BaseOptions(), 0));
-}
-
-TEST(ParallelExplore, BitIdenticalAcrossBatchWidths) {
-  // The batched STA kernel is a pure throughput knob: every lane is
-  // bit-identical to a scalar run, so any batch width produces the
-  // same ExplorationResult — including all_points, since BaseOptions
-  // keeps them.
-  core::ExploreOptions opt = BaseOptions();
-  opt.batch_width = 1;
-  const core::ExplorationResult scalar = RunExplore(opt, 1);
-  for (const int w : {3, 8, 64}) {
-    for (const int nt : {1, 8}) {
-      SCOPED_TRACE("batch_width = " + std::to_string(w) +
-                   ", num_threads = " + std::to_string(nt));
-      opt.batch_width = w;
-      ExpectResultsIdentical(scalar, RunExplore(opt, nt));
-    }
-  }
+  ExpectThreadCountInvariant(BaseOptions(), {0});
 }
 
 void ExpectModesIdentical(const core::ExplorationResult& a,
@@ -222,55 +204,48 @@ void ExpectModesIdentical(const core::ExplorationResult& a,
 }
 
 TEST(ParallelExplore, MaskPruningIsExact) {
-  // Mask-dominance pruning never changes what is found — only how
-  // much STA is spent finding it. Every stat except the sta_runs /
-  // mask_pruned split must be identical with the prune on and off,
-  // at any thread count.
-  core::ExploreOptions on = BaseOptions();
-  on.keep_all_points = false;  // prune stands down otherwise
-  core::ExploreOptions off = on;
-  off.mask_pruning = false;
-  const core::ExplorationResult r_on = RunExplore(on, 1);
-  const core::ExplorationResult r_off = RunExplore(off, 1);
+  // The prunes never change what is found — only how much STA is
+  // spent finding it. Against the unpruned reference sweep, every
+  // pruned point is exactly one STA run saved, at any thread count.
+  core::ExploreOptions pruned = BaseOptions();
+  pruned.keep_all_points = false;
+  const core::ExplorationResult r_pruned = RunExplore(pruned, 1);
+  const core::ExplorationResult r_full = RunExplore(BaseOptions(), 1);
 
-  EXPECT_GT(r_on.stats.mask_pruned, 0);
-  EXPECT_EQ(r_off.stats.mask_pruned, 0);
-  EXPECT_LT(r_on.stats.sta_runs, r_off.stats.sta_runs);
-  // The trade is exact: pruned lanes are precisely the STA runs saved.
-  EXPECT_EQ(r_on.stats.sta_runs + r_on.stats.mask_pruned,
-            r_off.stats.sta_runs);
-  EXPECT_EQ(r_on.stats.points_considered, r_off.stats.points_considered);
-  EXPECT_EQ(r_on.stats.filtered, r_off.stats.filtered);
-  EXPECT_EQ(r_on.stats.pruned, r_off.stats.pruned);
-  EXPECT_EQ(r_on.stats.feasible, r_off.stats.feasible);
-  ExpectModesIdentical(r_on, r_off);
+  EXPECT_GT(r_pruned.stats.pruned, 0);
+  EXPECT_GT(r_pruned.stats.mask_pruned, 0);
+  EXPECT_EQ(r_pruned.stats.sta_runs + r_pruned.stats.pruned +
+                r_pruned.stats.mask_pruned,
+            r_full.stats.sta_runs);
+  EXPECT_EQ(r_pruned.stats.points_considered,
+            r_full.stats.points_considered);
+  EXPECT_EQ(r_pruned.stats.filtered, r_full.stats.filtered);
+  EXPECT_EQ(r_pruned.stats.feasible, r_full.stats.feasible);
+  ExpectModesIdentical(r_pruned, r_full);
 
-  for (const int nt : {8}) {
-    SCOPED_TRACE("num_threads = " + std::to_string(nt));
-    ExpectResultsIdentical(r_on, RunExplore(on, nt));
-    ExpectResultsIdentical(r_off, RunExplore(off, nt));
-  }
+  ExpectResultsIdentical(r_pruned, RunExplore(pruned, 8));
+  ExpectResultsIdentical(r_full, RunExplore(BaseOptions(), 8));
 }
 
 TEST(ParallelExplore, MaskPruningInactiveWithKeptPoints) {
-  // keep_all_points records the computed wns_ns of every infeasible
-  // point, which a dominance skip cannot supply — so the prune must
-  // stand down and the full lattice must still be analyzed.
+  // keep_all_points records the computed wns_ns of every point, which
+  // neither prune can supply — so both stand down and the full
+  // lattice is analyzed and recorded.
   core::ExploreOptions opt = BaseOptions();
   ASSERT_TRUE(opt.keep_all_points);
-  ASSERT_TRUE(opt.mask_pruning);
   const core::ExplorationResult r = RunExplore(opt, 8);
+  EXPECT_EQ(r.stats.pruned, 0);
   EXPECT_EQ(r.stats.mask_pruned, 0);
+  EXPECT_EQ(r.stats.sta_runs, r.stats.points_considered);
   EXPECT_EQ(r.all_points.size(),
-            static_cast<std::size_t>(r.stats.points_considered -
-                                     r.stats.pruned));
+            static_cast<std::size_t>(r.stats.points_considered));
 }
 
 TEST(ParallelExplore, PruningStillSavesStaRuns) {
   core::ExploreOptions pruned = BaseOptions();
-  core::ExploreOptions full = BaseOptions();
-  full.monotonic_pruning = false;
-  EXPECT_GT(RunExplore(full, 8).stats.sta_runs, RunExplore(pruned, 8).stats.sta_runs);
+  pruned.keep_all_points = false;
+  EXPECT_GT(RunExplore(BaseOptions(), 8).stats.sta_runs,
+            RunExplore(pruned, 8).stats.sta_runs);
 }
 
 TEST(ParallelCriticality, ScoresMatchSerial) {

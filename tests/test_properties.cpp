@@ -187,8 +187,7 @@ TEST(Properties, InfeasibilityIsMonotoneInBitwidth) {
   core::ExploreOptions opt;
   opt.bitwidths = {1, 2, 3, 4, 5, 6, 7, 8};
   opt.activity_cycles = 64;
-  opt.monotonic_pruning = false;  // evaluate every point explicitly
-  opt.keep_all_points = true;
+  opt.keep_all_points = true;  // evaluate every point explicitly
   const core::ExplorationResult r =
       core::ExploreDesignSpace(design, lib, opt);
 

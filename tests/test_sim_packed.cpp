@@ -348,19 +348,15 @@ TEST(ActivitySliced, SeamFallbackKeepsNonConvergingStateExact) {
   for (const StimulusKind kind :
        {StimulusKind::kUniform, StimulusKind::kCorrelated}) {
     SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)));
-#ifndef ADQ_OBS_DISABLED
     obs::EnableMetrics(true);
     obs::ResetMetrics();
-#endif
     int fallbacks = 0;
     const std::vector<ActivityProfile> packed =
         ExtractActivityPacked(op, zs, 1024, 3, kind, &fallbacks);
-#ifndef ADQ_OBS_DISABLED
     const obs::MetricsSnapshot snap = obs::SnapshotMetrics();
     obs::EnableMetrics(false);
     EXPECT_EQ(snap.counters.at("sim.activity_seam_fallbacks"),
               static_cast<std::uint64_t>(fallbacks));
-#endif
     // Mode 4 zeroes every input bit: its parity stays 0 and converges.
     EXPECT_GT(fallbacks, 0);
     EXPECT_LT(fallbacks, 5);
@@ -437,7 +433,6 @@ TEST(ActivityCache, SizingChangesShareEntriesStructuralChangesDoNot) {
   ClearActivityCache();
 }
 
-#ifndef ADQ_OBS_DISABLED
 TEST(ActivityCache, ObsSnapshotMirrorsCacheCounters) {
   const gen::Operator op = gen::BuildBoothOperator(8);
   ClearActivityCache();
@@ -454,7 +449,6 @@ TEST(ActivityCache, ObsSnapshotMirrorsCacheCounters) {
   EXPECT_EQ(snap.counters.at("sim.activity_extractions"), 2u);
   ClearActivityCache();
 }
-#endif
 
 // Golden determinism with the cache in the loop: exploration results
 // are identical whether profiles are simulated fresh or served from

@@ -57,12 +57,6 @@ bool SameBits(double a, double b) {
   std::memcpy(&bb, &b, sizeof(bb));
   return ba == bb;
 }
-bool SameBitsF(float a, float b) {
-  std::uint32_t ba, bb;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
-}
 
 /// For arithmetic results only: IEEE-754 leaves the surviving NaN
 /// payload unspecified when both operands are NaN (and +/- add/mul
@@ -72,9 +66,6 @@ bool SameBitsF(float a, float b) {
 /// strict SameBits check.
 bool ArithBits(double r, double want) {
   return SameBits(r, want) || (std::isnan(r) && std::isnan(want));
-}
-bool ArithBitsF(float r, float want) {
-  return SameBitsF(r, want) || (std::isnan(r) && std::isnan(want));
 }
 
 /// The special-value pool every pairwise primitive test sweeps.
@@ -151,64 +142,11 @@ TEST(SimdF64, CompareSelectMinMaxMatchStdSemantics) {
       for (int l = 0; l < simd::F64::kWidth; ++l)
         EXPECT_TRUE(SameBits(r[l], b[l] < a[l] ? b[l] : a[l]))
             << "Min lane " << l;
-      // Movemask compare: ordered < (false on NaN) — the C++ operator
-      // exactly.
-      const unsigned lt = simd::LtMask(va, vb);
-      for (int l = 0; l < simd::F64::kWidth; ++l)
-        EXPECT_EQ((lt >> l) & 1u, a[l] < b[l] ? 1u : 0u)
-            << "LtMask lane " << l;
       // Select routes lane l from its mask lane alone.
       simd::Select(simd::Lt(va, vb), va, vb).Store(r);
       for (int l = 0; l < simd::F64::kWidth; ++l)
         EXPECT_TRUE(SameBits(r[l], a[l] < b[l] ? a[l] : b[l]))
             << "Select lane " << l;
-    }
-}
-
-TEST(SimdF32, PrimitivesMatchScalarExpressionOnSpecials) {
-  std::vector<float> pool = {0.0f,
-                             -0.0f,
-                             std::numeric_limits<float>::infinity(),
-                             -std::numeric_limits<float>::infinity(),
-                             std::numeric_limits<float>::quiet_NaN(),
-                             std::numeric_limits<float>::denorm_min(),
-                             std::numeric_limits<float>::max(),
-                             -std::numeric_limits<float>::max(),
-                             1.5f,
-                             -2.25f,
-                             3.7f};
-  float a[simd::F32::kWidth], b[simd::F32::kWidth], r[simd::F32::kWidth];
-  for (std::size_t i = 0; i < pool.size(); ++i)
-    for (std::size_t j = 0; j < pool.size(); ++j) {
-      for (int l = 0; l < simd::F32::kWidth; ++l) {
-        a[l] = pool[(i + static_cast<std::size_t>(l)) % pool.size()];
-        b[l] = pool[(j + static_cast<std::size_t>(l)) % pool.size()];
-      }
-      const simd::F32 va = simd::F32::Load(a);
-      const simd::F32 vb = simd::F32::Load(b);
-      SCOPED_TRACE("rot i=" + std::to_string(i) + " j=" +
-                   std::to_string(j));
-      simd::Add(va, vb).Store(r);
-      for (int l = 0; l < simd::F32::kWidth; ++l)
-        EXPECT_TRUE(ArithBitsF(r[l], a[l] + b[l])) << "Add lane " << l;
-      simd::Sub(va, vb).Store(r);
-      for (int l = 0; l < simd::F32::kWidth; ++l)
-        EXPECT_TRUE(ArithBitsF(r[l], a[l] - b[l])) << "Sub lane " << l;
-      simd::Mul(va, vb).Store(r);
-      for (int l = 0; l < simd::F32::kWidth; ++l)
-        EXPECT_TRUE(ArithBitsF(r[l], a[l] * b[l])) << "Mul lane " << l;
-      simd::Max(va, vb).Store(r);
-      for (int l = 0; l < simd::F32::kWidth; ++l)
-        EXPECT_TRUE(SameBitsF(r[l], a[l] < b[l] ? b[l] : a[l]))
-            << "Max lane " << l;
-      simd::Min(va, vb).Store(r);
-      for (int l = 0; l < simd::F32::kWidth; ++l)
-        EXPECT_TRUE(SameBitsF(r[l], b[l] < a[l] ? b[l] : a[l]))
-            << "Min lane " << l;
-      const unsigned lt = simd::LtMask(va, vb);
-      for (int l = 0; l < simd::F32::kWidth; ++l)
-        EXPECT_EQ((lt >> l) & 1u, a[l] < b[l] ? 1u : 0u)
-            << "LtMask lane " << l;
     }
 }
 
@@ -239,9 +177,6 @@ TEST(SimdU64, IntegerOpsExactOnBoundaryPatterns) {
       simd::Add(va, vb).Store(r);
       for (int l = 0; l < simd::U64::kWidth; ++l)
         EXPECT_EQ(r[l], a[l] + b[l]) << "Add lane " << l;  // mod 2^64
-      simd::SubU(va, vb).Store(r);
-      for (int l = 0; l < simd::U64::kWidth; ++l)
-        EXPECT_EQ(r[l], a[l] - b[l]) << "SubU lane " << l;
       simd::And(va, vb).Store(r);
       for (int l = 0; l < simd::U64::kWidth; ++l)
         EXPECT_EQ(r[l], a[l] & b[l]) << "And lane " << l;

@@ -106,7 +106,7 @@ TEST(StaBatch, EmptyAndSingleLane) {
       analyzer.Analyze(0.8, d.clock_ns, core::BiasVectorFor(d, mask)));
 }
 
-/// The law behind ExploreOptions::mask_pruning: forward body bias
+/// The law behind the explorer's mask-dominance prune: forward body bias
 /// only speeds cells up, so clearing FBB bits can only worsen WNS.
 TEST(StaBatch, WnsMonotoneNonIncreasingInMaskLattice) {
   const core::ImplementedDesign& d = Design();
