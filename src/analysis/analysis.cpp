@@ -47,21 +47,6 @@ Wide ReadBusSigned(const sim::LogicSim& s, const netlist::Bus& bus) {
   return ToSignedW(raw, bus.width());
 }
 
-/// Forced-to-zero port constants of one accuracy mode. Mirrors
-/// core::ForcedZeros, re-stated here because analysis sits *below*
-/// core in the layering (core calls into this library).
-std::vector<netlist::ForcedValue> ModeForcedZeros(const gen::Operator& op,
-                                                  int bitwidth) {
-  const int z = op.spec.data_width - bitwidth;
-  std::vector<netlist::ForcedValue> forced;
-  for (const std::string& name : op.spec.scalable_buses) {
-    const netlist::Bus& bus = op.nl.InputBus(name);
-    for (int i = 0; i < z && i < bus.width(); ++i)
-      forced.push_back({bus.bits[i], false});
-  }
-  return forced;
-}
-
 // ---------------------------------------------------------------------------
 // Deterministic probe stimulus for template validation. Three
 // sequences: 0 = LCG random at full precision, 1 = corner cycling
@@ -426,7 +411,6 @@ std::vector<AccuracyAnalyzer::BusErr> AccuracyAnalyzer::BusBoundsFor(
 std::vector<AccuracyAnalyzer::BusErr> AccuracyAnalyzer::TaintBounds(
     int zeroed) const {
   const netlist::Netlist& nl = op_.nl;
-  const int w = op_.spec.data_width;
   // May-differ taint: a net is tainted when its value in the degraded
   // run may ever differ from the exact run. Forced-zero ports seed the
   // taint; any cell (registers included — the fixpoint is over cycles
@@ -439,7 +423,7 @@ std::vector<AccuracyAnalyzer::BusErr> AccuracyAnalyzer::TaintBounds(
     for (const netlist::PinRef& snk : nl.net(n).sinks)
       work.push_back(snk.inst.index());
   };
-  for (const netlist::ForcedValue& fv : ModeForcedZeros(op_, w - zeroed))
+  for (const netlist::ForcedValue& fv : gen::ForcedZeroLsbs(op_, zeroed))
     taint_net(fv.net);
   while (!work.empty()) {
     const std::size_t ii = work.back();
@@ -545,7 +529,7 @@ ModeBounds AccuracyAnalyzer::Analyze(int bitwidth) const {
   mb.zeroed_lsbs = z;
   mb.exact_model = exact_model();
   mb.constants = std::make_shared<netlist::CaseAnalysis>(
-      op_.nl, ModeForcedZeros(op_, bitwidth));
+      op_.nl, gen::ForcedZeroLsbs(op_, z));
   mb.constant_nets = mb.constants->num_constant();
   for (const netlist::Instance& inst : op_.nl.instances()) {
     bool quiesced = inst.num_outputs() > 0;
@@ -666,7 +650,8 @@ lint::LintReport LintAccuracy(const gen::Operator& op, const QualitySpec& spec,
     ++rep.rules_run;
     int reported = 0, folded = 0;
     for (int b : modes) {
-      const netlist::CaseAnalysis ca(op.nl, ModeForcedZeros(op, b));
+      const netlist::CaseAnalysis ca(
+          op.nl, gen::ForcedZeroLsbs(op, op.spec.data_width - b));
       for (const netlist::Bus& ob : op.nl.output_buses()) {
         bool all_const = ob.width() > 0;
         for (netlist::NetId bit : ob.bits)

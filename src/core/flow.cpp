@@ -48,12 +48,7 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   sopt.recovery_margin_ns = 0.04 * d.clock_ns;
   {
     ADQ_OBS_PHASE("flow.sizing");
-    d.sizing = opt::OptimizeSizing(
-        nl, lib,
-        [&lib](const netlist::Netlist& n) {
-          return place::EstimateLoadsByFanout(n, lib);
-        },
-        sopt);
+    d.sizing = opt::OptimizeSizing(nl, lib, place::FanoutWires(nl), sopt);
   }
 
   // --- First placement (no BB domains).
@@ -65,6 +60,9 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     ADQ_OBS_PHASE("flow.place");
     first = place::PlaceDesign(nl, lib, popt);
   }
+  // Sizing never moves a cell, so the first placement's route lengths
+  // serve every load computation on it below.
+  const place::NetWires first_wires = place::PlacedWires(nl, first);
 
   // --- Post-placement optimization with extracted parasitics: close
   // timing at the real clock, then recover power on slack paths.
@@ -75,12 +73,8 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     opt::SizingOptions eco = sopt;
     eco.clock_ns = d.clock_ns;
     eco.enable_recovery = true;
-    const opt::SizingResult r = opt::OptimizeSizing(
-        nl, lib,
-        [&lib, &first](const netlist::Netlist& n) {
-          return place::ExtractLoads(n, lib, first);
-        },
-        eco);
+    const opt::SizingResult r =
+        opt::OptimizeSizing(nl, lib, first_wires, eco);
     d.sizing.upsize_moves += r.upsize_moves;
     d.sizing.downsize_moves += r.downsize_moves;
   }
@@ -93,7 +87,8 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     ADQ_OBS_PHASE("flow.partition");
     if (fopt.strategy == DomainStrategy::kCriticalityBands &&
         fopt.grid.ny > 1) {
-      const place::NetLoads pre_loads = place::ExtractLoads(nl, lib, first);
+      const place::NetLoads pre_loads =
+          place::ComputeLoads(nl, lib, first_wires);
       std::vector<int> probe_bw;
       for (int b = 2; b <= d.op.spec.data_width; b += 2)
         probe_bw.push_back(b);
@@ -129,7 +124,6 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   // reaches, which keeps the DVAS comparison apples-to-apples).
   {
     ADQ_OBS_PHASE("flow.extract_eco");
-    d.loads = place::ExtractLoads(nl, lib, d.placement);
     opt::SizingOptions eco = sopt;
     eco.clock_ns = d.clock_ns;
     eco.enable_recovery = true;
@@ -137,11 +131,7 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     // pass only re-balances cells the guardband ECO upsized.
     eco.recovery_steps_per_cell = 0.15;
     const opt::SizingResult r = opt::OptimizeSizing(
-        nl, lib,
-        [&lib, &d](const netlist::Netlist& n) {
-          return place::ExtractLoads(n, lib, d.placement);
-        },
-        eco);
+        nl, lib, place::PlacedWires(nl, d.placement), eco);
     d.sizing.upsize_moves += r.upsize_moves;
     // The ECO resized cells after legalization, so a boundary cell
     // that grew can now protrude into the guardband (lint FL002).
@@ -156,7 +146,7 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   {
     ADQ_OBS_PHASE("flow.flat_extract");
     d.flat_placement = std::move(first);
-    d.flat_loads = place::ExtractLoads(nl, lib, d.flat_placement);
+    d.flat_loads = place::ComputeLoads(nl, lib, first_wires);
   }
 
   // --- Signoff check at the implementation corner.

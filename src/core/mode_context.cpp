@@ -87,9 +87,11 @@ ModeContext::ModeContext(Engine engine, const ImplementedDesign& design,
 
   // Mode constants: all modes' activity profiles come from one
   // bit-parallel simulation (one lane per accuracy mode), which also
-  // warms the process-wide activity cache; the case analyses and
-  // switched energies are independent across modes and run on the
-  // pool.
+  // warms the process-wide activity cache. The case analyses depend
+  // only on the netlist structure, so the same cache shares them with
+  // every other exploration of this netlist (DVAS runs, the flat
+  // view). Switched energy depends on this design's loads; it runs on
+  // the pool.
   ADQ_TRACE_SCOPE(names.mode_constants);
   const std::size_t nmodes = bitwidths_.size();
   std::vector<int> mode_lsbs(nmodes);
@@ -98,14 +100,12 @@ ModeContext::ModeContext(Engine engine, const ImplementedDesign& design,
   const std::vector<sim::ActivityProfile> acts = sim::ExtractActivityBatch(
       design.op, mode_lsbs, setup.activity_cycles, setup.seed,
       setup.stimulus);
-  ca_.resize(nmodes);
+  ca_ = sim::ModeCaseAnalyses(design.op, mode_lsbs);
   energy_fj_.assign(nmodes, 0.0);
   pool_.ParallelFor(
       static_cast<std::int64_t>(nmodes), 1, [&](std::int64_t i, int w) {
         NameLane(w);
         const auto m = static_cast<std::size_t>(i);
-        ca_[m] = std::make_unique<const netlist::CaseAnalysis>(
-            design.op.nl, ForcedZeros(design.op, bitwidths_[m]));
         energy_fj_[m] = pmodel_.SwitchedEnergyPerCycleFj(acts[m]);
       });
 }

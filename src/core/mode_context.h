@@ -16,8 +16,9 @@
 ///      data_width), sorted, with the modes whose proved error bound
 ///      violates the quality target split off (static prune);
 ///   5. the mode constants: one bit-parallel activity extraction for
-///      all kept modes, then per-mode case analysis and switched
-///      energy on the pool.
+///      all kept modes, the per-mode case analyses (shared per netlist
+///      structure through the activity cache, sim::ModeCaseAnalyses),
+///      then per-mode switched energy on the pool.
 ///
 /// The engines differ only in how they walk the lattice. The trace
 /// span names (`<engine>.static_prune`, `<engine>.mode_constants`)
@@ -146,7 +147,7 @@ class ModeContext {
   store::ExplorationStore* store_;
   int store_ctx_;
   std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzers_;
-  std::vector<std::unique_ptr<const netlist::CaseAnalysis>> ca_;
+  std::vector<std::shared_ptr<const netlist::CaseAnalysis>> ca_;
   std::vector<double> energy_fj_;
 };
 

@@ -53,13 +53,11 @@ VddIslandResult ExploreVddIslands(const ImplementedDesign& design,
 
   // Static hardware: shifters load their nets and slow every crossing
   // arc regardless of the runtime rail assignment.
-  auto augment = [&](place::NetLoads l) {
-    for (const auto& [net, dom] : sites) {
-      l.cap_ff[net.index()] += opt.shifter.cap_in_ff;
-      l.wire_delay_ns[net.index()] += opt.shifter.delay_ns;
-    }
-    return l;
-  };
+  place::NetWires wires = place::PlacedWires(design.op.nl, design.placement);
+  wires.extra_pins.assign(design.op.nl.num_nets(), 0);
+  wires.extra_pin_cap_ff = opt.shifter.cap_in_ff;
+  wires.extra_pin_delay_ns = opt.shifter.delay_ns;
+  for (const auto& [net, dom] : sites) ++wires.extra_pins[net.index()];
 
   // Fair comparison: the island implementation gets its own timing
   // closure after shifter insertion (a real multi-VDD flow would
@@ -70,16 +68,10 @@ VddIslandResult ExploreVddIslands(const ImplementedDesign& design,
     fix.clock_ns = design.clock_ns;
     fix.corner = tech::BiasState::kFBB;
     fix.enable_recovery = false;
-    opt::OptimizeSizing(
-        op_copy.nl, lib,
-        [&](const netlist::Netlist& n) {
-          return augment(place::ExtractLoads(n, lib, design.placement));
-        },
-        fix);
+    opt::OptimizeSizing(op_copy.nl, lib, wires, fix);
   }
   const netlist::Netlist& nl_v = op_copy.nl;
-  const place::NetLoads loads =
-      augment(place::ExtractLoads(nl_v, lib, design.placement));
+  const place::NetLoads loads = place::ComputeLoads(nl_v, lib, wires);
   sta::TimingAnalyzer analyzer(nl_v, lib, loads);
   power::PowerModel pmodel(nl_v, lib, loads);
 

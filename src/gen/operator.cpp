@@ -1,11 +1,26 @@
 #include "gen/operator.h"
 
+#include <algorithm>
+
 #include "gen/adders.h"
 #include "gen/array_mult.h"
 #include "gen/booth.h"
 #include "gen/wallace.h"
 
 namespace adq::gen {
+
+std::vector<netlist::ForcedValue> ForcedZeroLsbs(const Operator& op,
+                                                 int zeroed_lsbs) {
+  std::vector<netlist::ForcedValue> forced;
+  for (const std::string& bus_name : op.spec.scalable_buses) {
+    const netlist::Bus& bus = op.nl.InputBus(bus_name);
+    const int z = std::min(zeroed_lsbs, bus.width());
+    for (int i = 0; i < z; ++i)
+      forced.push_back(
+          netlist::ForcedValue{bus.bits[static_cast<std::size_t>(i)], false});
+  }
+  return forced;
+}
 
 using netlist::NetId;
 using netlist::Netlist;

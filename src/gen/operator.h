@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gen/words.h"
+#include "netlist/case_analysis.h"
 
 namespace adq::gen {
 
@@ -36,6 +37,12 @@ struct Operator {
   netlist::Netlist nl;
   OperatorSpec spec;
 };
+
+/// Case-analysis constants of the accuracy mode that clamps the
+/// `zeroed_lsbs` least significant bits of every scalable input bus
+/// to zero (bus by bus in spec order, bit 0 first).
+std::vector<netlist::ForcedValue> ForcedZeroLsbs(const Operator& op,
+                                                 int zeroed_lsbs);
 
 /// Creates primary-input ports name[0..width-1], registers each
 /// through a DFF, declares the bus, and returns the register outputs

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "netlist/topo.h"
+#include "obs/metrics.h"
 
 namespace adq::netlist {
 
@@ -95,6 +96,9 @@ void Evaluate3(tech::CellKind kind, const LogicV* in, LogicV* out) {
 CaseAnalysis::CaseAnalysis(const Netlist& nl,
                            const std::vector<ForcedValue>& forced)
     : values_(nl.num_nets(), LogicV::kX) {
+  static obs::Counter& builds =
+      obs::GetCounter("netlist.case_analysis_builds");
+  builds.Add();
   for (const ForcedValue& f : forced) {
     ADQ_CHECK_MSG(nl.net(f.net).is_primary_input,
                   "case analysis can only force primary-input ports");

@@ -41,11 +41,6 @@ class CaseAnalysis {
   LogicV Value(NetId n) const { return values_[n.index()]; }
   bool IsConstant(NetId n) const { return Value(n) != LogicV::kX; }
 
-  /// A timing arc through instance `inst` from input pin `pin` is
-  /// active only if both the input net and the output nets can toggle.
-  /// (Single query for "is this input net able to launch an event".)
-  bool NetActive(NetId n) const { return !IsConstant(n); }
-
   /// Number of nets proven constant.
   std::size_t num_constant() const { return num_constant_; }
 

@@ -94,14 +94,23 @@ void Flush() {
   if (!cfg.profile_path.empty()) {
     StopProfiler();
     const ProfilerStats st = GetProfilerStats();
-    if (WriteFoldedProfile(cfg.profile_path))
+    if (WriteFoldedProfile(cfg.profile_path)) {
       std::fprintf(stderr,
                    "[adq] profile written to %s (%ld samples, %ld "
-                   "dropped)\n",
-                   cfg.profile_path.c_str(), st.samples, st.dropped);
-    else
+                   "dropped; %.0f Hz achieved of %d Hz requested over "
+                   "%.3f CPU-s)\n",
+                   cfg.profile_path.c_str(), st.samples, st.dropped,
+                   st.achieved_hz(), st.requested_hz, st.cpu_s);
+      if (st.achieved_hz() < 0.8 * st.requested_hz)
+        std::fprintf(stderr,
+                     "[adq] WARNING: the profiler sampled at %.0f%% of "
+                     "the requested rate; sample counts under-state "
+                     "CPU time\n",
+                     100.0 * st.achieved_hz() / st.requested_hz);
+    } else {
       std::fprintf(stderr, "[adq] FAILED to write profile %s\n",
                    cfg.profile_path.c_str());
+    }
   }
   if (!cfg.trace_path.empty()) {
     if (WriteTrace(cfg.trace_path))

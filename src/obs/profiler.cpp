@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,6 +39,14 @@ SampleRing* g_ring = nullptr;
 std::mutex g_prof_mu;           // guards start/stop/ring swap
 struct sigaction g_prev_action; // restored by StopProfiler
 bool g_running = false;
+int g_requested_hz = 0;
+double g_cpu_s = 0.0;       // profiled CPU time of finished runs
+double g_cpu_start_s = 0.0; // process CPU time at the last start
+
+/// Process CPU time, the clock ITIMER_PROF counts.
+double ProcessCpuSeconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
 
 /// Interned lane names: lane pointers must stay valid for the process
 /// lifetime because samples hold them raw.
@@ -194,6 +203,8 @@ bool StartProfiler(const ProfilerOptions& opt) {
     return false;
   }
   g_running = true;
+  g_requested_hz = opt.hz;
+  g_cpu_start_s = ProcessCpuSeconds();
   return true;
 }
 
@@ -206,6 +217,7 @@ void StopProfiler() {
   detail::g_profiler_enabled.store(false, std::memory_order_relaxed);
   sigaction(SIGPROF, &g_prev_action, nullptr);
   g_running = false;
+  g_cpu_s += ProcessCpuSeconds() - g_cpu_start_s;
 }
 
 bool ProfilerRunning() {
@@ -220,12 +232,17 @@ ProfilerStats GetProfilerStats() {
     st.samples = static_cast<long>(g_ring->size());
     st.dropped = g_ring->dropped();
   }
+  st.requested_hz = g_requested_hz;
+  st.cpu_s = g_cpu_s;
+  if (g_running) st.cpu_s += ProcessCpuSeconds() - g_cpu_start_s;
   return st;
 }
 
 void ResetProfiler() {
   std::lock_guard<std::mutex> lk(g_prof_mu);
-  if (!g_running && g_ring) g_ring->Clear();
+  if (g_running) return;
+  if (g_ring) g_ring->Clear();
+  g_cpu_s = 0.0;
 }
 
 std::string FoldedProfile() {

@@ -61,6 +61,16 @@ struct ProfilerOptions {
 struct ProfilerStats {
   long samples = 0;  ///< committed into the ring
   long dropped = 0;  ///< lost to a full ring
+  int requested_hz = 0;  ///< ProfilerOptions::hz of the last start
+  double cpu_s = 0.0;    ///< process CPU time while the timer ran
+
+  /// Samples per profiled CPU-second (0 before any CPU was profiled).
+  /// ITIMER_PROF under-delivers on a loaded box; compare with
+  /// requested_hz before reading the profile's absolute counts.
+  double achieved_hz() const {
+    return cpu_s > 0.0 ? static_cast<double>(samples + dropped) / cpu_s
+                       : 0.0;
+  }
 };
 
 /// Lock-free multi-producer sample ring. Writers (signal handlers on
@@ -169,7 +179,9 @@ void StopProfiler();
 
 bool ProfilerRunning();
 ProfilerStats GetProfilerStats();
-void ResetProfiler();  ///< drops buffered samples (profiler stopped)
+/// Drops buffered samples and the profiled CPU time (profiler
+/// stopped).
+void ResetProfiler();
 
 /// Aggregates the buffered samples into folded-stack text:
 /// `lane;span;...;frame;... count\n` per distinct stack, symbolized

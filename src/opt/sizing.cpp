@@ -44,14 +44,25 @@ DriveStrength Down(DriveStrength d) {
 }  // namespace
 
 SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
-                            const LoadsFn& loads_fn,
+                            const place::NetWires& wires,
                             const SizingOptions& opt) {
   SizingResult res;
   const std::vector<tech::BiasState> bias(nl.num_instances(), opt.corner);
   const double scale = lib.DelayScale(opt.vdd, opt.corner);
 
-  place::NetLoads loads = loads_fn(nl);
+  place::NetLoads loads = place::ComputeLoads(nl, lib, wires);
   sta::TimingAnalyzer analyzer(nl, lib, loads);
+  // Cells resized since the last refresh; a drive change moves only
+  // the pin caps on the cell's input nets.
+  std::vector<std::uint32_t> moved;
+  const auto refresh_loads = [&] {
+    for (const std::uint32_t i : moved) {
+      const netlist::Instance& inst = nl.instances()[i];
+      for (int p = 0; p < inst.num_inputs(); ++p)
+        place::UpdateNetLoad(nl, lib, wires, inst.in[p], &loads);
+    }
+    analyzer.SetLoads(loads);
+  };
 
   // ---- Phase 1: upsize until the clock is met (or sizes saturate).
   bool met = false;
@@ -61,20 +72,19 @@ SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
       met = true;
       break;
     }
-    int moves = 0;
+    moved.clear();
     for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
       const netlist::Instance& inst = nl.instances()[i];
       if (tech::IsTie(inst.kind)) continue;
       if (!CanUpsize(inst.drive)) continue;
       if (InstSlack(nl, dt, i) < 0.0) {
         nl.SetDrive(InstId(i), Up(inst.drive));
-        ++moves;
+        moved.push_back(i);
       }
     }
-    if (moves == 0) break;  // saturated; timing unreachable
-    res.upsize_moves += moves;
-    loads = loads_fn(nl);
-    analyzer.SetLoads(loads);
+    if (moved.empty()) break;  // saturated; timing unreachable
+    res.upsize_moves += static_cast<int>(moved.size());
+    refresh_loads();
   }
 
   // ---- Phase 2: power recovery on slack paths (wall of slack).
@@ -118,23 +128,20 @@ SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
       std::sort(cand.begin(), cand.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
       const int take = std::min<int>(k, static_cast<int>(cand.size()));
-      std::vector<std::uint32_t> moved;
-      moved.reserve(static_cast<std::size_t>(take));
+      moved.clear();
       for (int t = 0; t < take; ++t) {
         const std::uint32_t i = cand[static_cast<std::size_t>(t)].second;
         nl.SetDrive(InstId(i), Down(nl.instances()[i].drive));
         moved.push_back(i);
       }
-      loads = loads_fn(nl);
-      analyzer.SetLoads(loads);
+      refresh_loads();
       const auto check = analyzer.Analyze(opt.vdd, opt.clock_ns, bias);
       if (check.feasible()) {
         res.downsize_moves += take;
       } else {
         for (const std::uint32_t i : moved)
           nl.SetDrive(InstId(i), Up(nl.instances()[i].drive));
-        loads = loads_fn(nl);
-        analyzer.SetLoads(loads);
+        refresh_loads();
         k /= 2;
       }
     }

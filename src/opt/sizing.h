@@ -17,8 +17,6 @@
 /// toward the critical one, which is precisely the phenomenon that
 /// breaks plain DVAS and motivates per-domain back-bias.
 
-#include <functional>
-
 #include "netlist/netlist.h"
 #include "place/wirelength.h"
 #include "tech/cell_library.h"
@@ -55,16 +53,13 @@ struct SizingResult {
   bool timing_met = false;
 };
 
-/// Recomputes parasitics after each sizing change (pin caps move with
-/// drive). Pass EstimateLoadsByFanout pre-placement or a
-/// placement-bound ExtractLoads closure post-placement.
-using LoadsFn =
-    std::function<place::NetLoads(const netlist::Netlist&)>;
-
-/// Optimizes drive strengths in place.
+/// Optimizes drive strengths in place. Loads come from `wires`
+/// (place::FanoutWires before placement, place::PlacedWires after);
+/// after each batch of moves only the input nets of the resized cells
+/// are recomputed, since a drive change moves pin caps only.
 SizingResult OptimizeSizing(netlist::Netlist& nl,
                             const tech::CellLibrary& lib,
-                            const LoadsFn& loads_fn,
+                            const place::NetWires& wires,
                             const SizingOptions& opt);
 
 }  // namespace adq::opt

@@ -1,11 +1,14 @@
 #include "place/placer.h"
 
 #include "netlist/topo.h"
+#include "place/wirelength.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace adq::place {
 
@@ -159,6 +162,53 @@ std::vector<double> CellSignificance(const Netlist& nl) {
 
 }  // namespace
 
+std::vector<std::uint32_t> RankOrder(std::span<const double> keys) {
+  // LSD radix sort of (bit pattern, index) pairs on the patterns' top
+  // 33 bits (three 11-bit digits), then a stable insertion pass over
+  // the full patterns for keys that agree in those bits (to ~2^-21
+  // relative: rare among distinct coordinates). Both steps are
+  // stable, so equal keys stay in index order.
+  constexpr int kDigitBits = 11;
+  constexpr int kPasses = 3;
+  constexpr int kLowBits = 64 - kPasses * kDigitBits;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const std::size_t n = keys.size();
+  ADQ_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
+  auto digit = [](std::uint64_t bits, int pass) {
+    return static_cast<std::size_t>(
+        (bits >> (kLowBits + pass * kDigitBits)) & (kBuckets - 1));
+  };
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> item(n), tmp(n);
+  std::vector<std::uint32_t> count(kPasses * kBuckets, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ADQ_DCHECK(keys[i] >= 0.0);
+    // +0.0 for -0.0: the two compare equal, so they must tie.
+    const std::uint64_t bits =
+        keys[i] == 0.0 ? 0 : std::bit_cast<std::uint64_t>(keys[i]);
+    item[i] = {bits, static_cast<std::uint32_t>(i)};
+    for (int p = 0; p < kPasses; ++p)
+      ++count[static_cast<std::size_t>(p) * kBuckets + digit(bits, p)];
+  }
+  for (int p = 0; p < kPasses && n > 0; ++p) {
+    std::uint32_t* c = &count[static_cast<std::size_t>(p) * kBuckets];
+    if (c[digit(item[0].first, p)] == n) continue;  // one digit value
+    for (std::uint32_t b = 0, sum = 0; b < kBuckets; ++b)
+      sum += std::exchange(c[b], sum);
+    for (std::size_t i = 0; i < n; ++i)
+      tmp[c[digit(item[i].first, p)]++] = item[i];
+    item.swap(tmp);
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto v = item[i];
+    std::size_t j = i;
+    for (; j > 0 && item[j - 1].first > v.first; --j) item[j] = item[j - 1];
+    item[j] = v;
+  }
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = item[i].second;
+  return order;
+}
+
 bool TryLegalizeRows(const Netlist& nl, const tech::CellLibrary& lib,
                      const std::vector<Point>& target,
                      const std::vector<bool>& movable, double x_lo,
@@ -279,19 +329,26 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
   // This is a light-weight analytic-placement scheme in the spirit of
   // quadratic placement + look-ahead legalization.
   const std::size_t n_cells = nl.num_instances();
-  std::vector<std::uint32_t> by_x(n_cells), by_y(n_cells);
-  for (std::uint32_t i = 0; i < n_cells; ++i) by_x[i] = by_y[i] = i;
+  const std::size_t n_nets = nl.num_nets();
 
+  // Positions are frozen within a centroid pass, so each net's centre
+  // is computed once per pass rather than once per incident pin.
+  std::vector<Point> centre(n_nets);
+  std::vector<std::uint8_t> has_centre(n_nets);
   auto centroid_pass = [&](double damp) {
+    for (std::uint32_t n = 0; n < n_nets; ++n) {
+      const BBox box = NetBox(nl, NetId(n), pl.pos, pl.port_anchor);
+      has_centre[n] = !box.empty();
+      if (has_centre[n]) centre[n] = box.center();
+    }
     std::vector<Point> next = pl.pos;
     for (std::uint32_t i = 0; i < n_cells; ++i) {
       const netlist::Instance& inst = nl.instances()[i];
       double sx = 0.0, sy = 0.0;
       int n = 0;
       auto accumulate = [&](NetId net_id) {
-        const BBox box = NetBox(nl, net_id, pl.pos, pl.port_anchor);
-        if (box.empty()) return;
-        const Point c = box.center();
+        if (!has_centre[net_id.index()]) return;
+        const Point& c = centre[net_id.index()];
         sx += c.x;
         sy += c.y;
         ++n;
@@ -314,13 +371,14 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
 
   // Rank spreading: each coordinate slides a fraction beta toward its
   // uniform-density quantile position (order preserved per axis).
+  std::vector<double> xs(n_cells), ys(n_cells);
   auto spread_pass = [&](double beta) {
-    std::sort(by_x.begin(), by_x.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return pl.pos[a].x < pl.pos[b].x;
-    });
-    std::sort(by_y.begin(), by_y.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return pl.pos[a].y < pl.pos[b].y;
-    });
+    for (std::size_t i = 0; i < n_cells; ++i) {
+      xs[i] = pl.pos[i].x;
+      ys[i] = pl.pos[i].y;
+    }
+    const std::vector<std::uint32_t> by_x = RankOrder(xs);
+    const std::vector<std::uint32_t> by_y = RankOrder(ys);
     for (std::size_t r = 0; r < n_cells; ++r) {
       const double frac =
           (static_cast<double>(r) + 0.5) / static_cast<double>(n_cells);
@@ -347,10 +405,14 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
   return pl;
 }
 
+double NetHpwl(const Netlist& nl, const Placement& pl, NetId id) {
+  return NetBox(nl, id, pl.pos, pl.port_anchor).hpwl();
+}
+
 double TotalHpwl(const Netlist& nl, const Placement& pl) {
   double total = 0.0;
   for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
-    total += NetBox(nl, NetId(n), pl.pos, pl.port_anchor).hpwl();
+    total += NetHpwl(nl, pl, NetId(n));
   return total;
 }
 

@@ -11,6 +11,8 @@
 /// deterministic, and good enough to give wirelength and locality the
 /// right trends.
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -62,6 +64,13 @@ bool TryLegalizeRows(const netlist::Netlist& nl,
                      const std::vector<bool>& movable, double x_lo,
                      double x_hi, double y_lo, double y_hi,
                      double row_height_um, std::vector<Point>* out);
+
+/// The permutation of 0 .. keys.size()-1 that sorts `keys` ascending,
+/// equal keys in index order, so the order is total. Keys must be
+/// >= 0; -0.0 ranks as +0.0. The placer's spreading pass ranks cell
+/// coordinates with it (an LSD radix sort on the IEEE-754 bit
+/// patterns, which order like the values for non-negative doubles).
+std::vector<std::uint32_t> RankOrder(std::span<const double> keys);
 
 /// Total half-perimeter wirelength of the placement [um].
 double TotalHpwl(const netlist::Netlist& nl, const Placement& pl);

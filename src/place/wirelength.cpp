@@ -1,30 +1,9 @@
 #include "place/wirelength.h"
 
-#include <algorithm>
-#include <limits>
-
 namespace adq::place {
 
 using netlist::NetId;
 using netlist::Netlist;
-
-double NetHpwl(const Netlist& nl, const Placement& pl, NetId id) {
-  double xlo = std::numeric_limits<double>::infinity();
-  double xhi = -xlo, ylo = xlo, yhi = -xlo;
-  auto add = [&](const Point& p) {
-    xlo = std::min(xlo, p.x);
-    xhi = std::max(xhi, p.x);
-    ylo = std::min(ylo, p.y);
-    yhi = std::max(yhi, p.y);
-  };
-  const netlist::Net& net = nl.net(id);
-  if (net.driver.valid()) add(pl.pos[net.driver.inst.index()]);
-  if (net.is_primary_input || net.is_primary_output)
-    add(pl.port_anchor[id.index()]);
-  for (const netlist::PinRef& s : net.sinks) add(pl.pos[s.inst.index()]);
-  if (xhi < xlo) return 0.0;
-  return (xhi - xlo) + (yhi - ylo);
-}
 
 namespace {
 
@@ -40,40 +19,60 @@ double PinCap(const Netlist& nl, const tech::CellLibrary& lib, NetId id) {
 
 }  // namespace
 
-NetLoads ExtractLoads(const Netlist& nl, const tech::CellLibrary& lib,
-                      const Placement& pl) {
+NetWires PlacedWires(const Netlist& nl, const Placement& pl) {
+  NetWires w;
+  w.length_um.resize(nl.num_nets());
+  for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
+    w.length_um[n] = NetHpwl(nl, pl, NetId(n));
+  return w;
+}
+
+NetWires FanoutWires(const Netlist& nl) {
+  NetWires w;
+  w.length_um.resize(nl.num_nets());
+  for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
+    const std::size_t fanout = nl.net(NetId(n)).sinks.size();
+    // 28nm-scale short nets.
+    w.length_um[n] =
+        fanout == 0 ? 0.0 : 4.0 + 2.5 * static_cast<double>(fanout - 1);
+  }
+  return w;
+}
+
+void UpdateNetLoad(const Netlist& nl, const tech::CellLibrary& lib,
+                   const NetWires& wires, NetId id, NetLoads* loads) {
+  const std::size_t n = id.index();
+  const double len = wires.length_um[n];
+  double cap = len * lib.wire_cap_ff_per_um() + PinCap(nl, lib, id);
+  double delay = lib.wire_delay_ns_per_um_ff() * len * cap;
+  for (int k = 0; !wires.extra_pins.empty() && k < wires.extra_pins[n];
+       ++k) {
+    cap += wires.extra_pin_cap_ff;
+    delay += wires.extra_pin_delay_ns;
+  }
+  loads->cap_ff[n] = cap;
+  loads->wire_delay_ns[n] = delay;
+}
+
+NetLoads ComputeLoads(const Netlist& nl, const tech::CellLibrary& lib,
+                      const NetWires& wires) {
+  ADQ_CHECK(wires.length_um.size() == nl.num_nets());
   NetLoads loads;
   loads.cap_ff.resize(nl.num_nets());
   loads.wire_delay_ns.resize(nl.num_nets());
-  const double cpu = lib.wire_cap_ff_per_um();
-  const double kr = lib.wire_delay_ns_per_um_ff();
-  for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
-    const double hpwl = NetHpwl(nl, pl, NetId(n));
-    const double wire_cap = hpwl * cpu;
-    const double cap = wire_cap + PinCap(nl, lib, NetId(n));
-    loads.cap_ff[n] = cap;
-    loads.wire_delay_ns[n] = kr * hpwl * cap;
-  }
+  for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
+    UpdateNetLoad(nl, lib, wires, NetId(n), &loads);
   return loads;
+}
+
+NetLoads ExtractLoads(const Netlist& nl, const tech::CellLibrary& lib,
+                      const Placement& pl) {
+  return ComputeLoads(nl, lib, PlacedWires(nl, pl));
 }
 
 NetLoads EstimateLoadsByFanout(const Netlist& nl,
                                const tech::CellLibrary& lib) {
-  NetLoads loads;
-  loads.cap_ff.resize(nl.num_nets());
-  loads.wire_delay_ns.resize(nl.num_nets());
-  const double cpu = lib.wire_cap_ff_per_um();
-  const double kr = lib.wire_delay_ns_per_um_ff();
-  for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
-    const std::size_t fanout = nl.net(NetId(n)).sinks.size();
-    // Wireload model: ~4 um of route for the first sink, +2.5 um per
-    // additional sink (28nm-scale short nets).
-    const double hpwl = fanout == 0 ? 0.0 : 4.0 + 2.5 * (double)(fanout - 1);
-    const double cap = hpwl * cpu + PinCap(nl, lib, NetId(n));
-    loads.cap_ff[n] = cap;
-    loads.wire_delay_ns[n] = kr * hpwl * cap;
-  }
-  return loads;
+  return ComputeLoads(nl, lib, FanoutWires(nl));
 }
 
 }  // namespace adq::place

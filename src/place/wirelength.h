@@ -28,11 +28,39 @@ struct NetLoads {
   std::vector<double> wire_delay_ns;
 };
 
-/// Placement-based extraction.
+/// What a net's load depends on besides its sink pin caps, which is
+/// all that sizing changes: the route length and fixed extra pins.
+struct NetWires {
+  /// Per net [um]: HPWL after placement, wireload estimate before.
+  std::vector<double> length_um;
+  /// Per net (empty = none): identical extra sink pins, e.g. level
+  /// shifters (core/vdd_islands.h). Each adds extra_pin_cap_ff to the
+  /// load and extra_pin_delay_ns to the wire delay (the Elmore term
+  /// sees the load without them).
+  std::vector<int> extra_pins;
+  double extra_pin_cap_ff = 0.0;
+  double extra_pin_delay_ns = 0.0;
+};
+
+/// Each net's HPWL.
+NetWires PlacedWires(const netlist::Netlist& nl, const Placement& pl);
+/// Wireload model: 4 um for the first sink, +2.5 um per further sink.
+NetWires FanoutWires(const netlist::Netlist& nl);
+
+/// Per net: wire cap (length * cap-per-um) plus sink pin caps, and
+/// the lumped wire delay.
+NetLoads ComputeLoads(const netlist::Netlist& nl,
+                      const tech::CellLibrary& lib, const NetWires& wires);
+/// ComputeLoads for one net, in place (after resizing a sink).
+void UpdateNetLoad(const netlist::Netlist& nl, const tech::CellLibrary& lib,
+                   const NetWires& wires, netlist::NetId id,
+                   NetLoads* loads);
+
+/// Placement-based extraction: ComputeLoads over PlacedWires.
 NetLoads ExtractLoads(const netlist::Netlist& nl,
                       const tech::CellLibrary& lib, const Placement& pl);
 
-/// Pre-placement wireload model: wire cap ~ c0 + c1 * fanout.
+/// Pre-placement loads: ComputeLoads over FanoutWires.
 NetLoads EstimateLoadsByFanout(const netlist::Netlist& nl,
                                const tech::CellLibrary& lib);
 

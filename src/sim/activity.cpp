@@ -59,8 +59,10 @@ std::vector<BusStream> GenerateStreams(const gen::Operator& op, int cycles,
 }
 
 void PutWord(std::string* s, std::uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i)
-    s->push_back(static_cast<char>((v >> (8 * i)) & 0xffULL));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xffULL);
+  s->append(bytes, sizeof bytes);
 }
 
 void PutStr(std::string* s, std::string_view str) {
@@ -133,6 +135,8 @@ struct StructureEntry {
   std::string name;
   std::string canon;
   std::map<ModeKey, ActivityProfile> profiles;
+  /// Case analyses by zeroed LSB count (ModeCaseAnalyses).
+  std::map<int, std::shared_ptr<const netlist::CaseAnalysis>> cases;
 };
 
 struct ActivityCache {
@@ -150,6 +154,16 @@ struct ActivityCache {
       if (it->second.name == name && it->second.canon == canon)
         return &it->second;
     return nullptr;
+  }
+
+  /// The entry of (name, digest, canon), created empty if missing
+  /// (`canon` is moved from then). Caller holds mu.
+  StructureEntry& FindOrAdd(const std::string& name, std::uint64_t digest,
+                            std::string& canon) {
+    if (StructureEntry* e = Find(name, digest, canon)) return *e;
+    return structures
+        .emplace(digest, StructureEntry{name, std::move(canon), {}, {}})
+        ->second;
   }
 };
 
@@ -337,17 +351,20 @@ SlicedRun RunPackedChunk(const gen::Operator& op,
       run.seam_failures |= (diff >> (g * modes)) & mode_lanes;
   }
   run.profiles.resize(zs.size());
-  const double denom = static_cast<double>(last);
-  for (int j = 0; j < modes; ++j) {
-    ActivityProfile& prof = run.profiles[static_cast<std::size_t>(j)];
+  for (ActivityProfile& prof : run.profiles) {
     prof.cycles = static_cast<std::uint64_t>(last);
     prof.toggle_rate.resize(nl.num_nets(), 0.0);
-    for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-      const netlist::NetId net(static_cast<std::uint32_t>(n));
+  }
+  const double denom = static_cast<double>(last);
+  for (std::size_t n = 0; n < nl.num_nets(); ++n) {
+    const std::span<const std::uint64_t> row =
+        sim.LaneToggles(netlist::NetId(static_cast<std::uint32_t>(n)));
+    for (int j = 0; j < modes; ++j) {
       std::uint64_t toggles = 0;
       for (int g = 0; g < slices; ++g)
-        toggles += sim.Toggles(net, g * modes + j);
-      prof.toggle_rate[n] = static_cast<double>(toggles) / denom;
+        toggles += row[static_cast<std::size_t>(g * modes + j)];
+      run.profiles[static_cast<std::size_t>(j)].toggle_rate[n] =
+          static_cast<double>(toggles) / denom;
     }
   }
   return run;
@@ -490,18 +507,13 @@ std::vector<ActivityProfile> ExtractActivityBatch(
   std::uint64_t hits = 0;
   {
     std::lock_guard<std::mutex> lock(cache.mu);
-    StructureEntry* entry = cache.Find(op.spec.name, digest, canon);
-    if (!entry)
-      entry = &cache.structures
-                   .emplace(digest, StructureEntry{op.spec.name,
-                                                   std::move(canon), {}})
-                   ->second;
+    StructureEntry& entry = cache.FindOrAdd(op.spec.name, digest, canon);
     for (std::size_t j = 0; j < missing.size(); ++j)
-      entry->profiles.try_emplace(MakeKey(missing[j], cycles, seed, kind),
-                                  std::move(fresh[j]));
+      entry.profiles.try_emplace(MakeKey(missing[j], cycles, seed, kind),
+                                 std::move(fresh[j]));
     for (const int zs : zeroed_lsbs) {
-      const auto it = entry->profiles.find(MakeKey(zs, cycles, seed, kind));
-      ADQ_CHECK(it != entry->profiles.end());
+      const auto it = entry.profiles.find(MakeKey(zs, cycles, seed, kind));
+      ADQ_CHECK(it != entry.profiles.end());
       out.push_back(it->second);
     }
     hits = zeroed_lsbs.size() - missing.size();
@@ -525,6 +537,25 @@ ActivityProfile ExtractActivity(const gen::Operator& op, int zeroed_lsbs,
   std::vector<ActivityProfile> profs =
       ExtractActivityBatch(op, zs, cycles, seed, kind);
   return std::move(profs[0]);
+}
+
+std::vector<std::shared_ptr<const netlist::CaseAnalysis>> ModeCaseAnalyses(
+    const gen::Operator& op, std::span<const int> zeroed_lsbs) {
+  std::string canon = CanonicalStructure(op);
+  const std::uint64_t digest = StructuralDigest(canon);
+  ActivityCache& cache = TheCache();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  StructureEntry& entry = cache.FindOrAdd(op.spec.name, digest, canon);
+  std::vector<std::shared_ptr<const netlist::CaseAnalysis>> out;
+  out.reserve(zeroed_lsbs.size());
+  for (const int zs : zeroed_lsbs) {
+    std::shared_ptr<const netlist::CaseAnalysis>& ca = entry.cases[zs];
+    if (!ca)
+      ca = std::make_shared<const netlist::CaseAnalysis>(
+          op.nl, gen::ForcedZeroLsbs(op, zs));
+    out.push_back(ca);
+  }
+  return out;
 }
 
 ActivityCacheStats GetActivityCacheStats() {

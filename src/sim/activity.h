@@ -27,10 +27,12 @@
 /// sweep the same operator) hit memory instead of re-simulating.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "gen/operator.h"
+#include "netlist/case_analysis.h"
 #include "sim/logic_sim.h"
 
 namespace adq::sim {
@@ -95,6 +97,16 @@ std::vector<ActivityProfile> ExtractActivityPacked(
 /// (>= 2) cycles uses: min(64 / modes, cycles - 1), less any slice the
 /// rounded-up slice length leaves empty.
 int ActivitySlices(std::size_t modes, int cycles);
+
+/// The case analysis of each accuracy mode `zeroed_lsbs[i]`
+/// (gen::ForcedZeroLsbs), built once per operator structure and
+/// shared. The activity cache holds them under the same full-key
+/// structure as the profiles, so a resized copy of an operator (the
+/// flat view, the DVAS runs) reuses the analyses of the original, a
+/// structurally different netlist misses, and ClearActivityCache
+/// drops them.
+std::vector<std::shared_ptr<const netlist::CaseAnalysis>> ModeCaseAnalyses(
+    const gen::Operator& op, std::span<const int> zeroed_lsbs);
 
 /// Counters for the process-wide activity cache (plain values, always
 /// maintained — independent of the obs metrics switch).

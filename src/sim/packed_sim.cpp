@@ -130,8 +130,12 @@ void PackedLogicSim::Reset() {
   for (const netlist::Instance& inst : nl_.instances()) {
     if (inst.is_sequential()) values_[inst.out[0].index()] = 0;
   }
-  std::fill(planes_.begin(), planes_.end(), 0);
-  std::fill(lane_toggles_.begin(), lane_toggles_.end(), 0);
+  // Counters only move on a tick after the baseline one; before it
+  // they still hold the zeros of construction or of the last Reset.
+  if (have_prev_) {
+    std::fill(planes_.begin(), planes_.end(), 0);
+    std::fill(lane_toggles_.begin(), lane_toggles_.end(), 0);
+  }
   pending_ = 0;
   cycles_ = 0;
   have_prev_ = false;

@@ -81,14 +81,13 @@ class PackedLogicSim {
   /// Reads a bus as an unsigned word (LSB-first) from one lane.
   std::uint64_t ReadBus(const netlist::Bus& bus, int lane) const;
 
-  /// Number of value changes observed on `net` in `lane` at clock
-  /// edges — identical to LogicSim::toggles()[net] for a scalar run
-  /// over the same lane stimulus.
-  std::uint64_t Toggles(netlist::NetId net, int lane) const {
-    ADQ_DCHECK(lane >= 0 && lane < kLanes);
+  /// Value changes observed on `net` at clock edges, one count per
+  /// lane (index = lane): lane l equals LogicSim::toggles()[net] for a
+  /// scalar run over lane l's stimulus.
+  std::span<const std::uint64_t> LaneToggles(netlist::NetId net) const {
     if (pending_) FlushCounters();
-    return lane_toggles_[net.index() * kLanes +
-                         static_cast<std::size_t>(lane)];
+    return {&lane_toggles_[net.index() * kLanes],
+            static_cast<std::size_t>(kLanes)};
   }
 
   /// Toggles summed across all 64 lanes (popcount accumulation).

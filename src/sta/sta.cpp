@@ -52,8 +52,22 @@ void TimingAnalyzer::DelayTables::Build(const Netlist& nl,
 
 void TimingAnalyzer::SetLoads(const place::NetLoads& loads) {
   tab_.Build(nl_, lib_, loads);
-  // The schedules hoist base/wire delays out of the tables; rebuild.
-  schedules_.clear();
+  // A schedule's structure depends only on its case analysis; refresh
+  // the base/wire delays it hoisted out of the tables in place.
+  for (const auto& s : schedules_) {
+    for (SweepLaunch& r : s->launches) {
+      r.base = tab_.base_delay[2 * r.inst];
+      r.wire = tab_.wire_delay[2 * r.inst];
+    }
+    for (SweepCell& c : s->cells) {
+      const netlist::Instance& inst = nl_.instances()[c.inst];
+      for (int k = 0; k < c.nout; ++k) {
+        const std::size_t o = inst.out[0].index() == c.out_net[k] ? 0 : 1;
+        c.base[k] = tab_.base_delay[2 * c.inst + o];
+        c.wire[k] = tab_.wire_delay[2 * c.inst + o];
+      }
+    }
+  }
 }
 
 const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
@@ -72,6 +86,8 @@ const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
   sched->ca_fp = fp;
   sched->tick = ++sched_tick_;
   sched->reached.assign(nl_.num_nets(), 0);
+  sched->pis.reserve(nl_.primary_inputs().size());
+  sched->cells.reserve(order_.size());
 
   // Launch points: DFF Q pins (clk->Q scaled by the register's own
   // bias) and primary-input ports (arrive at the clock edge).

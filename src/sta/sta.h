@@ -67,7 +67,9 @@ class TimingAnalyzer {
                  const place::NetLoads& loads);
 
   /// Re-extracts the load-dependent delay tables (call after the
-  /// incremental placement changed parasitics or after resizing).
+  /// incremental placement changed parasitics or after resizing). The
+  /// cached sweep schedules keep their structure and have their
+  /// delays refreshed in place.
   void SetLoads(const place::NetLoads& loads);
 
   /// Runs one STA.
@@ -190,8 +192,8 @@ class TimingAnalyzer {
     std::vector<std::uint8_t> reached;
   };
   /// Returns the cached schedule for `ca` (keyed on its fingerprint),
-  /// building and LRU-caching it on first use. Invalidated by
-  /// SetLoads (the hoisted base/wire delays change).
+  /// building and LRU-caching it on first use. SetLoads refreshes the
+  /// hoisted base/wire delays of every cached schedule.
   const SweepSchedule& ScheduleFor(const netlist::CaseAnalysis* ca);
 
   static constexpr std::size_t kMaxSchedules = 8;

@@ -8,6 +8,8 @@
 #include "core/dvas.h"
 #include "core/explore.h"
 #include "core/pareto.h"
+#include "obs/metrics.h"
+#include "sim/activity.h"
 
 namespace adq::core {
 namespace {
@@ -183,6 +185,69 @@ TEST(Dvas, NoBBNeverBeatsFbbOnReach) {
       EXPECT_TRUE(fbb.modes[i].has_solution);
     }
   }
+}
+
+void ExpectSameModes(const ExplorationResult& a, const ExplorationResult& b) {
+  ASSERT_EQ(a.modes.size(), b.modes.size());
+  for (std::size_t i = 0; i < a.modes.size(); ++i) {
+    const ModeResult& x = a.modes[i];
+    const ModeResult& y = b.modes[i];
+    EXPECT_EQ(x.bitwidth, y.bitwidth);
+    EXPECT_EQ(x.has_solution, y.has_solution);
+    EXPECT_EQ(x.switched_energy_fj, y.switched_energy_fj);
+    EXPECT_EQ(x.best.mask, y.best.mask);
+    EXPECT_EQ(x.best.vdd, y.best.vdd);
+    EXPECT_EQ(x.best.wns_ns, y.best.wns_ns);
+    EXPECT_EQ(x.best.total_power_w(), y.best.total_power_w());
+  }
+  EXPECT_EQ(a.stats.sta_runs, b.stats.sta_runs);
+  EXPECT_EQ(a.stats.filtered, b.stats.filtered);
+}
+
+// The mode case analyses depend only on the netlist structure: the
+// proposed sweep, both DVAS runs and the DVAS run on the flat view
+// (a copy of the netlist) build each mode once between them, and
+// give exactly the results of runs that each start from an empty
+// cache. A structurally different netlist builds its own.
+TEST(ModeConstants, CaseAnalysesBuiltOncePerNetlistStructure) {
+  obs::EnableMetrics(true);
+  obs::Counter& builds = obs::GetCounter("netlist.case_analysis_builds");
+  const ImplementedDesign flat = FlatView(Design22(), Lib());
+  const ExploreOptions opt = FastOptions();
+  const auto run_all = [&](bool cold) {
+    std::vector<ExplorationResult> r;
+    const auto run = [&](auto&& fn) {
+      if (cold) sim::ClearActivityCache();
+      r.push_back(fn());
+    };
+    run([&] { return ExploreDesignSpace(Design22(), Lib(), opt); });
+    run([&] { return ExploreDvas(Design22(), Lib(), DvasVariant::kNoBB, opt); });
+    run([&] { return ExploreDvas(Design22(), Lib(), DvasVariant::kFBB, opt); });
+    run([&] { return ExploreDvas(flat, Lib(), DvasVariant::kFBB, opt); });
+    return r;
+  };
+
+  sim::ClearActivityCache();
+  builds.Reset();
+  const std::vector<ExplorationResult> shared = run_all(false);
+  EXPECT_EQ(builds.value(), static_cast<long>(opt.bitwidths.size()));
+
+  builds.Reset();
+  const std::vector<ExplorationResult> cold = run_all(true);
+  EXPECT_EQ(builds.value(), 4 * static_cast<long>(opt.bitwidths.size()));
+  for (std::size_t k = 0; k < shared.size(); ++k)
+    ExpectSameModes(shared[k], cold[k]);
+
+  builds.Reset();
+  ExploreDesignSpace(DesignFlat(), Lib(), opt);  // same structure: hits
+  EXPECT_EQ(builds.value(), 0);
+  FlowOptions fopt;
+  fopt.clock_ns = 0.55;
+  const ImplementedDesign other = RunImplementationFlow(
+      gen::BuildArrayMultOperator(8), Lib(), fopt);
+  ExploreDesignSpace(other, Lib(), opt);
+  EXPECT_EQ(builds.value(), static_cast<long>(opt.bitwidths.size()));
+  obs::EnableMetrics(false);
 }
 
 TEST(Pareto, FrontierSortedAndComplete) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/accuracy.h"
 #include "core/error_metrics.h"
 #include "core/flow.h"
@@ -103,6 +106,69 @@ TEST(Flow, GuardbandOverheadInPlausibleBand) {
       RunImplementationFlow(gen::BuildBoothOperator(16), Lib(), fopt);
   EXPECT_GT(d.partition.area_overhead(), 0.03);
   EXPECT_LT(d.partition.area_overhead(), 0.35);
+}
+
+/// FNV-1a over the bit patterns of a flow run's outputs.
+class FlowDigest {
+ public:
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffULL;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
+  void Add(const std::vector<double>& v) {
+    for (const double x : v) Add(x);
+  }
+  void Add(const std::vector<place::Point>& ps) {
+    for (const place::Point& p : ps) {
+      Add(p.x);
+      Add(p.y);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// Pins the whole Fig. 4 flow of the paper's three designs (Table I
+// grids) bit for bit: flat and final placement, final drives, final
+// extracted loads and signoff wns. Any change to placement, sizing or
+// extraction that is meant to be a pure speedup must leave these
+// digests alone.
+TEST(FlowGolden, PaperDesignsBitIdentical) {
+  struct Case {
+    const char* name;
+    gen::Operator (*build)(int);
+    place::GridConfig grid;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"Booth16 2x2", &gen::BuildBoothOperator, {2, 2},
+       0xa2b5095a17d78eafULL},
+      {"Butterfly16 3x3", &gen::BuildButterflyOperator, {3, 3},
+       0x22a555f155cbf0edULL},
+      {"FIR16 3x3", &gen::BuildFirMacOperator, {3, 3},
+       0xb371c9ea0219aa80ULL},
+  };
+  for (const Case& c : cases) {
+    FlowOptions fopt;
+    fopt.grid = c.grid;
+    const ImplementedDesign d =
+        RunImplementationFlow(c.build(16), Lib(), fopt);
+    FlowDigest h;
+    h.Add(d.flat_placement.pos);
+    h.Add(d.placement.pos);
+    for (const netlist::Instance& inst : d.op.nl.instances())
+      h.Add(static_cast<std::uint64_t>(inst.drive));
+    h.Add(d.loads.cap_ff);
+    h.Add(d.loads.wire_delay_ns);
+    h.Add(d.sizing.wns_ns);
+    EXPECT_EQ(h.value(), c.digest)
+        << c.name << ": digest 0x" << std::hex << h.value();
+  }
 }
 
 }  // namespace

@@ -747,6 +747,27 @@ TEST_F(ObsTest, ProfilerAttributesSamplesToSpans) {
   EXPECT_EQ(GetProfilerStats().samples, 0);
 }
 
+TEST_F(ObsTest, ProfilerReportsAchievedRate) {
+  StopProfiler();
+  ResetProfiler();
+  EXPECT_EQ(GetProfilerStats().cpu_s, 0.0);
+  EXPECT_EQ(GetProfilerStats().achieved_hz(), 0.0);
+  ProfilerOptions opt;
+  opt.hz = 997;
+  ASSERT_TRUE(StartProfiler(opt));
+  BusyLoopMs(200);
+  StopProfiler();
+  const ProfilerStats st = GetProfilerStats();
+  EXPECT_EQ(st.requested_hz, 997);
+  // The busy loop alone burns 200 ms of this process's CPU.
+  EXPECT_GE(st.cpu_s, 0.19);
+  EXPECT_GT(st.samples, 0);
+  EXPECT_DOUBLE_EQ(st.achieved_hz(),
+                   static_cast<double>(st.samples + st.dropped) / st.cpu_s);
+  ResetProfiler();
+  EXPECT_EQ(GetProfilerStats().cpu_s, 0.0);
+}
+
 TEST_F(ObsTest, ProfilerRestartsAndLanesStick) {
   StopProfiler();
   ResetProfiler();

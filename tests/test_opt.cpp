@@ -6,6 +6,7 @@
 #include "gen/operator.h"
 #include "opt/buffering.h"
 #include "opt/sizing.h"
+#include "place/placer.h"
 #include "sim/logic_sim.h"
 #include "sta/slack_histogram.h"
 #include "sta/sta.h"
@@ -31,7 +32,7 @@ TEST(Sizing, MeetsAchievableClock) {
   SizingOptions sopt;
   sopt.clock_ns = 0.8;  // generous for an 8x8 multiplier
   const SizingResult res =
-      OptimizeSizing(op.nl, Lib(), FanoutLoads, sopt);
+      OptimizeSizing(op.nl, Lib(), place::FanoutWires(op.nl), sopt);
   EXPECT_TRUE(res.timing_met);
   EXPECT_GE(res.wns_ns, 0.0);
 }
@@ -41,7 +42,7 @@ TEST(Sizing, ReportsFailureOnImpossibleClock) {
   SizingOptions sopt;
   sopt.clock_ns = 0.05;  // unreachable
   const SizingResult res =
-      OptimizeSizing(op.nl, Lib(), FanoutLoads, sopt);
+      OptimizeSizing(op.nl, Lib(), place::FanoutWires(op.nl), sopt);
   EXPECT_FALSE(res.timing_met);
   EXPECT_LT(res.wns_ns, 0.0);
 }
@@ -52,9 +53,68 @@ TEST(Sizing, RecoveryNeverBreaksTiming) {
   sopt.clock_ns = 0.9;
   sopt.enable_recovery = true;
   const SizingResult res =
-      OptimizeSizing(op.nl, Lib(), FanoutLoads, sopt);
+      OptimizeSizing(op.nl, Lib(), place::FanoutWires(op.nl), sopt);
   EXPECT_TRUE(res.timing_met);
   EXPECT_GT(res.downsize_moves, 0) << "ample slack must trigger recovery";
+}
+
+void ExpectSameLoads(const place::NetLoads& a, const place::NetLoads& b) {
+  ASSERT_EQ(a.cap_ff.size(), b.cap_ff.size());
+  for (std::size_t n = 0; n < a.cap_ff.size(); ++n) {
+    ASSERT_EQ(a.cap_ff[n], b.cap_ff[n]) << "net " << n;
+    ASSERT_EQ(a.wire_delay_ns[n], b.wire_delay_ns[n]) << "net " << n;
+  }
+}
+
+// OptimizeSizing refreshes only the input nets of the cells a round
+// resized. Replaying rounds of random resizes (on placed wires with
+// extra pins, the richest load model) against a full recompute pins
+// that the incremental loads never drift.
+TEST(Sizing, IncrementalLoadsMatchFullRecompute) {
+  gen::Operator op = gen::BuildBoothOperator(8);
+  place::NetWires wires =
+      place::PlacedWires(op.nl, place::PlaceDesign(op.nl, Lib()));
+  wires.extra_pins.assign(op.nl.num_nets(), 0);
+  for (std::size_t n = 0; n < wires.extra_pins.size(); n += 7)
+    wires.extra_pins[n] = static_cast<int>(n % 3);
+  wires.extra_pin_cap_ff = 1.5;
+  wires.extra_pin_delay_ns = 0.03;
+  place::NetLoads loads = place::ComputeLoads(op.nl, Lib(), wires);
+  util::Rng rng(3);
+  for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < 25; ++k) {
+      const auto i = static_cast<std::uint32_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(op.nl.num_instances()) - 1));
+      const netlist::Instance& inst = op.nl.instances()[i];
+      if (tech::IsTie(inst.kind)) continue;
+      op.nl.SetDrive(netlist::InstId(i),
+                     static_cast<tech::DriveStrength>(rng.UniformInt(
+                         0, static_cast<int>(tech::DriveStrength::kX4))));
+      for (int p = 0; p < inst.num_inputs(); ++p)
+        place::UpdateNetLoad(op.nl, Lib(), wires, inst.in[p], &loads);
+    }
+    ExpectSameLoads(loads, place::ComputeLoads(op.nl, Lib(), wires));
+  }
+}
+
+// The same through OptimizeSizing itself: stopped after any number of
+// rounds, the wns it reports (from its incrementally updated loads)
+// equals a fresh analysis of the resized netlist on full loads.
+TEST(Sizing, ReportedWnsMatchesFullRecomputeAfterEveryRound) {
+  for (int rounds = 1; rounds <= 12; ++rounds) {
+    gen::Operator op = gen::BuildBoothOperator(8);
+    const place::NetWires wires = place::FanoutWires(op.nl);
+    SizingOptions sopt;
+    sopt.clock_ns = 0.55;
+    sopt.max_iterations = rounds;
+    const SizingResult res = OptimizeSizing(op.nl, Lib(), wires, sopt);
+    sta::TimingAnalyzer fresh(op.nl, Lib(),
+                              place::ComputeLoads(op.nl, Lib(), wires));
+    const std::vector<BiasState> bias(op.nl.num_instances(),
+                                      BiasState::kFBB);
+    EXPECT_EQ(res.wns_ns, fresh.Analyze(sopt.vdd, sopt.clock_ns, bias).wns_ns)
+        << rounds << " rounds";
+  }
 }
 
 TEST(Sizing, RecoveryReducesAreaAndLeakage) {
@@ -65,8 +125,8 @@ TEST(Sizing, RecoveryReducesAreaAndLeakage) {
   no_rec.enable_recovery = false;
   SizingOptions rec = no_rec;
   rec.enable_recovery = true;
-  OptimizeSizing(op_a.nl, Lib(), FanoutLoads, no_rec);
-  OptimizeSizing(op_b.nl, Lib(), FanoutLoads, rec);
+  OptimizeSizing(op_a.nl, Lib(), place::FanoutWires(op_a.nl), no_rec);
+  OptimizeSizing(op_b.nl, Lib(), place::FanoutWires(op_b.nl), rec);
   auto area = [](const netlist::Netlist& nl) {
     double a = 0.0;
     for (const auto& inst : nl.instances())
@@ -86,8 +146,8 @@ TEST(Sizing, RecoveryNarrowsSlackDistribution) {
   no_rec.enable_recovery = false;
   SizingOptions rec = no_rec;
   rec.enable_recovery = true;
-  OptimizeSizing(op_a.nl, Lib(), FanoutLoads, no_rec);
-  OptimizeSizing(op_b.nl, Lib(), FanoutLoads, rec);
+  OptimizeSizing(op_a.nl, Lib(), place::FanoutWires(op_a.nl), no_rec);
+  OptimizeSizing(op_b.nl, Lib(), place::FanoutWires(op_b.nl), rec);
   auto mean_slack = [&](const netlist::Netlist& nl) {
     sta::TimingAnalyzer an(nl, Lib(), FanoutLoads(nl));
     const std::vector<BiasState> fbb(nl.num_instances(), BiasState::kFBB);

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
+#include <set>
 
 #include "gen/operator.h"
 #include "place/grid_partition.h"
 #include "place/placer.h"
 #include "place/wirelength.h"
+#include "util/rng.h"
 
 namespace adq::place {
 namespace {
@@ -81,6 +85,39 @@ TEST(Placer, BeatsRandomPlacementOnHpwl) {
   bad.centroid_iterations = 0;  // random + legalize only
   const Placement rnd = PlaceDesign(op.nl, Lib(), bad);
   EXPECT_LT(TotalHpwl(op.nl, pl), 0.8 * TotalHpwl(op.nl, rnd));
+}
+
+TEST(RankOrder, TiesFallToIndexOrder) {
+  const std::vector<double> keys = {3.0, 1.0, 3.0, 0.5, 1.0, 3.0};
+  EXPECT_EQ(RankOrder(keys),
+            (std::vector<std::uint32_t>{3, 1, 4, 0, 2, 5}));
+  EXPECT_TRUE(RankOrder(std::vector<double>{}).empty());
+}
+
+TEST(RankOrder, NegativeZeroTiesWithPositiveZero) {
+  const std::vector<double> keys = {1.0, 0.0, -0.0, 0.0, 2.0, -0.0};
+  EXPECT_EQ(RankOrder(keys),
+            (std::vector<std::uint32_t>{1, 2, 3, 5, 0, 4}));
+}
+
+TEST(RankOrder, MatchesStdSortOnTieFreeKeys) {
+  // Magnitudes across many exponents (denormal to large), so every
+  // radix digit varies, as die coordinates do.
+  util::Rng rng(11);
+  std::vector<double> keys;
+  std::set<double> seen;
+  while (keys.size() < 5000) {
+    const double k = std::ldexp(rng.Uniform(0.5, 1.0),
+                                static_cast<int>(rng.UniformInt(-1070, 40)));
+    if (seen.insert(k).second) keys.push_back(k);
+  }
+  keys.push_back(0.0);
+  std::vector<std::uint32_t> want(keys.size());
+  std::iota(want.begin(), want.end(), 0u);
+  std::sort(want.begin(), want.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return keys[a] < keys[b];
+  });
+  EXPECT_EQ(RankOrder(keys), want);
 }
 
 TEST(Partition, DegenerateSingleDomain) {

@@ -1,15 +1,12 @@
-/// Tests for the logic simulator, stimulus generators, activity
-/// extraction and the VCD writer.
+/// Tests for the logic simulator, stimulus generators and activity
+/// extraction.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "gen/operator.h"
 #include "harness.h"
 #include "sim/activity.h"
 #include "sim/stimulus.h"
-#include "sim/vcd.h"
 #include "util/fixed_point.h"
 
 namespace adq::sim {
@@ -225,38 +222,6 @@ TEST(Activity, UniformBeatsCorrelatedOnMsbs) {
   const netlist::Bus& a = op.nl.InputBus("a");
   const auto msb = a.bits[15];
   EXPECT_LT(cor.RateOf(msb), uni.RateOf(msb));
-}
-
-TEST(Vcd, HeaderAndChangesWellFormed) {
-  netlist::Netlist nl("toggler");
-  const auto d = nl.AddInputPort("d");
-  const auto q = nl.AddGate(CellKind::kDff, {d});
-  nl.AddOutputPort("q", q);
-  LogicSim sim(nl);
-  sim.Reset();
-  VcdRecorder rec(nl, {});
-  std::ostringstream os;
-  rec.WriteHeader(os, sim);
-  for (int t = 0; t < 4; ++t) {
-    sim.SetInput(d, t % 2 == 0);
-    sim.Tick();
-    rec.Sample(os, sim, (std::uint64_t)t);
-  }
-  const std::string vcd = os.str();
-  EXPECT_NE(vcd.find("$timescale"), std::string::npos);
-  EXPECT_NE(vcd.find("$var wire 1"), std::string::npos);
-  EXPECT_NE(vcd.find("$enddefinitions"), std::string::npos);
-  EXPECT_NE(vcd.find("#0"), std::string::npos);
-}
-
-TEST(Vcd, SampleBeforeHeaderRejected) {
-  netlist::Netlist nl;
-  const auto d = nl.AddInputPort("d");
-  nl.AddOutputPort("q", nl.AddGate(CellKind::kBuf, {d}));
-  LogicSim sim(nl);
-  VcdRecorder rec(nl, {});
-  std::ostringstream os;
-  EXPECT_THROW(rec.Sample(os, sim, 0), CheckError);
 }
 
 }  // namespace

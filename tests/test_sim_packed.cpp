@@ -121,7 +121,7 @@ TEST(PackedLogicSim, MatchesScalarLogicSimTickForTick) {
   for (std::uint32_t n = 0; n < op.nl.num_nets(); ++n) {
     const netlist::NetId id(n);
     EXPECT_EQ(ref.Value(id), packed.Value(id, 0)) << "net " << n;
-    EXPECT_EQ(ref.toggles()[n], packed.Toggles(id, 0)) << "net " << n;
+    EXPECT_EQ(ref.toggles()[n], packed.LaneToggles(id)[0]) << "net " << n;
   }
 }
 
@@ -172,7 +172,7 @@ TEST(PackedLogicSim, PreEdgeConeMatchesScalarTickForTick) {
   for (int l = 0; l < kRuns; ++l)
     for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
       EXPECT_EQ(ref[static_cast<std::size_t>(l)].toggles()[n],
-                packed.Toggles(netlist::NetId(n), l))
+                packed.LaneToggles(netlist::NetId(n))[l])
           << "lane " << l << " net " << n;
 }
 
@@ -197,9 +197,9 @@ TEST(PackedLogicSim, CountMaskLimitsCountingToSelectedLanes) {
     sim.SetInput(d, (t % 2) ? ~0ULL : 0ULL);
     sim.Tick(t < 5 ? 0x1ULL : 0x2ULL);  // lane 0 first, then lane 1
   }
-  EXPECT_EQ(sim.Toggles(q, 0), 4u);  // ticks 1..4 (tick 0 is baseline)
-  EXPECT_EQ(sim.Toggles(q, 1), 5u);  // ticks 5..9
-  EXPECT_EQ(sim.Toggles(q, 2), 0u);
+  EXPECT_EQ(sim.LaneToggles(q)[0], 4u);  // ticks 1..4 (tick 0 is baseline)
+  EXPECT_EQ(sim.LaneToggles(q)[1], 5u);  // ticks 5..9
+  EXPECT_EQ(sim.LaneToggles(q)[2], 0u);
   EXPECT_EQ(sim.cycles(), 9u);
 }
 
@@ -219,13 +219,13 @@ TEST(PackedLogicSim, VerticalCountersSurviveFlushBoundary) {
     sim.Tick();
     if (t == 40000) {
       // Mid-run query: lazy flush must not disturb later counting.
-      EXPECT_EQ(sim.Toggles(q, 1), static_cast<std::uint64_t>(t));
+      EXPECT_EQ(sim.LaneToggles(q)[1], static_cast<std::uint64_t>(t));
     }
   }
   EXPECT_EQ(sim.cycles(), static_cast<std::uint64_t>(kTicks - 1));
   for (int l = 0; l < PackedLogicSim::kLanes; ++l) {
     const bool toggling = (odd_lanes >> l) & 1ULL;
-    EXPECT_EQ(sim.Toggles(q, l),
+    EXPECT_EQ(sim.LaneToggles(q)[l],
               toggling ? static_cast<std::uint64_t>(kTicks - 1) : 0u)
         << "lane " << l;
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/operator.h"
 #include "netlist/case_analysis.h"
 #include "place/wirelength.h"
 #include "sta/slack_histogram.h"
@@ -192,6 +193,55 @@ TEST(Sta, EmptyBiasMeansAllNoBB) {
   const std::vector<BiasState> nobb(c.nl.num_instances(), BiasState::kNoBB);
   EXPECT_NEAR(an.Analyze(1.0, 1.0, {}).wns_ns,
               an.Analyze(1.0, 1.0, nobb).wns_ns, 1e-12);
+}
+
+void ExpectSameReport(const TimingReport& a, const TimingReport& b) {
+  EXPECT_EQ(a.wns_ns, b.wns_ns);
+  EXPECT_EQ(a.num_violations, b.num_violations);
+  EXPECT_EQ(a.num_active_endpoints, b.num_active_endpoints);
+  EXPECT_EQ(a.num_disabled_endpoints, b.num_disabled_endpoints);
+  ASSERT_EQ(a.endpoints.size(), b.endpoints.size());
+  for (std::size_t e = 0; e < a.endpoints.size(); ++e) {
+    EXPECT_EQ(a.endpoints[e].arrival_ns, b.endpoints[e].arrival_ns);
+    EXPECT_EQ(a.endpoints[e].slack_ns, b.endpoints[e].slack_ns);
+  }
+}
+
+// SetLoads keeps the cached sweep schedules and refreshes their
+// delays in place: after resizing and new loads, an analyzer that
+// cached schedules (with and without case analysis) must answer
+// exactly as one built fresh on the new loads.
+TEST(Sta, SetLoadsRefreshesCachedSchedules) {
+  gen::Operator op = gen::BuildBoothOperator(8);
+  const netlist::CaseAnalysis ca(op.nl, gen::ForcedZeroLsbs(op, 3));
+  std::vector<int> domain_of(op.nl.num_instances());
+  for (std::size_t i = 0; i < domain_of.size(); ++i)
+    domain_of[i] = static_cast<int>(i % 3);
+  const std::vector<tech::DomainMask> masks = {0, 1, 2, 3, 5, 7};
+  const std::vector<BiasState> bias(op.nl.num_instances(), BiasState::kFBB);
+  const netlist::CaseAnalysis* cases[] = {nullptr, &ca};
+
+  TimingAnalyzer warm(op.nl, Lib(),
+                      place::EstimateLoadsByFanout(op.nl, Lib()));
+  for (const netlist::CaseAnalysis* c : cases) {
+    warm.Analyze(0.9, 0.8, bias, c);
+    warm.AnalyzeBatch(0.9, 0.8, masks, domain_of, c);
+  }
+  for (std::uint32_t i = 0; i < op.nl.num_instances(); i += 4)
+    if (!tech::IsTie(op.nl.instances()[i].kind))
+      op.nl.SetDrive(netlist::InstId(i), DriveStrength::kX4);
+  const place::NetLoads loads = place::EstimateLoadsByFanout(op.nl, Lib());
+  warm.SetLoads(loads);
+  TimingAnalyzer fresh(op.nl, Lib(), loads);
+
+  for (const netlist::CaseAnalysis* c : cases) {
+    ExpectSameReport(warm.Analyze(0.9, 0.8, bias, c, true),
+                     fresh.Analyze(0.9, 0.8, bias, c, true));
+    const auto wb = warm.AnalyzeBatch(0.9, 0.8, masks, domain_of, c);
+    const auto fb = fresh.AnalyzeBatch(0.9, 0.8, masks, domain_of, c);
+    ASSERT_EQ(wb.size(), fb.size());
+    for (std::size_t l = 0; l < wb.size(); ++l) ExpectSameReport(wb[l], fb[l]);
+  }
 }
 
 }  // namespace
