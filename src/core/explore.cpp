@@ -287,7 +287,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
               r.wns_ns = wns;
               if (feas) {
                 r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = ctx.LeakageW(opt.vdds[vi], masks[mi]);
+                r.leak_w = ctx.LeakageW(vi, masks[mi]);
               } else {
                 r.kind = PointRecord::Kind::kInfeasible;
                 dead[slot].store(1, std::memory_order_release);
@@ -330,7 +330,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
                 dead[slot].store(1, std::memory_order_release);
               } else {
                 r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = ctx.LeakageW(vdd, masks[mi]);
+                r.leak_w = ctx.LeakageW(c.vi, masks[mi]);
               }
               prog.Tick();
             }

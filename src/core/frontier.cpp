@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <queue>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "core/band_optimizer.h"
@@ -45,12 +45,31 @@ ExplorationResult FrontierResult::ToExplorationResult() const {
 
 namespace {
 
-/// One STA verdict of a lattice point (vi, mask) at the current
-/// bitwidth. wns_ns round-trips through the store as exact bits, so a
+/// One STA verdict of a lattice point (vi, mask) at one bitwidth.
+/// wns_ns round-trips through the store as exact bits, so a
 /// warm-started search folds the very same doubles a cold one does.
 struct Verdict {
   bool feasible = false;
   double wns_ns = 0.0;
+};
+
+/// A lattice point (VDD index, FBB mask) and its hash. The search only
+/// ever looks points up; no output depends on a hash container's
+/// iteration order.
+using PointKey = std::pair<std::size_t, tech::DomainMask>;
+struct PointKeyHash {
+  std::size_t operator()(const PointKey& k) const {
+    const std::uint64_t h = k.second * 0x9e3779b97f4a7c15ULL ^
+                            k.first * 0xc2b2ae3d27d4eb4fULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
+
+/// A point's latest verdict and the index of the bitwidth it was
+/// resolved at.
+struct VerdictEntry {
+  std::size_t bi = 0;
+  Verdict v;
 };
 
 /// A search node: the subtree of masks m with mask ⊆ m ⊆ mask |
@@ -194,17 +213,30 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       static_cast<std::size_t>(std::max(1, opt.wave_width));
 
   FrontierResult result;
-  using PointKey = std::pair<std::size_t, tech::DomainMask>;
-  // Infeasibility is monotone in bitwidth (more active bits only add
-  // paths): verdicts proved infeasible at any smaller bitwidth carry
-  // forward as proofs, never re-run.
-  std::set<PointKey> carried_infeasible;
+  // Every verdict of the search, keyed by point. Infeasibility is
+  // monotone in bitwidth (more active bits only add paths), so a point
+  // whose latest verdict, from a smaller bitwidth, is infeasible
+  // carries that proof forward and never re-runs. Nodes of an
+  // unordered_map never move, so the verdict pointers held in the
+  // wave vectors below stay valid.
+  std::unordered_map<PointKey, VerdictEntry, PointKeyHash> verdicts;
 
   struct EvalChunk {
     std::size_t vi = 0;
     std::size_t begin = 0;
     std::size_t count = 0;
   };
+  // Per-wave scratch, reused across waves.
+  std::vector<Node> wave;
+  // A wave node's (maximal-mask, minimal-mask) verdict slots.
+  std::vector<std::pair<const Verdict*, const Verdict*>> wave_verdicts;
+  // This wave's newly claimed points, in first-demand order.
+  std::vector<std::pair<PointKey, const Verdict*>> resolved;
+  // The subset that must run STA, with the slot each result fills.
+  std::vector<std::pair<PointKey, Verdict*>> need;
+  std::vector<std::size_t> lane_idx;
+  std::vector<tech::DomainMask> lane_masks;
+  std::vector<EvalChunk> chunks;
 
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
@@ -216,7 +248,6 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       dyn[vi] = power::PowerModel::DynamicW(ctx.switched_energy_fj(bi),
                                             opt.vdds[vi], design.fclk_ghz());
 
-    std::map<PointKey, Verdict> verdicts;
     Incumbent inc;
     FrontierModeResult mode;
     mode.bitwidth = bw;
@@ -224,12 +255,9 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
 
     std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
     for (std::size_t vi = 0; vi < nv; ++vi)
-      open.push(Node{vi, 0, 0, dyn[vi] + ctx.LeakageW(opt.vdds[vi], 0)});
+      open.push(Node{vi, 0, 0, dyn[vi] + ctx.LeakageW(vi, 0)});
 
     bool budget_hit = false;
-    std::vector<Node> wave;
-    std::vector<PointKey> resolved;  // this wave, first-demand order
-    std::vector<PointKey> need;      // subset that must run STA
     while (!open.empty()) {
       if (opt.node_budget > 0 &&
           mode.nodes_expanded >= opt.node_budget) {
@@ -257,61 +285,63 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       ++result.stats.waves;
 
       // Verdict demands: each node needs its minimal and maximal
-      // mask. Known verdicts, bitwidth-carried proofs and store hits
-      // resolve serially here; the rest queue for batched STA.
+      // mask. The first demand of a point at this bitwidth claims its
+      // entry; bitwidth-carried proofs and store hits fill it serially
+      // here, the rest queue for batched STA.
       resolved.clear();
       need.clear();
+      wave_verdicts.clear();
       auto demand = [&](std::size_t vi, tech::DomainMask m) {
         const PointKey key{vi, m};
-        if (verdicts.count(key) != 0) return;
-        if (std::find(resolved.begin(), resolved.end(), key) !=
-            resolved.end())
-          return;
-        resolved.push_back(key);
-        if (carried_infeasible.count(key) != 0) {
-          verdicts.emplace(key, Verdict{false, 0.0});
-          ++result.stats.transfer_hits;
-          return;
-        }
-        if (store != nullptr) {
-          bool feas = false;
-          double wns = 0.0;
-          if (store->Lookup(store_ctx, bw, opt.vdds[vi], m, &feas,
-                            &wns)) {
-            verdicts.emplace(key, Verdict{feas, wns});
-            ++result.stats.store_hits;
-            return;
+        const auto [it, fresh] =
+            verdicts.try_emplace(key, VerdictEntry{bi, {}});
+        VerdictEntry& e = it->second;
+        Verdict* const v = &e.v;
+        if (!fresh) {
+          if (e.bi == bi) return v;  // known at this bitwidth
+          const bool carried = !v->feasible;
+          e = VerdictEntry{bi, {}};
+          if (carried) {
+            resolved.emplace_back(key, v);
+            ++result.stats.transfer_hits;
+            return v;  // default Verdict: infeasible
           }
         }
-        need.push_back(key);
+        resolved.emplace_back(key, v);
+        if (store != nullptr &&
+            store->Lookup(store_ctx, bw, opt.vdds[vi], m, &v->feasible,
+                          &v->wns_ns)) {
+          ++result.stats.store_hits;
+          return v;
+        }
+        need.emplace_back(key, v);
+        return v;
       };
       for (const Node& n : wave) {
-        demand(n.vi, n.mask | tail[static_cast<std::size_t>(n.depth)]);
-        demand(n.vi, n.mask);
+        const Verdict* vmax =
+            demand(n.vi, n.mask | tail[static_cast<std::size_t>(n.depth)]);
+        wave_verdicts.emplace_back(vmax, demand(n.vi, n.mask));
       }
 
-      // Batched STA of the fresh points, sharded on the pool into
-      // index-addressed slots; publication and store write-back are
-      // serial in demand order.
+      // Batched STA of the fresh points, sharded on the pool; each
+      // lane fills its own claimed slot. Store write-back is serial in
+      // demand order.
       if (!need.empty()) {
-        std::vector<std::size_t> lane_idx;
-        std::vector<tech::DomainMask> lane_masks;
-        std::vector<EvalChunk> chunks;
-        lane_idx.reserve(need.size());
-        lane_masks.reserve(need.size());
+        lane_idx.clear();
+        lane_masks.clear();
+        chunks.clear();
         for (std::size_t vi = 0; vi < nv; ++vi) {
           const std::size_t row_begin = lane_idx.size();
           for (std::size_t i = 0; i < need.size(); ++i)
-            if (need[i].first == vi) {
+            if (need[i].first.first == vi) {
               lane_idx.push_back(i);
-              lane_masks.push_back(need[i].second);
+              lane_masks.push_back(need[i].first.second);
             }
           for (std::size_t c = row_begin; c < lane_idx.size();
                c += kStaBatchWidth)
             chunks.push_back(
                 {vi, c, std::min(kStaBatchWidth, lane_idx.size() - c)});
         }
-        std::vector<Verdict> slot(need.size());
         ctx.pool().ParallelFor(
             static_cast<std::int64_t>(chunks.size()), 1,
             [&](std::int64_t idx, int w) {
@@ -325,55 +355,48 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
                                                design.clock_ns, chunk_masks,
                                                domain_of, &bca);
               for (std::size_t l = 0; l < c.count; ++l)
-                slot[lane_idx[c.begin + l]] =
+                *need[lane_idx[c.begin + l]].second =
                     Verdict{reps[l].feasible(), reps[l].wns_ns};
             });
         result.stats.sta_runs += static_cast<long>(need.size());
-        for (std::size_t i = 0; i < need.size(); ++i) {
-          verdicts.emplace(need[i], slot[i]);
-          if (store != nullptr)
-            store->Insert(store_ctx, bw, opt.vdds[need[i].first],
-                          need[i].second, slot[i].feasible,
-                          slot[i].wns_ns);
-        }
+        if (store != nullptr)
+          for (const auto& [key, v] : need)
+            store->Insert(store_ctx, bw, opt.vdds[key.first], key.second,
+                          v->feasible, v->wns_ns);
       }
 
       // Candidate fold: every feasible verdict resolved this wave is
       // a real lattice point; fold them in demand order — which is
       // independent of where each verdict came from (STA, store or
       // carry), so warm and cold runs walk identical incumbents.
-      for (const PointKey& key : resolved) {
-        const Verdict& v = verdicts.find(key)->second;
-        if (!v.feasible) continue;
-        const double leak = ctx.LeakageW(opt.vdds[key.first], key.second);
+      for (const auto& [key, v] : resolved) {
+        if (!v->feasible) continue;
+        const double leak = ctx.LeakageW(key.first, key.second);
         if (BetterThanIncumbent(key.first, key.second,
                                 dyn[key.first] + leak, inc)) {
           inc.valid = true;
           inc.vi = key.first;
           inc.mask = key.second;
-          inc.wns_ns = v.wns_ns;
+          inc.wns_ns = v->wns_ns;
           inc.dyn_w = dyn[key.first];
           inc.leak_w = leak;
         }
       }
 
       // Expansion fold (serial, wave order).
-      for (const Node& n : wave) {
+      for (std::size_t wi = 0; wi < wave.size(); ++wi) {
+        const Node& n = wave[wi];
         if (Prunable(n, inc)) {
           ++result.stats.nodes_pruned_bound;
           continue;
         }
-        const tech::DomainMask maxmask =
-            n.mask | tail[static_cast<std::size_t>(n.depth)];
-        const Verdict& vmax = verdicts.find(PointKey{n.vi, maxmask})->second;
-        if (!vmax.feasible) {
+        if (!wave_verdicts[wi].first->feasible) {
           // Antitone feasibility: the subtree's fastest point fails,
           // so every point in it does.
           ++result.stats.nodes_pruned_infeasible;
           continue;
         }
-        const Verdict& vmin = verdicts.find(PointKey{n.vi, n.mask})->second;
-        if (vmin.feasible) {
+        if (wave_verdicts[wi].second->feasible) {
           // Monotone leakage: the subtree optimum is exactly the
           // minimal mask — already folded as a candidate above.
           ++result.stats.nodes_closed;
@@ -384,7 +407,7 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
         const int d = perm[static_cast<std::size_t>(n.depth)];
         const tech::DomainMask m1 = n.mask | tech::MaskBit(d);
         const Node child1{n.vi, n.depth + 1, m1,
-                          dyn[n.vi] + ctx.LeakageW(opt.vdds[n.vi], m1)};
+                          dyn[n.vi] + ctx.LeakageW(n.vi, m1)};
         if (Prunable(child1, inc))
           ++result.stats.nodes_pruned_bound;
         else
@@ -421,9 +444,6 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       ++result.stats.certified_modes;
     }
     result.modes.push_back(mode);
-
-    for (const auto& [key, v] : verdicts)
-      if (!v.feasible) carried_infeasible.insert(key);
   }
 
   // A proved-infeasible mode is certified: the empty feasible set is a

@@ -37,9 +37,10 @@
 /// Determinism: results are bit-identical at every worker count.
 /// Expansion proceeds in waves of a fixed (option-controlled, never
 /// thread-derived) width; the wave's verdict demands are deduplicated
-/// and evaluated into index-addressed slots on the pool, and all
-/// search-state mutation — incumbent updates, child generation, store
-/// write-back — happens serially in wave order.
+/// (the first demand of a point claims its verdict slot) and evaluated
+/// into those slots on the pool, and all search-state mutation —
+/// incumbent updates, child generation, store write-back — happens
+/// serially in wave order.
 ///
 /// The persistent exploration store (store/exploration_store.h) warm-
 /// starts the search: verdicts are keyed exactly like the exhaustive

@@ -55,6 +55,14 @@ ModeContext::ModeContext(Engine engine, const ImplementedDesign& design,
                                    : -1),
       analyzers_(static_cast<std::size_t>(pool_.num_threads())) {
   const EngineNames& names = NamesOf(engine);
+  const auto nd = static_cast<std::size_t>(ndom_);
+  leak_.resize(setup.vdds.size() * nd * 2);
+  for (std::size_t vi = 0; vi < setup.vdds.size(); ++vi)
+    for (std::size_t d = 0; d < nd; ++d)
+      for (std::size_t fbb = 0; fbb < 2; ++fbb)
+        leak_[(vi * nd + d) * 2 + fbb] = pmodel_.DomainLeakageW(
+            dom_weight_[d], setup.vdds[vi],
+            fbb != 0 ? tech::BiasState::kFBB : tech::BiasState::kNoBB);
   if (bitwidths_.empty())
     for (int b = 1; b <= design.op.spec.data_width; ++b)
       bitwidths_.push_back(b);

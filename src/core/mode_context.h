@@ -42,12 +42,18 @@ namespace adq::core {
 /// Lanes per batched STA call (sta::TimingAnalyzer::AnalyzeBatch) in
 /// both engines: one topological traversal serves this many masks.
 /// Every width is bit-identical (pinned lane by lane in
-/// tests/test_sta_batch); only throughput changes. bench_sta_batch's
-/// width study sets 8: on a full row it already gives most of the
-/// batching gain (8.7x over scalar vs 11x at width 16, Booth 2x2,
-/// AVX2), and the pruned sweep's rows average 2.6 lanes per call in
-/// bench_fig5_pareto, so wider batches rarely fill.
-inline constexpr std::size_t kStaBatchWidth = 8;
+/// tests/test_sta_batch); only throughput changes. bench_sta_batch on
+/// full rows (Booth 2x2, AVX2) gives width 16 1.33-1.43x the masks/s
+/// of width 8 (median 1.38x over 7 runs). The frontier search fills
+/// the wider batches: its per-VDD wave rows take the frontier_store
+/// workload from 5,243 calls at 6.5 lanes to 3,263 at 10.5 lanes,
+/// with the same 34,235 lanes. The pruned exhaustive sweep averages
+/// 2.6 lanes per call on paper_fig5, so only its few wider rows merge
+/// (437 calls at width 8, 397 at 16, 1,116 lanes either way). Width
+/// 32 was slower on frontier_store (cold pass median 0.309 -> 0.345 s,
+/// 4 alternating pairs on a 4-vCPU AVX2 box), so 16 serves both
+/// engines.
+inline constexpr std::size_t kStaBatchWidth = 16;
 
 class ModeContext {
  public:
@@ -59,8 +65,8 @@ class ModeContext {
   ModeContext(Engine engine, const ImplementedDesign& design,
               const tech::CellLibrary& lib, const Options& opt)
       : ModeContext(engine, design, lib,
-                    Setup{opt.bitwidths, opt.activity_cycles, opt.seed,
-                          opt.stimulus, opt.quality_max_abs_error,
+                    Setup{opt.vdds, opt.bitwidths, opt.activity_cycles,
+                          opt.seed, opt.stimulus, opt.quality_max_abs_error,
                           opt.static_prune, opt.lint, opt.store,
                           opt.num_threads}) {}
 
@@ -78,9 +84,15 @@ class ModeContext {
 
   const power::PowerModel& pmodel() const { return pmodel_; }
   const std::vector<double>& dom_weight() const { return dom_weight_; }
-  /// core::MaskLeakageW over this design's domains.
-  double LeakageW(double vdd, tech::DomainMask mask) const {
-    return MaskLeakageW(pmodel_, dom_weight_, ndom_, vdd, mask);
+  /// core::MaskLeakageW over this design's domains at the option's
+  /// vdds[vi], bit for bit: the same per-domain terms, precomputed
+  /// once per (VDD, domain, bias), summed in the same domain order.
+  double LeakageW(std::size_t vi, tech::DomainMask mask) const {
+    const double* row = &leak_[vi * 2 * static_cast<std::size_t>(ndom_)];
+    double leak_w = 0.0;
+    for (int d = 0; d < ndom_; ++d)
+      leak_w += row[2 * static_cast<std::size_t>(d) + ((mask >> d) & 1u)];
+    return leak_w;
   }
 
   /// Persistent store (nullptr when off) and this design's context id
@@ -119,6 +131,7 @@ class ModeContext {
   };
   /// The option fields ExploreOptions and FrontierOptions share.
   struct Setup {
+    const std::vector<double>& vdds;
     const std::vector<int>& bitwidths;
     int activity_cycles;
     std::uint64_t seed;
@@ -143,6 +156,8 @@ class ModeContext {
   std::vector<PrunedMode> pruned_;
   power::PowerModel pmodel_;
   std::vector<double> dom_weight_;
+  /// DomainLeakageW per (vdds index, domain, NoBB/FBB), row-major.
+  std::vector<double> leak_;
   util::ThreadPool pool_;
   store::ExplorationStore* store_;
   int store_ctx_;

@@ -44,10 +44,12 @@ struct OutArc {
 /// The accumulator lives in registers across the fold, so no scratch
 /// row is refilled, read-modified-written per input or reloaded per
 /// output. Expressions and their order are exactly the scalar
-/// sweep's, so lanes stay bit-identical to the oracle.
-inline void PropagateCell(const double* const* in_rows, int nin,
-                          const OutArc* outs, int nout, const double* m,
-                          double neg_inf, std::size_t n) {
+/// sweep's, so lanes stay bit-identical to the oracle. Forced inline:
+/// it runs once per cell per sweep, and as an out-of-line call its
+/// pin-row and arc arrays round-trip through the stack every time.
+[[gnu::always_inline]] inline void PropagateCell(
+    const double* const* in_rows, int nin, const OutArc* outs, int nout,
+    const double* m, double neg_inf, std::size_t n) {
   const simd::F64 vninf = simd::F64::Broadcast(neg_inf);
   simd::F64 vb[2], vw[2];
   for (int o = 0; o < nout; ++o) {

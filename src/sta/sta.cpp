@@ -138,6 +138,16 @@ const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
     sched->cells.push_back(c);
   }
 
+  // Captures: every DFF D pin is an endpoint, live iff reached.
+  for (std::uint32_t i = 0; i < nl_.num_instances(); ++i) {
+    const netlist::Instance& inst = nl_.instances()[i];
+    if (!inst.is_sequential()) continue;
+    const std::uint32_t d = static_cast<std::uint32_t>(inst.in[0].index());
+    const bool active = sched->reached[d] != 0;
+    sched->captures.push_back({i, d, active});
+    if (!active) ++sched->num_disabled;
+  }
+
   if (schedules_.size() >= kMaxSchedules) {
     std::size_t lru = 0;
     for (std::size_t k = 1; k < schedules_.size(); ++k)
@@ -215,27 +225,19 @@ TimingReport TimingAnalyzer::Analyze(
   PropagateArrivals(1, arrival_.data(), sched,
                     [&](std::uint32_t i) { return &scale[bias_of(i)]; });
 
-  // Capture: every DFF D pin is an endpoint. `reached` is exactly the
-  // historical "active net with a finite arrival" predicate.
   TimingReport rep;
-  for (std::uint32_t i = 0; i < nl_.num_instances(); ++i) {
-    const netlist::Instance& inst = nl_.instances()[i];
-    if (!inst.is_sequential()) continue;
-    const NetId d = inst.in[0];
-    const int b = bias_of(i);
-    const double setup = tab_.setup_ns[i] * scale[b];
-    const bool active = sched.reached[d.index()] != 0;
+  rep.num_disabled_endpoints = sched.num_disabled;
+  for (const SweepCapture& c : sched.captures) {
     EndpointTiming ep;
-    ep.reg = InstId(i);
-    ep.active = active;
-    if (active) {
-      ep.arrival_ns = arrival_[d.index()];
+    ep.reg = InstId(c.inst);
+    ep.active = c.active;
+    if (c.active) {
+      ep.arrival_ns = arrival_[c.d_net];
+      const double setup = tab_.setup_ns[c.inst] * scale[bias_of(c.inst)];
       ep.slack_ns = clock_ns - setup - ep.arrival_ns;
       rep.wns_ns = std::min(rep.wns_ns, ep.slack_ns);
       ++rep.num_active_endpoints;
       if (ep.slack_ns < 0.0) ++rep.num_violations;
-    } else {
-      ++rep.num_disabled_endpoints;
     }
     if (collect_endpoints) rep.endpoints.push_back(ep);
   }
@@ -280,32 +282,24 @@ std::vector<TimingReport> TimingAnalyzer::AnalyzeBatch(
 
   // Capture fold over SoA accumulators: wns is a per-lane min fold in
   // instance order (exactly the scalar fold order), violations count
-  // via lane compares, and the endpoint counts are lane-invariant
-  // (`reached` is the historical active-and-finite predicate).
+  // via lane compares, and the endpoint counts are lane-invariant.
   wns_lanes_.assign(W, std::numeric_limits<double>::infinity());
   viol_lanes_.assign(W, 0);
-  int active_eps = 0;
-  int disabled_eps = 0;
-  for (std::uint32_t i = 0; i < nl_.num_instances(); ++i) {
-    const netlist::Instance& inst = nl_.instances()[i];
-    if (!inst.is_sequential()) continue;
-    const NetId d = inst.in[0];
-    if (!sched.reached[d.index()]) {
-      ++disabled_eps;
-      continue;
-    }
-    ++active_eps;
+  for (const SweepCapture& c : sched.captures) {
+    if (!c.active) continue;
     lanes::EndpointFold(
         wns_lanes_.data(), viol_lanes_.data(),
-        &scale_lanes_[static_cast<std::size_t>(domain_of_inst[i]) * W],
-        &arrival_lanes_[d.index() * W], clock_ns, tab_.setup_ns[i], W);
+        &scale_lanes_[static_cast<std::size_t>(domain_of_inst[c.inst]) * W],
+        &arrival_lanes_[c.d_net * W], clock_ns, tab_.setup_ns[c.inst], W);
   }
+  const int active_eps =
+      static_cast<int>(sched.captures.size()) - sched.num_disabled;
   for (std::size_t l = 0; l < W; ++l) {
     TimingReport& rep = reports[l];
     rep.wns_ns = active_eps == 0 ? clock_ns : wns_lanes_[l];
     rep.num_violations = static_cast<int>(viol_lanes_[l]);
     rep.num_active_endpoints = active_eps;
-    rep.num_disabled_endpoints = disabled_eps;
+    rep.num_disabled_endpoints = sched.num_disabled;
   }
   return reports;
 }
@@ -323,16 +317,11 @@ TimingReport TimingAnalyzer::AnalyzeWithScales(
                     [&](std::uint32_t i) { return &scale_of_inst[i]; });
 
   TimingReport rep;
-  for (std::uint32_t i = 0; i < nl_.num_instances(); ++i) {
-    const netlist::Instance& inst = nl_.instances()[i];
-    if (!inst.is_sequential()) continue;
-    const NetId d = inst.in[0];
-    const double setup = tab_.setup_ns[i] * scale_of_inst[i];
-    if (!sched.reached[d.index()]) {
-      ++rep.num_disabled_endpoints;
-      continue;
-    }
-    const double slack = clock_ns - setup - arrival_[d.index()];
+  rep.num_disabled_endpoints = sched.num_disabled;
+  for (const SweepCapture& c : sched.captures) {
+    if (!c.active) continue;
+    const double setup = tab_.setup_ns[c.inst] * scale_of_inst[c.inst];
+    const double slack = clock_ns - setup - arrival_[c.d_net];
     rep.wns_ns = std::min(rep.wns_ns, slack);
     ++rep.num_active_endpoints;
     if (slack < 0.0) ++rep.num_violations;

@@ -159,7 +159,8 @@ class TimingAnalyzer {
 
   /// One case-analysis-specialized sweep schedule: the launch points,
   /// the active+reachable cells in topological order with their pin
-  /// rows and broadcast delays hoisted, and the reachability bitmap.
+  /// rows and broadcast delays hoisted, the capture registers, and the
+  /// reachability bitmap.
   /// A sweep over the schedule touches nothing but arrival rows that
   /// it writes — no instance table, no per-pin IsConstant, no global
   /// buffer clear — while computing bit-for-bit the arrivals of the
@@ -179,6 +180,15 @@ class TimingAnalyzer {
     double base[tech::kMaxCellOutputs] = {};
     double wire[tech::kMaxCellOutputs] = {};
   };
+  /// One capture register (a DFF D pin endpoint). `active` is the
+  /// historical "active net with a finite arrival" predicate on its D
+  /// net; a disabled capture is kept so that endpoint reports still
+  /// list every register in instance order.
+  struct SweepCapture {
+    std::uint32_t inst;
+    std::uint32_t d_net;
+    bool active;
+  };
   struct SweepSchedule {
     bool has_ca = false;
     std::uint64_t ca_fp = 0;  // CaseAnalysis::fingerprint(); 0 if none
@@ -186,6 +196,8 @@ class TimingAnalyzer {
     std::vector<SweepLaunch> launches;
     std::vector<std::uint32_t> pis;  // active primary-input nets
     std::vector<SweepCell> cells;
+    std::vector<SweepCapture> captures;  // every DFF, instance order
+    int num_disabled = 0;                // captures with !active
     /// Per net: 1 iff active under the case analysis AND reachable
     /// from an active launch point — exactly the nets whose arrival
     /// rows the sweep writes. Everything else is semantically -inf.

@@ -37,7 +37,6 @@
 /// contract, pinned by tests/test_frontier).
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -144,10 +143,20 @@ class ExplorationStore {
     RecordKey key;
     Record val;
   };
+  struct RecordKeyHash {
+    std::size_t operator()(const RecordKey& k) const {
+      std::uint64_t h = static_cast<std::uint64_t>(std::get<0>(k));
+      h = (h ^ std::get<1>(k)) * 0x9e3779b97f4a7c15ULL;
+      h = (h ^ std::get<2>(k)) * 0x9e3779b97f4a7c15ULL;
+      return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+  };
+  /// `records` answers lookups only; segments are written from
+  /// `pending`, in insertion order, so no hash order reaches disk.
   struct ContextData {
     std::string canonical;
     std::uint64_t hash = 0;
-    std::map<RecordKey, Record> records;
+    std::unordered_map<RecordKey, Record, RecordKeyHash> records;
     std::vector<PendingRecord> pending;
   };
 

@@ -4,17 +4,25 @@
 /// budget, warm-starting from the persistent store (cold/warm runs
 /// bit-identical, STA fully traded for store hits), and verdict
 /// sharing between the frontier and exhaustive engines through one
-/// store directory.
+/// store directory, and a golden digest of the budgeted 25-domain
+/// search.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/explore.h"
 #include "core/flow.h"
 #include "core/frontier.h"
+#include "core/mode_context.h"
 #include "store/exploration_store.h"
 
 namespace adq::core {
@@ -36,6 +44,23 @@ const ImplementedDesign& Design22() {
     fopt.clock_ns = 0.55;  // tight enough that knobs matter
     return RunImplementationFlow(gen::BuildBoothOperator(8), Lib(), fopt);
   }();
+  return d;
+}
+
+/// The frontier_store benchmark's designs: 16-bit operators on a 5x5
+/// grid (25 domains), implemented with one worker.
+ImplementedDesign Implement55(gen::Operator (*build)(int)) {
+  FlowOptions fopt;
+  fopt.grid = {5, 5};
+  fopt.num_threads = 1;
+  return RunImplementationFlow(build(16), Lib(), fopt);
+}
+const ImplementedDesign& Booth55() {
+  static const ImplementedDesign d = Implement55(&gen::BuildBoothOperator);
+  return d;
+}
+const ImplementedDesign& Fir55() {
+  static const ImplementedDesign d = Implement55(&gen::BuildFirMacOperator);
   return d;
 }
 
@@ -298,6 +323,119 @@ TEST(Frontier, ToExplorationResultFeedsExistingConsumers) {
   EXPECT_EQ(as_ex.stats.feasible, 0);
   // Mode lookup mirrors ExplorationResult::Mode.
   EXPECT_EQ(fr.Mode(4).bitwidth, 4);
+}
+
+/// FNV-1a over the bit patterns of a search's outputs.
+class SearchDigest {
+ public:
+  void AddByte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;
+  }
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      AddByte(static_cast<unsigned char>((v >> (8 * i)) & 0xffULL));
+  }
+  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
+  void Add(long v) { Add(static_cast<std::uint64_t>(v)); }
+  void Add(int v) { Add(static_cast<std::uint64_t>(v)); }
+  void Add(bool v) { Add(static_cast<std::uint64_t>(v)); }
+  void AddBytes(const std::string& s) {
+    for (const char c : s) AddByte(static_cast<unsigned char>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// Pins the budgeted 25-domain search bit for bit: the two designs of
+// the frontier_store benchmark (Booth16 and FIR16 at 5x5, node budget
+// 2000, one worker, a fresh store). The digest covers every mode's
+// best point, certificate, gap and node count, every FrontierStats
+// field, and the bytes of the segment the store flushes — so the
+// search trajectory, the fold order and the on-disk record order are
+// all fixed. A change meant to be a pure speedup must leave it alone.
+TEST(FrontierGolden, FiveByFiveBudgetedSearchBitIdentical) {
+  struct Case {
+    const char* name;
+    const ImplementedDesign& (*design)();
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"Booth16 5x5", &Booth55, 0xddbfd5122d78fc72ULL},
+      {"FIR16 5x5", &Fir55, 0x7e943c1c484e019cULL},
+  };
+  for (const Case& c : cases) {
+    const ImplementedDesign& d = c.design();
+    const fs::path dir = fs::path(::testing::TempDir()) / "frontier_golden";
+    fs::remove_all(dir);
+    SearchDigest h;
+    {
+      store::ExplorationStore st(dir.string());
+      FrontierOptions opt;
+      opt.num_threads = 1;
+      opt.node_budget = 2000;
+      opt.store = &st;
+      const FrontierResult fr = FrontierExplore(d, Lib(), opt);
+      ASSERT_TRUE(st.Flush());
+      for (const FrontierModeResult& m : fr.modes) {
+        h.Add(m.bitwidth);
+        h.Add(m.has_solution);
+        h.Add(m.best.vdd);
+        h.Add(static_cast<std::uint64_t>(m.best.mask));
+        h.Add(m.best.wns_ns);
+        h.Add(m.best.power.dynamic_w);
+        h.Add(m.best.power.leakage_w);
+        h.Add(m.certified);
+        h.Add(m.gap_w);
+        h.Add(m.nodes_expanded);
+      }
+      const FrontierStats& s = fr.stats;
+      for (const long v :
+           {s.nodes_expanded, s.nodes_pruned_bound, s.nodes_pruned_infeasible,
+            s.nodes_closed, s.sta_runs, s.store_hits, s.transfer_hits,
+            s.static_mode_prunes, s.waves})
+        h.Add(v);
+      h.Add(s.certified_modes);
+    }
+    int segments = 0;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      if (e.path().extension() != ".adqstore") continue;
+      std::ifstream in(e.path(), std::ios::binary);
+      h.AddBytes(std::string(std::istreambuf_iterator<char>(in), {}));
+      ++segments;
+    }
+    EXPECT_EQ(segments, 1) << c.name;
+    EXPECT_EQ(h.value(), c.digest)
+        << c.name << ": digest 0x" << std::hex << h.value();
+  }
+}
+
+// The mode context's leakage table is a pure re-association of
+// MaskLeakageW's per-domain terms: same terms, same domain order, so
+// every sum must come out bit-identical, at every supply of the list.
+TEST(ModeContext, LeakageTableMatchesMaskLeakageW) {
+  const ImplementedDesign& d = Booth55();
+  ASSERT_EQ(d.num_domains(), 25);
+  FrontierOptions opt;
+  opt.vdds = {0.65, 1.0, 0.85, 0.6};
+  opt.bitwidths = {16};
+  opt.activity_cycles = 64;
+  opt.num_threads = 1;
+  const ModeContext ctx(ModeContext::Engine::kFrontier, d, Lib(), opt);
+
+  std::mt19937_64 rng(20261017);
+  std::vector<tech::DomainMask> masks = {0, tech::FullMask(25)};
+  for (int i = 0; i < 200; ++i) masks.push_back(rng() & tech::FullMask(25));
+  for (std::size_t vi = 0; vi < opt.vdds.size(); ++vi)
+    for (const tech::DomainMask m : masks) {
+      const double oracle = MaskLeakageW(ctx.pmodel(), ctx.dom_weight(), 25,
+                                         opt.vdds[vi], m);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ctx.LeakageW(vi, m)),
+                std::bit_cast<std::uint64_t>(oracle))
+          << "vdd " << opt.vdds[vi] << " mask 0x" << std::hex << m;
+    }
 }
 
 }  // namespace

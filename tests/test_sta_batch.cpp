@@ -3,8 +3,9 @@
 /// exploration engine's mask-dominance prune is built on:
 ///
 ///   * every batch lane is bit-identical (==, not nearly-equal) to a
-///     scalar Analyze of the same mask — sampled across random
-///     (VDD, mask set, bitwidth, batch width) draws;
+///     scalar Analyze of the same mask — at every batch width from 1
+///     to past core::kStaBatchWidth (full batches and SIMD tails),
+///     with random (VDD, mask set, bitwidth) draws;
 ///   * WNS is monotone non-increasing in the FBB mask lattice:
 ///     M ⊆ F implies WNS(M) ≤ WNS(F), hence an infeasible mask
 ///     condemns all its submasks (the prune is exact, not heuristic).
@@ -18,6 +19,7 @@
 #include "core/accuracy.h"
 #include "core/explore.h"
 #include "core/flow.h"
+#include "core/mode_context.h"
 #include "sta/sta.h"
 
 namespace adq {
@@ -58,9 +60,12 @@ TEST(StaBatch, BitIdenticalToScalarLanes) {
   std::uniform_real_distribution<double> vdd_dist(0.6, 1.0);
   std::uniform_int_distribution<std::uint32_t> mask_dist(0, nmasks - 1);
   std::uniform_int_distribution<int> bw_dist(1, d.op.spec.data_width);
-  std::uniform_int_distribution<int> width_dist(1, 11);
 
-  for (int trial = 0; trial < 24; ++trial) {
+  // Two trials per width, 1 .. kStaBatchWidth + 3: full batches of the
+  // engines' width and every SIMD tail length around it.
+  bool saw_disabled = false;
+  const int max_width = static_cast<int>(core::kStaBatchWidth) + 3;
+  for (int trial = 0; trial < 2 * max_width; ++trial) {
     const double vdd = vdd_dist(rng);
     const int bw = bw_dist(rng);
     // Every third trial analyzes the full circuit (no case analysis).
@@ -69,7 +74,7 @@ TEST(StaBatch, BitIdenticalToScalarLanes) {
     const netlist::CaseAnalysis* cap = use_ca ? &ca : nullptr;
 
     std::vector<tech::DomainMask> lanes(
-        static_cast<std::size_t>(width_dist(rng)));
+        static_cast<std::size_t>(trial % max_width + 1));
     for (tech::DomainMask& m : lanes) m = mask_dist(rng);
 
     SCOPED_TRACE("trial=" + std::to_string(trial) +
@@ -82,10 +87,24 @@ TEST(StaBatch, BitIdenticalToScalarLanes) {
       SCOPED_TRACE("lane=" + std::to_string(l) + " mask=" +
                    std::to_string(lanes[l]));
       const sta::TimingReport scalar = analyzer.Analyze(
-          vdd, d.clock_ns, core::BiasVectorFor(d, lanes[l]), cap);
+          vdd, d.clock_ns, core::BiasVectorFor(d, lanes[l]), cap,
+          /*collect_endpoints=*/true);
       ExpectReportsIdentical(batch[l], scalar);
+      // The endpoint list has one entry per register, and its inactive
+      // entries are exactly the disabled count.
+      int disabled = 0;
+      for (const sta::EndpointTiming& ep : scalar.endpoints)
+        disabled += ep.active ? 0 : 1;
+      EXPECT_EQ(scalar.endpoints.size(),
+                static_cast<std::size_t>(scalar.num_active_endpoints +
+                                         scalar.num_disabled_endpoints));
+      EXPECT_EQ(disabled, batch[l].num_disabled_endpoints);
+      saw_disabled = saw_disabled || batch[l].num_disabled_endpoints > 0;
     }
   }
+  // Reduced bitwidths disable the zeroed LSBs' capture registers: the
+  // schedule's precomputed disabled count must have been exercised.
+  EXPECT_TRUE(saw_disabled);
 }
 
 TEST(StaBatch, EmptyAndSingleLane) {

@@ -146,6 +146,79 @@ TEST(Store, RoundTripIsBitExact) {
   EXPECT_EQ(r.stats().misses, 2u);
 }
 
+// Pins the on-disk format independently of the in-memory container:
+// a segment lists its records in insertion order, field by field, and
+// reads back exactly. Keys go in descending (bitwidth, vdd, mask)
+// order, so a writer that iterated a sorted or hashed index instead of
+// the insertion log would be caught.
+TEST(Store, SegmentListsRecordsInInsertionOrder) {
+  const fs::path dir = FreshDir("store_insertion_order");
+  const StoreKey key = MakeStoreKey("design-order");
+  struct Rec {
+    std::uint32_t bw;
+    double vdd;
+    std::uint64_t mask;
+    bool feasible;
+    double wns;
+  };
+  std::vector<Rec> recs;
+  for (std::uint32_t bw = 16; bw >= 15; --bw)
+    for (const double vdd : {1.0, 0.8, 0.6})
+      for (std::uint64_t mask = 40; mask-- > 0;)
+        recs.push_back({bw, vdd, mask * 0x9e3779b97f4a7c15ULL,
+                        (mask % 3) != 0,
+                        0.001 * static_cast<double>(mask) - 0.02});
+  {
+    ExplorationStore w(dir.string());
+    const int ctx = w.Context(key);
+    for (const Rec& r : recs)
+      w.Insert(ctx, static_cast<int>(r.bw), r.vdd, r.mask, r.feasible,
+               r.wns);
+    ASSERT_TRUE(w.Flush());
+  }
+
+  std::FILE* f = std::fopen(OnlySegment(dir).c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string bytes;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
+    bytes.append(buf, n);
+  std::fclose(f);
+  ASSERT_EQ(bytes.size(),
+            BodyStart(key.canonical) + recs.size() * kRecordBytes);
+  const auto get = [&](std::size_t at, int n) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i)
+      v |= std::uint64_t{static_cast<unsigned char>(
+               bytes[at + static_cast<std::size_t>(i)])}
+           << (8 * i);
+    return v;
+  };
+  EXPECT_EQ(bytes.compare(0, 8, "ADQXSTO1"), 0);
+  EXPECT_EQ(get(BodyStart(key.canonical) - 8, 8), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const std::size_t at = BodyStart(key.canonical) + i * kRecordBytes;
+    EXPECT_EQ(get(at, 4), recs[i].bw);
+    EXPECT_EQ(get(at + 4, 8), BitsOf(recs[i].vdd));
+    EXPECT_EQ(get(at + 12, 8), recs[i].mask);
+    EXPECT_EQ(get(at + 20, 1), recs[i].feasible ? 1u : 0u);
+    EXPECT_EQ(get(at + 21, 8), BitsOf(recs[i].wns));
+  }
+
+  ExplorationStore r(dir.string());
+  EXPECT_EQ(r.num_records(), recs.size());
+  const int ctx = r.Context(key);
+  for (const Rec& want : recs) {
+    bool feasible = !want.feasible;
+    double wns = 12345.0;
+    ASSERT_TRUE(r.Lookup(ctx, static_cast<int>(want.bw), want.vdd,
+                         want.mask, &feasible, &wns));
+    EXPECT_EQ(feasible, want.feasible);
+    EXPECT_EQ(BitsOf(wns), BitsOf(want.wns));
+  }
+}
+
 TEST(Store, TruncatedBodyKeepsCompleteRecords) {
   const fs::path dir = FreshDir("store_truncated");
   const StoreKey key = MakeStoreKey("design-t");
