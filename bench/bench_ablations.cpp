@@ -8,36 +8,17 @@
 ///      work: do data-fitted cut lines beat the regular grid?
 ///  (3) VDD islands with level shifters — the alternative the paper
 ///      dismisses in Sec. III; quantified on the same partition.
-///  (5) Static accuracy pruning — the sim-free prune stage of the
-///      exploration engines: wall time and evaluation counts with
-///      proved-bound pruning on vs off under a finite quality target,
-///      checked bit-identical. Emitted into BENCH_ablations.json
-///      (static_prune_speedup, static_prune_modes_decided; gated by
-///      benchdiff against BENCH_HISTORY.jsonl).
-
-#include <chrono>
+///  (4) Process-variation robustness — parametric timing yield of the
+///      mode table under die-to-die Vth variation.
 
 #include "common.h"
 #include "core/variation.h"
 #include "core/vdd_islands.h"
 #include "util/table.h"
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(const Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   adq::bench::InitObs(argc, argv);
-  (void)argc;
-  (void)argv;
   using namespace adq;
-  bool ok = true;
   std::printf("=== Ablations (Booth 16x16 unless noted) ===\n\n");
   const std::vector<int> bits = {4, 6, 8, 10, 12, 14, 16};
 
@@ -168,79 +149,6 @@ int main(int argc, char** argv) {
         "re-explore with a\nguard-banded constraint.\n\n");
   }
 
-  // ---------- (5) static accuracy pruning ----------
-  {
-    const core::ImplementedDesign d =
-        bench::Implement(bench::kDesigns[0], {2, 2});
-    // booth16 proved bound 2^16 (2^(16-b) - 1): 196608 at b=14,
-    // 983040 at b=12 — a 2e5 target keeps {14, 16} and lets the
-    // analyzer decide the other five modes without any sim or STA.
-    const double target = 2.0e5;
-    core::ExploreOptions on;
-    on.bitwidths = bits;
-    on.quality_max_abs_error = target;
-    on.static_prune = true;
-    core::ExploreOptions off = on;
-    off.static_prune = false;
-
-    auto t0 = Clock::now();
-    const auto pruned = core::ExploreDesignSpace(d, bench::Lib(), on);
-    const double on_s = SecondsSince(t0);
-    t0 = Clock::now();
-    const auto swept = core::ExploreDesignSpace(d, bench::Lib(), off);
-    const double off_s = SecondsSince(t0);
-
-    bool identical = pruned.modes.size() == swept.modes.size();
-    for (std::size_t i = 0; identical && i < pruned.modes.size(); ++i) {
-      const auto& a = pruned.modes[i];
-      const auto& b = swept.modes[i];
-      identical = a.bitwidth == b.bitwidth &&
-                  a.has_solution == b.has_solution &&
-                  a.statically_pruned == b.statically_pruned &&
-                  a.best.vdd == b.best.vdd && a.best.mask == b.best.mask &&
-                  a.best.wns_ns == b.best.wns_ns &&
-                  a.best.power.dynamic_w == b.best.power.dynamic_w &&
-                  a.best.power.leakage_w == b.best.power.leakage_w;
-    }
-    ok = ok && identical;
-
-    std::printf(
-        "(5) static accuracy pruning (2x2 grid, quality target %.0f)\n",
-        target);
-    util::Table t({"prune", "wall [s]", "STA runs", "points", "sim-free"});
-    t.AddRow({"on", util::Table::Num(on_s, 3),
-              std::to_string(pruned.stats.sta_runs),
-              std::to_string(pruned.stats.points_considered),
-              std::to_string(pruned.stats.static_mode_prunes)});
-    t.AddRow({"off", util::Table::Num(off_s, 3),
-              std::to_string(swept.stats.sta_runs),
-              std::to_string(swept.stats.points_considered), "0"});
-    std::fputs(t.Render().c_str(), stdout);
-    std::printf(
-        "%s, speedup %.2fx — %ld of %zu modes decided by proof alone\n",
-        identical ? "mode tables bit-identical" : "MODE TABLE MISMATCH",
-        off_s / on_s, pruned.stats.static_mode_prunes,
-        pruned.modes.size());
-
-    bench::BenchJson report;
-    report.Str("design", "booth16_2x2")
-        .Num("quality_max_abs_error", target)
-        .Int("modes_total", static_cast<long long>(pruned.modes.size()))
-        .Int("static_prune_modes_decided", pruned.stats.static_mode_prunes)
-        .Num("prune_on_wall_s", on_s)
-        .Int("prune_on_sta_runs", pruned.stats.sta_runs)
-        .Int("prune_on_points", pruned.stats.points_considered)
-        .Num("prune_off_wall_s", off_s)
-        .Int("prune_off_sta_runs", swept.stats.sta_runs)
-        .Int("prune_off_points", swept.stats.points_considered)
-        .Num("static_prune_speedup", off_s / on_s)
-        .Bool("prune_bit_identical", identical);
-    report.Write("ablations");
-  }
   adq::obs::Flush();
-  if (!ok) {
-    std::fprintf(stderr, "FAILED: pruned mode table diverged\n");
-    return 1;
-  }
   return 0;
 }

@@ -5,13 +5,14 @@
 /// Usage: domain_explorer [booth|butterfly|fir|mac|array] [NX] [NY]
 ///                        [regular|bands] [threads] [--lint=off|warn|error]
 ///                        [--engine=exhaustive|frontier|auto]
-///                        [--store=DIR] [--budget=N] [--quality=E]
-///                        [--no-static-prune]
+///                        [--store=DIR] [--budget=N]
 ///                        [--trace=f.json] [--metrics=f.json] [--progress]
 /// Defaults: booth 2 2 regular 0 (threads: 0 = one per hardware
-/// thread, 1 = serial; any value gives identical results — the
-/// exploration's deterministic-merge guarantee). This generalizes
-/// the paper's Fig. 6
+/// thread, 1 = serial, at most kMaxThreads = 256; any value gives
+/// identical results — the exploration's deterministic-merge
+/// guarantee). An unknown operator, strategy or flag, a surplus
+/// argument, or a malformed or out-of-range number exits 1 with a
+/// message before the flow runs. This generalizes the paper's Fig. 6
 /// study to any operator/grid combination (optionally with
 /// criticality-fitted band cuts) and prints everything a designer
 /// needs to pick a grid: area overhead, per-mode optimal knobs, and
@@ -27,14 +28,9 @@
 /// absent) and writes fresh verdicts back — a second run trades its
 /// STA runs for store hits with bit-identical results. --budget=N
 /// caps the frontier search at N node expansions per accuracy mode
-/// (0 = run to certificate). --quality=E sets the worst-case absolute
-/// error target: modes whose statically *proved* error bound
-/// (analysis::AccuracyAnalyzer) exceeds E are discarded before any
-/// simulation or STA — the sim-free static-prune stage —
-/// and --no-static-prune runs the same target the slow way (sweep
-/// everything, discard post-hoc; bit-identical modes, for ablation).
-/// The --lint gate is applied by *both* exploration engines (the same
-/// core::SignoffLint the flow runs), not just by the flow itself.
+/// (0 = run to certificate). The --lint gate is applied by *both*
+/// exploration engines (the same core::SignoffLint the flow runs),
+/// not just by the flow itself.
 ///
 /// Observability (see README "Observability"): --trace writes a
 /// Chrome/Perfetto trace of the whole run (flow phases + per-worker
@@ -43,15 +39,14 @@
 /// status line. ADQ_TRACE/ADQ_METRICS/ADQ_PROGRESS env vars set the
 /// same knobs; flags win.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <vector>
-
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "cli.h"
 #include "core/controller.h"
 #include "core/dvas.h"
 #include "core/explore.h"
@@ -66,6 +61,14 @@
 #include "util/table.h"
 #include "util/thread_pool.h"
 
+namespace {
+
+/// Largest accepted [threads] argument, so that a typo cannot ask the
+/// OS for an unbounded number of threads.
+constexpr long kMaxThreads = 256;
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace adq;
   obs::Options oopt = obs::OptionsFromEnv();
@@ -73,8 +76,6 @@ int main(int argc, char** argv) {
   std::string engine = "auto";
   std::string store_dir;
   long budget = 0;
-  double quality = std::numeric_limits<double>::infinity();
-  bool static_prune = true;
   std::vector<const char*> pos;  // positional args, flags stripped
   for (int i = 1; i < argc; ++i) {
     if (obs::ParseObsFlag(argv[i], &oopt)) continue;
@@ -92,19 +93,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      budget = std::atol(argv[i] + 9);
-      continue;
-    }
-    if (std::strncmp(argv[i], "--quality=", 10) == 0) {
-      quality = std::atof(argv[i] + 10);
-      if (!(quality >= 0.0)) {
-        std::fprintf(stderr, "--quality must be a non-negative error bound\n");
+      if (!cli::ParseLong(argv[i] + 9, 0, LONG_MAX, "--budget", &budget))
         return 1;
-      }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-static-prune") == 0) {
-      static_prune = false;
       continue;
     }
     if (std::strncmp(argv[i], "--lint=", 7) == 0) {
@@ -118,15 +108,40 @@ int main(int argc, char** argv) {
       }
       continue;
     }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return 1;
+    }
     pos.push_back(argv[i]);
   }
+  if (pos.size() > 5) {
+    std::fprintf(stderr, "unexpected argument %s\n", pos[5]);
+    return 1;
+  }
+  const char* which = pos.size() > 0 ? pos[0] : "booth";
+  const cli::OperatorBuilder build = cli::FindOperator(which);
+  if (build == nullptr) {
+    std::fprintf(stderr, "unknown operator %s\n", which);
+    return 1;
+  }
+  const bool bands = pos.size() > 3 && std::strcmp(pos[3], "bands") == 0;
+  if (pos.size() > 3 && !bands && std::strcmp(pos[3], "regular") != 0) {
+    std::fprintf(stderr, "unknown strategy %s\n", pos[3]);
+    return 1;
+  }
+  long nx = 2, ny = 2, threads_arg = 0;
+  if ((pos.size() > 1 &&
+       !cli::ParseLong(pos[1], 1, tech::kMaxDomains, "NX", &nx)) ||
+      (pos.size() > 2 &&
+       !cli::ParseLong(pos[2], 1, tech::kMaxDomains, "NY", &ny)) ||
+      (pos.size() > 4 &&
+       !cli::ParseLong(pos[4], 0, kMaxThreads, "threads", &threads_arg)))
+    return 1;
+  const int threads = static_cast<int>(threads_arg);
   obs::Configure(oopt);
 
-  const char* which = pos.size() > 0 ? pos[0] : "booth";
-  place::GridConfig grid{pos.size() > 1 ? std::atoi(pos[1]) : 2,
-                         pos.size() > 2 ? std::atoi(pos[2]) : 2};
-  if (grid.nx < 1 || grid.ny < 1 ||
-      grid.num_domains() > tech::kMaxDomains) {
+  place::GridConfig grid{static_cast<int>(nx), static_cast<int>(ny)};
+  if (grid.num_domains() > tech::kMaxDomains) {
     std::fprintf(stderr, "grid must be 1x1 .. %d domains\n",
                  tech::kMaxDomains);
     return 1;
@@ -140,22 +155,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  gen::Operator op = std::strcmp(which, "butterfly") == 0
-                         ? gen::BuildButterflyOperator(16)
-                     : std::strcmp(which, "fir") == 0
-                         ? gen::BuildFirMacOperator(16)
-                     : std::strcmp(which, "mac") == 0
-                         ? gen::BuildMacOperator(16)
-                     : std::strcmp(which, "array") == 0
-                         ? gen::BuildArrayMultOperator(16)
-                         : gen::BuildBoothOperator(16);
+  gen::Operator op = build(16);
 
   const tech::CellLibrary lib;
   core::FlowOptions fopt;
   fopt.grid = grid;
-  if (pos.size() > 3 && std::strcmp(pos[3], "bands") == 0)
+  if (bands)
     fopt.strategy = core::DomainStrategy::kCriticalityBands;
-  const int threads = pos.size() > 4 ? std::atoi(pos[4]) : 0;
   fopt.num_threads = threads;
   fopt.lint = lint_gate;
   std::printf("operator %s, grid %s (%s)\n", op.spec.name.c_str(),
@@ -189,8 +195,6 @@ int main(int argc, char** argv) {
   xopt.num_threads = threads;
   xopt.store = store.get();
   xopt.lint = lint_gate;
-  xopt.quality_max_abs_error = quality;
-  xopt.static_prune = static_prune;
   core::ExplorationResult ours;
   core::FrontierResult frontier;
   if (use_frontier) {
@@ -199,8 +203,6 @@ int main(int argc, char** argv) {
     fropt.node_budget = budget;
     fropt.store = store.get();
     fropt.lint = lint_gate;
-    fropt.quality_max_abs_error = quality;
-    fropt.static_prune = static_prune;
     frontier = core::FrontierExplore(design, lib, fropt);
     ours = frontier.ToExplorationResult();
   } else {
@@ -238,12 +240,7 @@ int main(int argc, char** argv) {
   if (use_frontier) {
     std::printf("\nmode certificates (frontier engine):\n");
     for (const core::FrontierModeResult& m : frontier.modes) {
-      if (m.statically_pruned)
-        std::printf(
-            "  bits %2d: statically pruned — proved error bound %.3e "
-            "exceeds the quality target (no sim, no STA)\n",
-            m.bitwidth, m.proved_max_abs_error);
-      else if (m.certified)
+      if (m.certified)
         std::printf("  bits %2d: proved optimal (%ld nodes expanded)\n",
                     m.bitwidth, m.nodes_expanded);
       else
@@ -254,22 +251,19 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "frontier: %ld nodes expanded over %ld waves, %ld STA runs, "
-        "%ld store hits, %ld cross-bitwidth transfers, %ld modes "
-        "statically pruned (%d/%zu modes certified, %d worker "
-        "threads)\n",
+        "%ld store hits, %ld cross-bitwidth transfers (%d/%zu modes "
+        "certified, %d worker threads)\n",
         frontier.stats.nodes_expanded, frontier.stats.waves,
         frontier.stats.sta_runs, frontier.stats.store_hits,
-        frontier.stats.transfer_hits, frontier.stats.static_mode_prunes,
-        frontier.stats.certified_modes, frontier.modes.size(),
-        util::ResolveNumThreads(threads));
+        frontier.stats.transfer_hits, frontier.stats.certified_modes,
+        frontier.modes.size(), util::ResolveNumThreads(threads));
   } else {
     std::printf(
         "\nexploration: %ld points considered, %ld STA runs (%ld "
-        "mask-dominance pruned), %.0f%% filtered, %ld modes "
-        "statically pruned (%d worker threads)\n",
+        "mask-dominance pruned), %.0f%% filtered (%d worker threads)\n",
         ours.stats.points_considered, ours.stats.sta_runs,
         ours.stats.mask_pruned, 100.0 * ours.stats.FilterRate(),
-        ours.stats.static_mode_prunes, util::ResolveNumThreads(threads));
+        util::ResolveNumThreads(threads));
   }
   if (store) {
     const store::StoreStats ss = store->stats();

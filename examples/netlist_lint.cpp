@@ -14,13 +14,17 @@
 /// ST001) are checked too. --json writes the machine-readable report.
 ///
 /// Exit status: 0 lint-clean (no errors; warnings allowed),
-///              1 lint errors found, 2 usage / internal failure.
+///              1 lint errors found, 2 usage / internal failure. An
+///              unknown operator or flag, or a malformed or
+///              out-of-range number, is a usage failure.
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "cli.h"
 #include "core/flow.h"
 #include "gen/operator.h"
 #include "lint/lint.h"
@@ -62,11 +66,17 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--flow") == 0) {
       run_flow = true;
     } else if (std::strncmp(a, "--grid=", 7) == 0) {
-      if (std::sscanf(a + 7, "%dx%d", &grid.nx, &grid.ny) != 2 ||
-          grid.nx < 1 || grid.ny < 1)
+      int used = 0;
+      if (std::sscanf(a + 7, "%dx%d%n", &grid.nx, &grid.ny, &used) != 2 ||
+          a[7 + used] != '\0' || grid.nx < 1 || grid.ny < 1) {
+        std::fprintf(stderr, "--grid must be NXxNY, got '%s'\n", a + 7);
         return Usage();
+      }
     } else if (std::strncmp(a, "--max-fanout=", 13) == 0) {
-      lopt.max_fanout = std::atoi(a + 13);
+      long fanout = 0;
+      if (!cli::ParseLong(a + 13, 0, INT_MAX, "--max-fanout", &fanout))
+        return Usage();
+      lopt.max_fanout = static_cast<int>(fanout);
     } else if (std::strncmp(a, "--disable=", 10) == 0) {
       std::string list = a + 10;
       for (std::size_t at = 0; at != std::string::npos;) {
@@ -77,31 +87,27 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--json=", 7) == 0) {
       json_path = a + 7;
     } else if (a[0] == '-') {
+      std::fprintf(stderr, "unknown flag %s\n", a);
       return Usage();
     } else if (npos == 0) {
       which = a;
       ++npos;
     } else if (npos == 1) {
-      width = std::atoi(a);
-      if (width < 2 || width > 64) return Usage();
+      long w = 0;
+      if (!cli::ParseLong(a, 2, 64, "width", &w)) return Usage();
+      width = static_cast<int>(w);
       ++npos;
     } else {
       return Usage();
     }
   }
 
-  gen::Operator op = std::strcmp(which, "butterfly") == 0
-                         ? gen::BuildButterflyOperator(width)
-                     : std::strcmp(which, "fir") == 0
-                         ? gen::BuildFirMacOperator(width)
-                     : std::strcmp(which, "mac") == 0
-                         ? gen::BuildMacOperator(width)
-                     : std::strcmp(which, "array") == 0
-                         ? gen::BuildArrayMultOperator(width)
-                     : std::strcmp(which, "booth") == 0
-                         ? gen::BuildBoothOperator(width)
-                         : gen::Operator{};
-  if (op.spec.name.empty()) return Usage();
+  const cli::OperatorBuilder build = cli::FindOperator(which);
+  if (build == nullptr) {
+    std::fprintf(stderr, "unknown operator %s\n", which);
+    return Usage();
+  }
+  gen::Operator op = build(width);
 
   const tech::CellLibrary lib;
   lint::LintReport rep;

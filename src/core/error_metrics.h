@@ -32,10 +32,9 @@ double ExpectedTruncationError(int zeroed_lsbs);
 /// multiplier with `z` zeroed LSBs per operand:
 ///   max |a*b - trunc(a)*trunc(b)| = 2^W * (2^z - 1)
 ///                                 = 2^(W+1) * ExpectedTruncationError(z).
-/// Exactly representable in double for every shipped width, and
-/// exactly the bound the static analyzer's interval analysis proves
-/// for the Booth/array multiplier templates (the soundness property
-/// test pins the equality).
+/// Exactly representable in double for every shipped width. The
+/// per-mode soundness matrix (tests/test_mode_soundness.cpp) checks
+/// the Booth and array multipliers' simulated error against it.
 double MultTruncationErrorBound(int width, int zeroed_lsbs);
 
 }  // namespace adq::core

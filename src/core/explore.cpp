@@ -440,8 +440,6 @@ void RecordExploreMetrics(const ExplorationResult& r, double seconds) {
   obs::GetCounter("explore.filtered").Add(r.stats.filtered);
   obs::GetCounter("explore.pruned_hits").Add(r.stats.pruned);
   obs::GetCounter("explore.mask_pruned").Add(r.stats.mask_pruned);
-  obs::GetCounter("explore.static_mode_prunes")
-      .Add(r.stats.static_mode_prunes);
   obs::GetCounter("explore.feasible").Add(r.stats.feasible);
   obs::GetGauge("explore.wall_s").Add(seconds);
   if (seconds > 0.0)
@@ -484,23 +482,10 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
     for (tech::DomainMask m = 0; m <= full; ++m) masks.push_back(m);
   }
 
-  // Lint gate, mode list, static prune, power model, store context
-  // and mode constants: the setup shared with the frontier engine.
+  // Lint gate, mode list, power model, store context and mode
+  // constants: the setup shared with the frontier engine.
   ModeContext ctx(ModeContext::Engine::kExhaustive, design, lib, opt);
-
-  // Every mode may have been statically pruned; then there is nothing
-  // to sweep and the lattice tables are not worth allocating.
-  ExplorationResult result;
-  if (!ctx.bitwidths().empty())
-    result = ExploreSweep(design, opt, masks, ctx);
-  result.stats.static_mode_prunes =
-      ctx.FinishModes(&result.modes, [](int bw, double bound) {
-        ModeResult m;
-        m.bitwidth = bw;
-        m.proved_max_abs_error = bound;
-        m.statically_pruned = true;
-        return m;
-      });
+  ExplorationResult result = ExploreSweep(design, opt, masks, ctx);
   RecordExploreMetrics(
       result, std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - obs_t0)

@@ -26,7 +26,6 @@
 /// per topological traversal (sta::AnalyzeBatch).
 
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -84,16 +83,11 @@ struct ModeResult {
   bool has_solution = false;
   ExploredPoint best;
   double switched_energy_fj = 0.0;  ///< per cycle at 1 V, this mode
-  /// Proved worst-case |exact - mode| bound from the static accuracy
-  /// analyzer (analysis::AccuracyAnalyzer::ProvedMaxAbsError).
-  /// Populated only when ExploreOptions::quality_max_abs_error is
-  /// finite; +inf otherwise.
-  double proved_max_abs_error = std::numeric_limits<double>::infinity();
-  /// True when the proved bound exceeds the quality target: the mode
-  /// is infeasible by construction and has_solution is false. With
-  /// static_prune on, such a mode was decided without any simulation
-  /// or STA; with it off the verdict is identical but reached
-  /// post-sweep (stats.static_mode_prunes stays 0).
+  /// Always false: no engine decides a mode without simulating and
+  /// timing it. Kept only because the end-to-end benchmark
+  /// (perfbench/e2e.cpp) still reads it; that benchmark's next change
+  /// moves to the `netlist.case_analysis_builds` counter and deletes
+  /// this field.
   bool statically_pruned = false;
 };
 
@@ -116,13 +110,6 @@ struct ExplorationStats {
                         ///< exploration store instead of an STA run
                         ///< (0 unless ExploreOptions::store is set);
                         ///< bit-identical trade against sta_runs
-  long static_mode_prunes = 0;  ///< accuracy modes decided by the
-                                ///< static analyzer alone (proved
-                                ///< bound > quality target): zero
-                                ///< activity simulation, zero STA.
-                                ///< Statically pruned modes never
-                                ///< enter points_considered, so the
-                                ///< identity above still holds.
   long feasible = 0;
 
   double FilterRate() const {
@@ -190,23 +177,6 @@ struct ExploreOptions {
   /// disables both directions; the caller owns the store and decides
   /// when to Flush() it to disk.
   store::ExplorationStore* store = nullptr;
-  /// Quality target: largest acceptable worst-case |exact - mode|
-  /// error. When finite, every mode's proved bound (analysis::
-  /// AccuracyAnalyzer) is recorded in ModeResult::proved_max_abs_error
-  /// and modes whose *proved* bound exceeds the target are discarded
-  /// as infeasible-by-construction — no solution is ever reported for
-  /// them. Infinity (the default) disables the whole stage and keeps
-  /// historical results byte-identical.
-  double quality_max_abs_error = std::numeric_limits<double>::infinity();
-  /// When the quality target is finite, decide violating modes
-  /// *before* the sweep: they are dropped from activity extraction
-  /// and the STA lattice entirely (counted in stats.
-  /// static_mode_prunes). With static_prune = false the same modes
-  /// are swept and then discarded post-hoc — the returned modes list
-  /// is bit-identical either way (pinned by tests/test_static_prune);
-  /// only the stats (and wall time) differ, which is the ablation
-  /// bench_ablations measures.
-  bool static_prune = true;
   /// Signoff lint gate applied to the implemented netlist before the
   /// sweep — the same netlist DRC + flow-artifact rules the
   /// implementation flow enforces at signoff (core::SignoffLint), so

@@ -33,13 +33,10 @@ ExplorationResult FrontierResult::ToExplorationResult() const {
     mr.has_solution = m.has_solution;
     mr.best = m.best;
     mr.switched_energy_fj = m.switched_energy_fj;
-    mr.proved_max_abs_error = m.proved_max_abs_error;
-    mr.statically_pruned = m.statically_pruned;
     out.modes.push_back(mr);
   }
   out.stats.sta_runs = stats.sta_runs;
   out.stats.store_hits = stats.store_hits;
-  out.stats.static_mode_prunes = stats.static_mode_prunes;
   return out;
 }
 
@@ -142,8 +139,6 @@ void RecordFrontierMetrics(const FrontierResult& r, double seconds) {
   obs::GetCounter("frontier.sta_runs").Add(r.stats.sta_runs);
   obs::GetCounter("frontier.store_hits").Add(r.stats.store_hits);
   obs::GetCounter("frontier.transfer_hits").Add(r.stats.transfer_hits);
-  obs::GetCounter("frontier.static_mode_prunes")
-      .Add(r.stats.static_mode_prunes);
   obs::GetCounter("frontier.waves").Add(r.stats.waves);
   obs::GetCounter("frontier.certified_modes").Add(r.stats.certified_modes);
   obs::GetGauge("frontier.wall_s").Add(seconds);
@@ -166,10 +161,7 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
                                 << tech::kMaxDomains << "]");
   ADQ_CHECK(!opt.vdds.empty());
 
-  // Lint gate, mode list, static prune (the admissible accuracy bound
-  // of the B&B: a mode whose proved error bound violates the quality
-  // target has an empty feasible set, so it gets no search tree and
-  // counts as certified), power model, store context and mode
+  // Lint gate, mode list, power model, store context and mode
   // constants: the setup shared with the exhaustive engine.
   ModeContext ctx(ModeContext::Engine::kFrontier, design, lib, opt);
   const std::vector<int>& bitwidths = ctx.bitwidths();
@@ -182,7 +174,7 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   // whole search — is too.
   std::vector<int> perm(static_cast<std::size_t>(ndom));
   std::iota(perm.begin(), perm.end(), 0);
-  if (opt.criticality_slack_window_ns > 0.0 && !bitwidths.empty()) {
+  if (opt.criticality_slack_window_ns > 0.0) {
     ADQ_TRACE_SCOPE("frontier.criticality");
     const std::vector<double> crit = AccuracyCriticality(
         design.op, lib, design.loads, design.clock_ns, bitwidths,
@@ -445,20 +437,6 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
     }
     result.modes.push_back(mode);
   }
-
-  // A proved-infeasible mode is certified: the empty feasible set is a
-  // proof, not a budget artifact.
-  result.stats.static_mode_prunes =
-      ctx.FinishModes(&result.modes, [](int bw, double bound) {
-        FrontierModeResult m;
-        m.bitwidth = bw;
-        m.certified = true;
-        m.proved_max_abs_error = bound;
-        m.statically_pruned = true;
-        return m;
-      });
-  result.stats.certified_modes +=
-      static_cast<int>(result.stats.static_mode_prunes);
 
   RecordFrontierMetrics(
       result, std::chrono::duration<double>(

@@ -86,15 +86,6 @@ struct FrontierOptions {
   /// ExploreOptions::store (bit-identical, trades sta_runs for
   /// store_hits). The caller owns the store and its Flush().
   store::ExplorationStore* store = nullptr;
-  /// Quality target and static-prune stage, exactly as in
-  /// ExploreOptions: analysis::AccuracyAnalyzer::ProvedMaxAbsError is
-  /// the admissible accuracy bound of the branch-and-bound — a mode
-  /// whose proved error bound already violates the target has an
-  /// empty feasible set, so its entire (VDD, mask) search tree is
-  /// discarded before a single node is opened (no simulation, no
-  /// STA, no criticality probe for that mode).
-  double quality_max_abs_error = std::numeric_limits<double>::infinity();
-  bool static_prune = true;
   /// Signoff lint gate (core::SignoffLint), as in ExploreOptions: the
   /// frontier engine vets the implemented netlist with exactly the
   /// gate the exhaustive Flow path uses. kOff by default.
@@ -115,12 +106,9 @@ struct FrontierModeResult {
   /// every open bound already exceeds the incumbent.
   double gap_w = 0.0;
   long nodes_expanded = 0;
-  /// Static accuracy verdict, as in ModeResult: the proved error
-  /// bound (populated when quality_max_abs_error is finite) and
-  /// whether it alone decided the mode. A statically pruned mode is
-  /// `certified` — the empty feasible set is a proof, not a budget
-  /// artifact.
-  double proved_max_abs_error = std::numeric_limits<double>::infinity();
+  /// Always false, as ModeResult::statically_pruned: kept only
+  /// because the end-to-end benchmark (perfbench/e2e.cpp) still reads
+  /// it, and deleted with that benchmark's next change.
   bool statically_pruned = false;
 };
 
@@ -133,8 +121,6 @@ struct FrontierStats {
   long store_hits = 0;    ///< verdicts served by the persistent store
   long transfer_hits = 0; ///< infeasibility carried from a smaller
                           ///< bitwidth (monotone in bitwidth)
-  long static_mode_prunes = 0;  ///< modes decided by the static
-                                ///< accuracy bound alone (no sim/STA)
   long waves = 0;
   int certified_modes = 0;
 };
@@ -147,10 +133,10 @@ struct FrontierResult {
 
   /// Adapts the result into the exhaustive engine's shape so existing
   /// consumers (RuntimeController, pareto::Frontier, the lint mode
-  /// gate) run unchanged. Only sta_runs, store_hits and
-  /// static_mode_prunes carry over. `feasible` stays 0: it counts
-  /// feasible lattice points, which the search never enumerates, and
-  /// the frontier's own counts live in FrontierStats.
+  /// gate) run unchanged. Only sta_runs and store_hits carry over.
+  /// `feasible` stays 0: it counts feasible lattice points, which the
+  /// search never enumerates, and the frontier's own counts live in
+  /// FrontierStats.
   ExplorationResult ToExplorationResult() const;
 };
 

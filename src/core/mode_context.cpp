@@ -1,7 +1,6 @@
 #include "core/mode_context.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "core/accuracy.h"
@@ -12,16 +11,14 @@ namespace adq::core {
 namespace {
 
 struct EngineNames {
-  const char* static_prune;    ///< trace span of the static prune
   const char* mode_constants;  ///< trace span of the mode constants
   const char* lane;            ///< worker lane prefix
 };
 
 const EngineNames& NamesOf(ModeContext::Engine e) {
   static constexpr EngineNames kNames[] = {
-      {"explore.static_prune", "explore.mode_constants", "explore worker "},
-      {"frontier.static_prune", "frontier.mode_constants",
-       "frontier worker "},
+      {"explore.mode_constants", "explore worker "},
+      {"frontier.mode_constants", "frontier worker "},
   };
   return kNames[static_cast<int>(e)];
 }
@@ -43,8 +40,6 @@ ModeContext::ModeContext(Engine engine, const ImplementedDesign& design,
       design_(Linted(design, lib, setup.lint)),
       lib_(lib),
       ndom_(design.num_domains()),
-      quality_max_abs_error_(setup.quality_max_abs_error),
-      static_prune_(setup.static_prune),
       bitwidths_(setup.bitwidths),
       pmodel_(design.op.nl, lib, design.loads),
       dom_weight_(
@@ -67,31 +62,6 @@ ModeContext::ModeContext(Engine engine, const ImplementedDesign& design,
     for (int b = 1; b <= design.op.spec.data_width; ++b)
       bitwidths_.push_back(b);
   std::sort(bitwidths_.begin(), bitwidths_.end());
-
-  // Static prune: a mode whose *proved* worst-case error bound
-  // (analysis::AccuracyAnalyzer — interval analysis of the validated
-  // word model, taint fallback otherwise) already violates the
-  // quality target has an empty feasible set, so it is decided here
-  // with zero simulation and zero STA. The bound is sound (pinned
-  // against PackedLogicSim by tests/test_analysis_soundness), and the
-  // per-mode activity extraction is a pure per-mode function, so the
-  // surviving modes come out bit-identical to an unpruned run
-  // (tests/test_static_prune).
-  if (std::isfinite(quality_max_abs_error_)) quality_.emplace(design.op);
-  if (quality_ && static_prune_) {
-    ADQ_TRACE_SCOPE(names.static_prune);
-    std::vector<int> kept;
-    kept.reserve(bitwidths_.size());
-    for (const int bw : bitwidths_) {
-      const double bound = quality_->ProvedMaxAbsError(bw);
-      if (bound > quality_max_abs_error_)
-        pruned_.push_back({bw, bound});
-      else
-        kept.push_back(bw);
-    }
-    bitwidths_ = std::move(kept);
-  }
-  if (bitwidths_.empty()) return;
 
   // Mode constants: all modes' activity profiles come from one
   // bit-parallel simulation (one lane per accuracy mode), which also

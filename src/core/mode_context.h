@@ -13,26 +13,22 @@
 ///   3. the worker pool, the persistent-store context and one lazily
 ///      built sta::TimingAnalyzer per worker;
 ///   4. the mode list: the requested bitwidths (default 1 ..
-///      data_width), sorted, with the modes whose proved error bound
-///      violates the quality target split off (static prune);
+///      data_width), sorted;
 ///   5. the mode constants: one bit-parallel activity extraction for
-///      all kept modes, the per-mode case analyses (shared per netlist
+///      all modes, the per-mode case analyses (shared per netlist
 ///      structure through the activity cache, sim::ModeCaseAnalyses),
 ///      then per-mode switched energy on the pool.
 ///
 /// The engines differ only in how they walk the lattice. The trace
-/// span names (`<engine>.static_prune`, `<engine>.mode_constants`)
-/// and worker lane names (`<engine> worker N`) carry the owning
-/// engine, so per-engine profiles stay separable.
+/// span name (`<engine>.mode_constants`) and worker lane names
+/// (`<engine> worker N`) carry the owning engine, so per-engine
+/// profiles stay separable.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "analysis/analysis.h"
 #include "core/explore.h"
 #include "sta/sta.h"
 #include "util/thread_pool.h"
@@ -66,11 +62,10 @@ class ModeContext {
               const tech::CellLibrary& lib, const Options& opt)
       : ModeContext(engine, design, lib,
                     Setup{opt.vdds, opt.bitwidths, opt.activity_cycles,
-                          opt.seed, opt.stimulus, opt.quality_max_abs_error,
-                          opt.static_prune, opt.lint, opt.store,
+                          opt.seed, opt.stimulus, opt.lint, opt.store,
                           opt.num_threads}) {}
 
-  /// The modes to search, ascending, statically pruned ones removed.
+  /// The modes to search, ascending; never empty.
   const std::vector<int>& bitwidths() const { return bitwidths_; }
   /// Zeroed-LSB case analysis of bitwidths()[bi].
   const netlist::CaseAnalysis& case_analysis(std::size_t bi) const {
@@ -110,25 +105,7 @@ class ModeContext {
   /// per thread and engine.
   void NameLane(int w) const;
 
-  /// Finishes the mode list after the search. With a finite quality
-  /// target every mode gets its proved bound; with static_prune off,
-  /// violating modes are replaced post hoc by `placeholder(bitwidth,
-  /// bound)` — exactly what the prune stage would have emitted, so
-  /// the list is bit-identical either way. The statically pruned
-  /// modes are then merged in as placeholders, keeping the list
-  /// sorted by bitwidth. Returns their count (the engines'
-  /// static_mode_prunes).
-  template <typename ModeT, typename MakePlaceholder>
-  long FinishModes(std::vector<ModeT>* modes,
-                   const MakePlaceholder& placeholder) const;
-
  private:
-  /// A mode decided by the static prune: its proved error bound
-  /// exceeds the quality target, so it is never simulated or timed.
-  struct PrunedMode {
-    int bitwidth = 0;
-    double proved_max_abs_error = 0.0;
-  };
   /// The option fields ExploreOptions and FrontierOptions share.
   struct Setup {
     const std::vector<double>& vdds;
@@ -136,8 +113,6 @@ class ModeContext {
     int activity_cycles;
     std::uint64_t seed;
     sim::StimulusKind stimulus;
-    double quality_max_abs_error;
-    bool static_prune;
     lint::LintGate lint;
     store::ExplorationStore* store;
     int num_threads;
@@ -149,11 +124,7 @@ class ModeContext {
   const ImplementedDesign& design_;
   const tech::CellLibrary& lib_;
   int ndom_;
-  double quality_max_abs_error_;
-  bool static_prune_;
-  std::optional<analysis::AccuracyAnalyzer> quality_;  ///< iff target finite
   std::vector<int> bitwidths_;
-  std::vector<PrunedMode> pruned_;
   power::PowerModel pmodel_;
   std::vector<double> dom_weight_;
   /// DomainLeakageW per (vdds index, domain, NoBB/FBB), row-major.
@@ -165,26 +136,5 @@ class ModeContext {
   std::vector<std::shared_ptr<const netlist::CaseAnalysis>> ca_;
   std::vector<double> energy_fj_;
 };
-
-template <typename ModeT, typename MakePlaceholder>
-long ModeContext::FinishModes(std::vector<ModeT>* modes,
-                              const MakePlaceholder& placeholder) const {
-  if (!quality_) return 0;
-  for (ModeT& m : *modes) {
-    const double bound = quality_->ProvedMaxAbsError(m.bitwidth);
-    if (!static_prune_ && bound > quality_max_abs_error_)
-      m = placeholder(m.bitwidth, bound);
-    else
-      m.proved_max_abs_error = bound;
-  }
-  if (pruned_.empty()) return 0;
-  for (const PrunedMode& p : pruned_)
-    modes->push_back(placeholder(p.bitwidth, p.proved_max_abs_error));
-  std::sort(modes->begin(), modes->end(),
-            [](const ModeT& a, const ModeT& b) {
-              return a.bitwidth < b.bitwidth;
-            });
-  return static_cast<long>(pruned_.size());
-}
 
 }  // namespace adq::core

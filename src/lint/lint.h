@@ -61,10 +61,10 @@ struct LintOptions {
   /// proven constant under the analyzed accuracy mode carries no
   /// events, so liveness does not propagate through it: NL006 then
   /// reports *mode-dead* cones — cells that reach a primary output
-  /// only through constant nets (the quiesced logic the static
-  /// accuracy analyzer exports per mode). Null (the default) keeps
-  /// the structural meaning: dead under every mode. The caller owns
-  /// the CaseAnalysis and must keep it alive across the lint call.
+  /// only through constant nets (the logic the mode quiesces). Null
+  /// (the default) keeps the structural meaning: dead under every
+  /// mode. The caller owns the CaseAnalysis and must keep it alive
+  /// across the lint call.
   const netlist::CaseAnalysis* case_analysis = nullptr;
 
   bool RuleEnabled(const char* id) const;

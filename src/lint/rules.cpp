@@ -40,15 +40,6 @@ const std::vector<RuleInfo>& AllRules() {
       {kRuleModeSchedule, "mode-schedule", Severity::kWarning,
        "VDD/bitwidth schedule inconsistency in the runtime mode "
        "table"},
-      {kRuleQualityUnsat, "quality-spec-unsatisfiable", Severity::kError,
-       "no requested accuracy mode can meet the declared error "
-       "target (the statically achievable error already exceeds it)"},
-      {kRuleMaskGatesNothing, "mask-bit-gates-no-logic", Severity::kWarning,
-       "forcing one scalable operand bit to zero folds no logic "
-       "beyond the port and its input register"},
-      {kRuleConstantOutput, "mode-constant-output", Severity::kWarning,
-       "output bus provably constant under a requested accuracy "
-       "mode"},
   };
   return kRules;
 }

@@ -10,8 +10,6 @@
 ///   FL0xx  flow-artifact rules (placement / Vth-domain partition)
 ///   ST0xx  STA-sanity rules (constraint discipline)
 ///   MD0xx  mode-table rules (runtime knob schedule)
-///   AC0xx  accuracy rules (static accuracy analyzer; checks live in
-///          analysis::LintAccuracy, ids registered here)
 
 #include <string_view>
 #include <vector>
@@ -48,8 +46,5 @@ inline constexpr const char* kRuleGuardbandOverlap = "FL003";
 inline constexpr const char* kRuleMaskWidth = "FL004";
 inline constexpr const char* kRuleEndpointConstraint = "ST001";
 inline constexpr const char* kRuleModeSchedule = "MD001";
-inline constexpr const char* kRuleQualityUnsat = "AC001";
-inline constexpr const char* kRuleMaskGatesNothing = "AC002";
-inline constexpr const char* kRuleConstantOutput = "AC003";
 
 }  // namespace adq::lint

@@ -71,17 +71,6 @@ const PinnedSeries kPinned[] = {
      }},
     {"frontier", "warm_eval_reduction", false,
      [](const util::Json& d) { return NumAt(d, "warm_eval_reduction"); }},
-    // Static accuracy analyzer (PR-10): the sim-free prune ablation.
-    // Explorer speedup with proved-bound pruning on vs off under a
-    // finite quality target, and the number of modes the analyzer
-    // decided without any simulation or STA (a drop means the prover
-    // lost power).
-    {"ablations", "static_prune_speedup", false,
-     [](const util::Json& d) { return NumAt(d, "static_prune_speedup"); }},
-    {"ablations", "static_prune_modes_decided", false,
-     [](const util::Json& d) {
-       return NumAt(d, "static_prune_modes_decided");
-     }},
 };
 
 bool LowerIsBetter(const std::string& bench, const std::string& series) {

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "obs/openmetrics.h"
-
 namespace adq::obs {
 
 namespace {
@@ -168,15 +166,9 @@ MetricsSnapshot SnapshotMetrics() {
 
 bool WriteMetrics(const std::string& path) {
   const MetricsSnapshot snap = SnapshotMetrics();
-  const auto has_suffix = [&](const char* suf) {
-    const std::string s(suf);
-    return path.size() >= s.size() &&
-           path.compare(path.size() - s.size(), s.size(), s) == 0;
-  };
-  if (has_suffix(".csv")) return WriteFile(path, snap.ToCsv());
-  if (has_suffix(".prom") || has_suffix(".om"))
-    return WriteFile(path, ToOpenMetrics(snap));
-  return WriteFile(path, snap.ToJson());
+  const bool csv =
+      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+  return WriteFile(path, csv ? snap.ToCsv() : snap.ToJson());
 }
 
 }  // namespace adq::obs

@@ -22,8 +22,6 @@ Options OptionsFromEnv() {
   if (const char* t = std::getenv("ADQ_TRACE"); t && *t) o.trace_path = t;
   if (const char* m = std::getenv("ADQ_METRICS"); m && *m)
     o.metrics_path = m;
-  if (const char* i = std::getenv("ADQ_METRICS_INTERVAL_MS"); i && *i)
-    o.metrics_interval_ms = std::atoi(i);
   if (const char* f = std::getenv("ADQ_PROFILE"); f && *f)
     o.profile_path = f;
   if (const char* hz = std::getenv("ADQ_PROFILE_HZ"); hz && *hz)
@@ -79,10 +77,6 @@ void Configure(const Options& opt) {
   } else if (ProfilerRunning()) {
     StopProfiler();
   }
-  if (!opt.metrics_path.empty() && opt.metrics_interval_ms > 0)
-    StartMetricsPump(opt.metrics_path, opt.metrics_interval_ms);
-  else
-    StopMetricsPump();
 }
 
 void Flush() {
@@ -120,14 +114,7 @@ void Flush() {
       std::fprintf(stderr, "[adq] FAILED to write trace %s\n",
                    cfg.trace_path.c_str());
   }
-  // A running pump owns the metrics file; stopping it performs the
-  // final snapshot write (and never clobbers a .jsonl time series
-  // with a whole-file dump).
-  if (MetricsPumpRunning()) {
-    StopMetricsPump();
-    std::fprintf(stderr, "[adq] metrics pump final snapshot in %s\n",
-                 cfg.metrics_path.c_str());
-  } else if (!cfg.metrics_path.empty()) {
+  if (!cfg.metrics_path.empty()) {
     if (WriteMetrics(cfg.metrics_path))
       std::fprintf(stderr, "[adq] metrics written to %s\n",
                    cfg.metrics_path.c_str());

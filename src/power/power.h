@@ -55,10 +55,8 @@ class PowerModel {
   /// every output net proven constant under `ca`, so the cell can
   /// never toggle in the mode. This is the leakage of logic the
   /// accuracy mode disabled: the static headroom the RBB sleep pass
-  /// (ExploreOptions::enable_rbb_sleep) reclaims, and the per-mode
-  /// split the static accuracy analyzer (analysis::AccuracyAnalyzer::
-  /// Analyze) reports alongside its quiesced-cell census. Always
-  /// <= LeakageW at the same operating point.
+  /// (ExploreOptions::enable_rbb_sleep) reclaims. Always <= LeakageW
+  /// at the same operating point.
   double QuiescedLeakageW(
       const netlist::CaseAnalysis& ca, double vdd,
       const std::vector<tech::BiasState>& bias_of_inst) const;

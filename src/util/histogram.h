@@ -26,8 +26,7 @@ class Histogram {
   long count(int b) const;
   long total() const { return total_; }
   /// Sum of the raw samples (pre-clamping), so mean = sum/total is
-  /// exact even when outliers were clamped into the edge bins — the
-  /// `_sum` line an OpenMetrics histogram exposes.
+  /// exact even when outliers were clamped into the edge bins.
   double sum() const { return sum_; }
 
   /// Index of the bin a sample would fall in (after clamping).

@@ -1,6 +1,6 @@
 /// Tests for the design-space exploration (the paper's optimization
-/// phase), the DVAS baselines, Pareto utilities and the runtime
-/// controller.
+/// phase), the DVAS baselines, Pareto utilities, the runtime
+/// controller and the signoff lint gate.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,10 @@
 #include "core/dvas.h"
 #include "core/explore.h"
 #include "core/pareto.h"
+#include "netlist/netlist.h"
 #include "obs/metrics.h"
 #include "sim/activity.h"
+#include "util/check.h"
 
 namespace adq::core {
 namespace {
@@ -303,6 +305,29 @@ TEST(Explore, ModeLookup) {
       ExploreDesignSpace(Design22(), Lib(), FastOptions());
   EXPECT_EQ(r.Mode(4).bitwidth, 4);
   EXPECT_THROW(r.Mode(5), CheckError);
+}
+
+// Signoff lint gate, shared with the frontier engine.
+
+core::ImplementedDesign CorruptCopy() {
+  core::ImplementedDesign d = Design22();
+  // Second driver claims an existing net: an NL001 structural error
+  // the signoff DRC must catch.
+  netlist::RawAccess raw(d.op.nl);
+  raw.inst(netlist::InstId(1)).out[0] = raw.inst(netlist::InstId(0)).out[0];
+  return d;
+}
+
+TEST(LintGate, ExhaustiveEngineRejectsCorruptNetlist) {
+  const core::ImplementedDesign bad = CorruptCopy();
+  core::ExploreOptions opt = FastOptions();
+  opt.lint = lint::LintGate::kError;
+  EXPECT_THROW(core::ExploreDesignSpace(bad, Lib(), opt), CheckError);
+  // The gate runs before the sweep: a clean design with the gate on
+  // explores normally.
+  const core::ExplorationResult ok =
+      core::ExploreDesignSpace(Design22(), Lib(), opt);
+  EXPECT_EQ(ok.modes.size(), 4u);
 }
 
 }  // namespace

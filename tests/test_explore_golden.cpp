@@ -108,8 +108,9 @@ TEST(ExploreGolden, PerModeOptimaPinned) {
   for (std::size_t i = 0; i < std::size(kModes); ++i) {
     const ModeResult& m = r.modes[i];
     ASSERT_TRUE(m.has_solution) << "bitwidth " << kModes[i].bitwidth;
-    std::printf("golden actual: bw=%d vdd=%.17g mask=0x%x power=%.17g\n",
-                m.bitwidth, m.best.vdd, m.best.mask,
+    std::printf("golden actual: bw=%d vdd=%.17g mask=0x%llx power=%.17g\n",
+                m.bitwidth, m.best.vdd,
+                static_cast<unsigned long long>(m.best.mask),
                 m.best.total_power_w());
     EXPECT_EQ(m.bitwidth, kModes[i].bitwidth);
     EXPECT_EQ(m.best.vdd, kModes[i].vdd);

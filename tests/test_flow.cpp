@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "core/accuracy.h"
@@ -55,6 +56,14 @@ TEST(ErrorMetrics, KnownError) {
 TEST(ErrorMetrics, ExpectedTruncation) {
   EXPECT_DOUBLE_EQ(ExpectedTruncationError(0), 0.0);
   EXPECT_DOUBLE_EQ(ExpectedTruncationError(4), 7.5);
+}
+
+TEST(ErrorMetrics, MultTruncationErrorBoundClosedForm) {
+  EXPECT_DOUBLE_EQ(MultTruncationErrorBound(8, 0), 0.0);
+  // 2^8 * (2^4 - 1) = 3840 = 2^9 * ExpectedTruncationError(4).
+  EXPECT_DOUBLE_EQ(MultTruncationErrorBound(8, 4), 3840.0);
+  EXPECT_DOUBLE_EQ(MultTruncationErrorBound(8, 4),
+                   std::ldexp(ExpectedTruncationError(4), 9));
 }
 
 TEST(Flow, BoothWidth8ClosesTiming) {

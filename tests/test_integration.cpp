@@ -8,7 +8,6 @@
 #include "core/dvas.h"
 #include "core/explore.h"
 #include "core/pareto.h"
-#include "netlist/verilog.h"
 #include "sim/logic_sim.h"
 #include "sta/slack_histogram.h"
 #include "sta/sta.h"
@@ -164,12 +163,6 @@ TEST(Integration, ControllerRoundTrip) {
   const double e =
       ctrl.SwitchEnergyFj(modes.front(), modes.back());
   EXPECT_GE(e, 0.0);
-}
-
-TEST(Integration, VerilogDumpOfImplementedDesign) {
-  const std::string v = netlist::ToVerilog(GetSetup().ours.op.nl);
-  EXPECT_NE(v.find("module booth_mult8"), std::string::npos);
-  EXPECT_NE(v.find("DFF"), std::string::npos);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 /// consistency, the generator-cleanliness property (every shipped
 /// operator generator produces a lint-error-free netlist across
 /// widths 4..32), one deliberately broken fixture per rule, flow-gate
-/// integration, obs metric mirroring, JSON report well-formedness
+/// integration, the mode-aware NL006 dead-cone check, obs metric
+/// mirroring, JSON report well-formedness
 /// (validated with a recursive-descent parse), and regression tests
 /// for the post-ECO tile-protrusion defect the flow lint gate caught
 /// in place::RelegalizeViolations.
@@ -16,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "core/accuracy.h"
 #include "core/controller.h"
 #include "core/flow.h"
 #include "gen/adders.h"
 #include "gen/operator.h"
 #include "lint/lint.h"
+#include "netlist/case_analysis.h"
 #include "netlist/netlist.h"
 #include "obs/obs.h"
 #include "place/grid_partition.h"
@@ -619,6 +622,26 @@ TEST(LintRegression, FlowSurvivesCapacityOverflowConfig) {
   art.clock_ns = d.clock_ns;
   const LintReport rep = LintFlow(d.op.nl, lib, art);
   EXPECT_EQ(rep.errors(), 0) << rep.Render();
+}
+
+// ---------------------------------------------------------------
+// Mode-aware NL006
+
+TEST(ModeAwareDeadCones, ConstantNetsDoNotPropagateLiveness) {
+  const gen::Operator op = gen::BuildBoothOperator(8);
+  // The generator ships a handful of structurally-constant cones that
+  // the plain rule already flags; the mode-aware run must find those
+  // PLUS the cones that only die because mode-2 pins their inputs.
+  lint::LintOptions opt;
+  opt.max_diags_per_rule = 1 << 20;
+  const lint::LintReport structural = lint::LintNetlist(op.nl, opt);
+  const int base = CountRule(structural, lint::kRuleDeadCone);
+  // Under a coarse accuracy mode the zeroed cone is mode-dead.
+  const netlist::CaseAnalysis ca(op.nl, core::ForcedZeros(op, 2));
+  opt.case_analysis = &ca;
+  const lint::LintReport modal = lint::LintNetlist(op.nl, opt);
+  EXPECT_GT(CountRule(modal, lint::kRuleDeadCone), base) << modal.Render();
+  EXPECT_EQ(modal.errors(), structural.errors());
 }
 
 }  // namespace

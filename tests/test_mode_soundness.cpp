@@ -1,36 +1,42 @@
-/// The soundness property of the static accuracy analyzer, over the
-/// full 75-configuration matrix (5 operators x even widths 4..32):
-/// for every accuracy mode, the worst |exact - mode| observed by
-/// sim::PackedLogicSim under randomized stimulus never exceeds the
-/// analyzer's proved bound, the corner witness never exceeds it
-/// either, and for the pure multiplier templates the proved bound
-/// equals the closed-form core::MultTruncationErrorBound exactly.
+/// Soundness of the accuracy modes over the full 75-configuration
+/// matrix (5 operators x even widths 4..32), checked against
+/// sim::PackedLogicSim under randomized stimulus:
+///
+///  - case analysis: every net that netlist::CaseAnalysis resolves to
+///    a constant under core::ForcedZeros of mode m holds that constant
+///    in the mode-m lane at every post-edge steady state. STA disables
+///    the timing arcs of those nets and power::QuiescedLeakageW prices
+///    their cells as quiesced, so a constant that toggles would make
+///    both optimistic;
+///  - full precision is error-free;
+///  - for the pure multiplier templates (Booth, array) the worst
+///    |exact - mode| never exceeds the closed form
+///    core::MultTruncationErrorBound.
 ///
 /// One packed run per configuration: lane 0 carries full-precision
 /// inputs, lane m the same inputs with the mode-m LSB prefix zeroed
 /// on every scalable bus (<= 33 lanes at width 32). Output buses wider
 /// than 64 bits (MAC/FIR accumulators) are assembled bit-wise via
-/// PackedLogicSim::Value, and exact integer differences are compared
-/// through the analyzer's own round-up double conversion so a bound
-/// violation can never hide in rounding.
+/// PackedLogicSim::Value, and differences are exact 128-bit integers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "analysis/analysis.h"
-#include "analysis/interval.h"
 #include "core/accuracy.h"
 #include "core/error_metrics.h"
 #include "gen/operator.h"
+#include "netlist/case_analysis.h"
 #include "sim/packed_sim.h"
 
 namespace adq {
 namespace {
 
-using analysis::Wide;
+using Wide = __int128;
 
 std::uint64_t Lcg(std::uint64_t& s) {
   s = s * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -50,14 +56,31 @@ Wide ReadBusSigned(const sim::PackedLogicSim& sim,
   return v;
 }
 
+/// The nets case analysis proves constant under one mode, with their
+/// values.
+struct ModeConstants {
+  std::vector<netlist::NetId> nets;
+  std::vector<bool> values;
+};
+
 void CheckSoundness(const gen::Operator& op, bool expect_closed_form) {
   const int w = op.spec.data_width;
   ASSERT_LE(w + 1, 64);
-  const analysis::AccuracyAnalyzer az(op);
-  ASSERT_TRUE(az.exact_model()) << op.spec.name;
 
   // lane 0 = full precision; lane m = accuracy mode bitwidth m.
   const int lanes = w + 1;
+  std::vector<ModeConstants> constants(static_cast<std::size_t>(lanes));
+  for (int m = 1; m < lanes; ++m) {
+    const netlist::CaseAnalysis ca(op.nl, core::ForcedZeros(op, m));
+    ModeConstants& mc = constants[static_cast<std::size_t>(m)];
+    for (std::size_t n = 0; n < op.nl.num_nets(); ++n) {
+      const netlist::NetId id(static_cast<std::uint32_t>(n));
+      if (!ca.IsConstant(id)) continue;
+      mc.nets.push_back(id);
+      mc.values.push_back(ca.Value(id) == netlist::LogicV::kOne);
+    }
+  }
+
   sim::PackedLogicSim sim(op.nl);
   sim.Reset();
 
@@ -70,6 +93,8 @@ void CheckSoundness(const gen::Operator& op, bool expect_closed_form) {
   const std::uint64_t full = (w == 64) ? ~0ULL : ((1ULL << w) - 1);
   std::vector<Wide> max_err(static_cast<std::size_t>(lanes), 0);
   std::vector<std::uint64_t> lane_vals(static_cast<std::size_t>(lanes));
+  std::vector<std::int64_t> const_violations(
+      static_cast<std::size_t>(lanes), 0);
 
   for (int t = 0; t < steps; ++t) {
     for (const netlist::Bus& bus : op.nl.input_buses()) {
@@ -97,25 +122,28 @@ void CheckSoundness(const gen::Operator& op, bool expect_closed_form) {
     for (const netlist::Bus& bus : op.nl.output_buses()) {
       const Wide exact = ReadBusSigned(sim, bus, 0);
       for (int m = 1; m < lanes; ++m) {
-        const Wide diff = analysis::WideAbs(ReadBusSigned(sim, bus, m) -
-                                            exact);
+        Wide diff = ReadBusSigned(sim, bus, m) - exact;
+        if (diff < 0) diff = -diff;
         if (diff > max_err[static_cast<std::size_t>(m)])
           max_err[static_cast<std::size_t>(m)] = diff;
       }
     }
+    for (int m = 1; m < lanes; ++m) {
+      const ModeConstants& mc = constants[static_cast<std::size_t>(m)];
+      for (std::size_t i = 0; i < mc.nets.size(); ++i)
+        if (sim.Value(mc.nets[i], m) != mc.values[i])
+          ++const_violations[static_cast<std::size_t>(m)];
+    }
   }
 
   for (int m = 1; m <= w; ++m) {
-    const double bound = az.ProvedMaxAbsError(m);
-    const double observed =
-        analysis::ToDoubleCeil(max_err[static_cast<std::size_t>(m)]);
-    EXPECT_LE(observed, bound)
-        << op.spec.name << " width " << w << " bitwidth " << m;
-    EXPECT_LE(az.WitnessAbsError(m), bound)
+    EXPECT_EQ(const_violations[static_cast<std::size_t>(m)], 0)
         << op.spec.name << " width " << w << " bitwidth " << m;
     if (expect_closed_form) {
-      EXPECT_DOUBLE_EQ(bound,
-                       core::MultTruncationErrorBound(w, w - m))
+      // The closed form is an exact integer in double (< 2^64 here).
+      const double bound = core::MultTruncationErrorBound(w, w - m);
+      EXPECT_LE(max_err[static_cast<std::size_t>(m)],
+                static_cast<Wide>(bound))
           << op.spec.name << " width " << w << " bitwidth " << m;
     }
   }

@@ -1,5 +1,5 @@
 /// Tests for src/netlist: IR construction, invariants, rewiring,
-/// topological ordering, levelization and the Verilog writer.
+/// topological ordering and levelization.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "netlist/netlist.h"
 #include "netlist/stats.h"
 #include "netlist/topo.h"
-#include "netlist/verilog.h"
 #include "tech/cell_library.h"
 
 namespace adq::netlist {
@@ -137,29 +136,6 @@ TEST(Stats, CountsAndArea) {
   EXPECT_EQ(st.count_by_kind[static_cast<int>(CellKind::kAnd2)], 2u);
   EXPECT_NEAR(st.cell_area_um2,
               2 * lib.AreaUm2(CellKind::kAnd2, DriveStrength::kX1), 1e-9);
-}
-
-TEST(Verilog, EmitsModulePortsAndInstances) {
-  const Netlist nl = SmallAndTree();
-  const std::string v = ToVerilog(nl);
-  EXPECT_NE(v.find("module and_tree"), std::string::npos);
-  EXPECT_NE(v.find("input a"), std::string::npos);
-  EXPECT_NE(v.find("output y"), std::string::npos);
-  EXPECT_NE(v.find("AND2_X1"), std::string::npos);
-  EXPECT_NE(v.find("endmodule"), std::string::npos);
-}
-
-TEST(Verilog, MultiOutputCellPins) {
-  Netlist nl("fa");
-  const NetId a = nl.AddInputPort("a");
-  const NetId b = nl.AddInputPort("b");
-  const NetId c = nl.AddInputPort("c");
-  const auto outs = nl.AddCell(CellKind::kFa, DriveStrength::kX1, {a, b, c});
-  nl.AddOutputPort("s", outs[0]);
-  nl.AddOutputPort("co", outs[1]);
-  const std::string v = ToVerilog(nl);
-  EXPECT_NE(v.find(".S(s)"), std::string::npos);
-  EXPECT_NE(v.find(".CO(co)"), std::string::npos);
 }
 
 }  // namespace

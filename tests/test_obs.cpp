@@ -12,11 +12,8 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -421,214 +418,6 @@ TEST_F(ObsTest, MultithreadedTracerAndMetricsStress) {
   // One named lane per stress thread.
   EXPECT_EQ(CountOccurrences(json, "stress worker "),
             static_cast<long>(kThreads));
-}
-
-// ---------------------------------------------------------------
-// OpenMetrics exposition: a strict line-by-line checker for the
-// Prometheus text format ToOpenMetrics emits — TYPE/HELP present,
-// sample names consistent with the family type, histogram buckets
-// cumulative with a trailing +Inf that equals _count, trailing # EOF.
-
-struct OmFamily {
-  std::string type;
-  std::vector<double> bucket_les;
-  std::vector<double> bucket_counts;
-  double count = -1.0, sum = 0.0;
-  bool has_count = false, has_sum = false;
-  int samples = 0;
-};
-
-void CheckOpenMetrics(const std::string& text) {
-  ASSERT_GE(text.size(), 6u);
-  ASSERT_EQ(text.compare(text.size() - 6, 6, "# EOF\n"), 0)
-      << "missing trailing # EOF:\n" << text;
-  std::map<std::string, OmFamily> fams;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) FAIL() << "blank line in exposition";
-    if (line == "# EOF") break;
-    if (line.rfind("# HELP ", 0) == 0) continue;
-    if (line.rfind("# TYPE ", 0) == 0) {
-      std::istringstream ls(line.substr(7));
-      std::string fam, ty;
-      ASSERT_TRUE(static_cast<bool>(ls >> fam >> ty)) << line;
-      ASSERT_TRUE(ty == "counter" || ty == "gauge" || ty == "histogram")
-          << line;
-      ASSERT_TRUE(fams.emplace(fam, OmFamily{}).second)
-          << "duplicate TYPE for " << fam;
-      fams[fam].type = ty;
-      continue;
-    }
-    // Sample line: name[{labels}] value [timestamp]
-    const std::size_t brace = line.find('{');
-    const std::size_t sp = line.find(' ');
-    ASSERT_NE(sp, std::string::npos) << line;
-    std::string name, labels;
-    std::string rest;
-    if (brace != std::string::npos && brace < sp) {
-      const std::size_t close = line.find('}', brace);
-      ASSERT_NE(close, std::string::npos) << line;
-      name = line.substr(0, brace);
-      labels = line.substr(brace + 1, close - brace - 1);
-      rest = line.substr(close + 1);
-    } else {
-      name = line.substr(0, sp);
-      rest = line.substr(sp);
-    }
-    double value = 0.0;
-    std::istringstream vs(rest);
-    std::string vtok;
-    ASSERT_TRUE(static_cast<bool>(vs >> vtok)) << line;
-    value = vtok == "+Inf" ? HUGE_VAL : std::stod(vtok);
-    // Metric names: [a-zA-Z_:][a-zA-Z0-9_:]*
-    ASSERT_FALSE(name.empty());
-    for (const char c : name)
-      ASSERT_TRUE(std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-                  c == ':')
-          << "bad metric name char in " << name;
-    // Resolve the family: strip the suffix the type demands.
-    auto strip = [&name](const char* suf) -> std::string {
-      const std::size_t n = std::strlen(suf);
-      if (name.size() > n && name.compare(name.size() - n, n, suf) == 0)
-        return name.substr(0, name.size() - n);
-      return "";
-    };
-    std::string fam;
-    if (std::string f = strip("_total"); !f.empty() && fams.count(f))
-      fam = f;
-    else if (std::string f = strip("_bucket"); !f.empty() && fams.count(f))
-      fam = f;
-    else if (std::string f = strip("_count"); !f.empty() && fams.count(f))
-      fam = f;
-    else if (std::string f = strip("_sum"); !f.empty() && fams.count(f))
-      fam = f;
-    else
-      fam = name;
-    ASSERT_TRUE(fams.count(fam)) << "sample " << name << " has no TYPE";
-    OmFamily& f = fams[fam];
-    ++f.samples;
-    if (f.type == "counter") {
-      ASSERT_EQ(name, fam + "_total") << line;
-      ASSERT_GE(value, 0.0) << line;
-    } else if (f.type == "gauge") {
-      ASSERT_EQ(name, fam) << line;
-    } else {  // histogram
-      if (name == fam + "_bucket") {
-        const std::size_t le = labels.find("le=\"");
-        ASSERT_NE(le, std::string::npos) << line;
-        const std::size_t end = labels.find('"', le + 4);
-        const std::string le_s = labels.substr(le + 4, end - le - 4);
-        const double le_v = le_s == "+Inf" ? HUGE_VAL : std::stod(le_s);
-        if (!f.bucket_les.empty()) {
-          EXPECT_GT(le_v, f.bucket_les.back()) << "le not increasing";
-          EXPECT_GE(value, f.bucket_counts.back())
-              << "bucket counts not cumulative: " << line;
-        }
-        f.bucket_les.push_back(le_v);
-        f.bucket_counts.push_back(value);
-      } else if (name == fam + "_count") {
-        f.count = value;
-        f.has_count = true;
-      } else if (name == fam + "_sum") {
-        f.sum = value;
-        f.has_sum = true;
-      } else {
-        FAIL() << "bad histogram sample name " << name;
-      }
-    }
-  }
-  for (const auto& [fam, f] : fams) {
-    EXPECT_GT(f.samples, 0) << "family " << fam << " has TYPE but no data";
-    if (f.type == "histogram") {
-      EXPECT_TRUE(f.has_count && f.has_sum) << fam;
-      ASSERT_FALSE(f.bucket_les.empty()) << fam;
-      EXPECT_EQ(f.bucket_les.back(), HUGE_VAL)
-          << fam << " last bucket must be +Inf";
-      EXPECT_EQ(f.bucket_counts.back(), f.count)
-          << fam << " +Inf bucket must equal _count";
-    }
-  }
-}
-
-TEST_F(ObsTest, OpenMetricsStrictFormat) {
-  EnableMetrics(true);
-  GetCounter("test.om/counter-1").Add(7);
-  GetGauge("test.om gauge").Set(-2.5);
-  HistogramMetric& h = GetHistogram("test.om.histo", 0.0, 10.0, 4);
-  h.Observe(1.0);
-  h.Observe(9.0);
-  h.Observe(99.0);  // clamps into the last bin -> +Inf bucket coverage
-  const std::string om = ToOpenMetrics(SnapshotMetrics());
-  CheckOpenMetrics(om);
-  EXPECT_NE(om.find("adq_test_om_counter_1_total 7"), std::string::npos)
-      << om;
-  EXPECT_NE(om.find("adq_test_om_histo_count 3"), std::string::npos) << om;
-  EXPECT_NE(om.find("adq_test_om_histo_sum"), std::string::npos) << om;
-}
-
-TEST_F(ObsTest, OpenMetricsWithTimestamps) {
-  EnableMetrics(true);
-  GetCounter("test.om_ts").Add(1);
-  const std::string om = ToOpenMetrics(SnapshotMetrics(), 1723100000123);
-  CheckOpenMetrics(om);
-  // Timestamps are seconds with millisecond precision.
-  EXPECT_NE(om.find("adq_test_om_ts_total 1 1723100000.123"),
-            std::string::npos)
-      << om;
-}
-
-TEST_F(ObsTest, OpenMetricsNameSanitization) {
-  EXPECT_EQ(OpenMetricsName("sta.full_fallbacks"),
-            "adq_sta_full_fallbacks");
-  EXPECT_EQ(OpenMetricsName("phase.place.wall_ms"),
-            "adq_phase_place_wall_ms");
-  EXPECT_EQ(OpenMetricsName("weird name/2"), "adq_weird_name_2");
-}
-
-TEST_F(ObsTest, SnapshotJsonLineIsValidSingleLineJson) {
-  EnableMetrics(true);
-  GetCounter("test.jsonl").Add(3);
-  GetHistogram("test.jsonl_h", 0.0, 1.0, 2).Observe(0.5);
-  const std::string line = SnapshotJsonLine(SnapshotMetrics(), 123456);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  std::string err;
-  const util::Json doc = util::Json::Parse(line, &err);
-  ASSERT_TRUE(err.empty()) << err << "\n" << line;
-  ASSERT_TRUE(doc.is_object());
-  const util::Json* ts = doc.Get("ts_ms");
-  ASSERT_NE(ts, nullptr);
-  EXPECT_EQ(ts->AsNumber(), 123456.0);
-  const util::Json* counters = doc.Get("counters");
-  ASSERT_NE(counters, nullptr) << line;
-  const util::Json* c = counters->Get("test.jsonl");
-  ASSERT_NE(c, nullptr) << line;
-  EXPECT_EQ(c->AsNumber(), 3.0);
-}
-
-TEST_F(ObsTest, MetricsPumpAppendsJsonlTimeSeries) {
-  EnableMetrics(true);
-  GetCounter("test.pump").Add(1);
-  const std::string path = ::testing::TempDir() + "adq_pump_test.jsonl";
-  std::remove(path.c_str());
-  ASSERT_TRUE(StartMetricsPump(path, 10));
-  EXPECT_TRUE(MetricsPumpRunning());
-  EXPECT_FALSE(StartMetricsPump(path, 10));  // second pump refused
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  StopMetricsPump();
-  EXPECT_FALSE(MetricsPumpRunning());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    EXPECT_TRUE(util::Json::Valid(line)) << line;
-  }
-  // At least one periodic write plus the final snapshot on stop.
-  EXPECT_GE(lines, 2);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------

@@ -1,9 +1,13 @@
 /// Tests for the power model: leakage physics, domain decomposition,
-/// and activity-annotated dynamic power arithmetic.
+/// activity-annotated dynamic power arithmetic, and the leakage of
+/// the logic an accuracy mode quiesces.
 
 #include <gtest/gtest.h>
 
+#include "core/accuracy.h"
+#include "core/flow.h"
 #include "gen/operator.h"
+#include "netlist/case_analysis.h"
 #include "place/wirelength.h"
 #include "power/power.h"
 #include "sim/activity.h"
@@ -105,6 +109,30 @@ TEST(Power, DomainWeightsValidateInputs) {
   Fixture f;
   std::vector<int> bad(f.op.nl.num_instances(), 5);
   EXPECT_THROW(f.pm.LeakWeightByDomain(bad, 3), CheckError);
+}
+
+TEST(QuiescedLeakage, SplitsLeakageOfDisabledLogic) {
+  const tech::CellLibrary lib;
+  core::FlowOptions fopt;
+  fopt.grid = {1, 1};
+  const core::ImplementedDesign d =
+      core::RunImplementationFlow(gen::BuildBoothOperator(8), lib, fopt);
+  const power::PowerModel pmodel(d.op.nl, lib, d.loads);
+  const double total = pmodel.LeakageW(1.0, {});
+  const netlist::CaseAnalysis coarse(d.op.nl, core::ForcedZeros(d.op, 2));
+  const double quiesced = pmodel.QuiescedLeakageW(coarse, 1.0, {});
+  EXPECT_GT(quiesced, 0.0);
+  EXPECT_LT(quiesced, total);
+  // Full precision quiesces only the structurally-constant cones the
+  // generator ships; a coarse mode must quiesce strictly more.
+  const netlist::CaseAnalysis full(d.op.nl, core::ForcedZeros(d.op, 8));
+  const double baseline = pmodel.QuiescedLeakageW(full, 1.0, {});
+  EXPECT_LT(baseline, quiesced);
+  // More zeroed bits can only quiesce more cells.
+  const netlist::CaseAnalysis mid(d.op.nl, core::ForcedZeros(d.op, 5));
+  const double midway = pmodel.QuiescedLeakageW(mid, 1.0, {});
+  EXPECT_LE(baseline, midway);
+  EXPECT_LE(midway, quiesced);
 }
 
 }  // namespace

@@ -153,7 +153,9 @@ TEST(StaBatch, WnsMonotoneNonIncreasingInMaskLattice) {
     EXPECT_LE(rep_sub.wns_ns, rep_sup.wns_ns);
     // The corollary the explorer's dominance prune relies on: an
     // infeasible supermask condemns every submask.
-    if (!rep_sup.feasible()) EXPECT_FALSE(rep_sub.feasible());
+    if (!rep_sup.feasible()) {
+      EXPECT_FALSE(rep_sub.feasible());
+    }
   }
 }
 

@@ -1,12 +1,9 @@
-/// Tests for the tooling modules: Liberty writer, Vth-variation
-/// timing yield, and schedule energy accounting.
+/// Tests for the Vth-variation timing yield of a mode table.
 
 #include <gtest/gtest.h>
 
-#include "core/schedule.h"
 #include "core/variation.h"
 #include "gen/operator.h"
-#include "tech/liberty_writer.h"
 
 namespace adq {
 namespace {
@@ -35,43 +32,6 @@ const core::ExplorationResult& Result() {
     return core::ExploreDesignSpace(Design22(), Lib(), opt);
   }();
   return r;
-}
-
-// ---------------- Liberty ----------------
-
-TEST(Liberty, ContainsEveryCellVariant) {
-  const std::string lib =
-      tech::ToLiberty(Lib(), 1.0, tech::BiasState::kFBB);
-  for (int k = 0; k < tech::kNumCellKinds; ++k) {
-    for (int d = 0; d < tech::kNumDrives; ++d) {
-      const std::string name =
-          std::string("cell (") +
-          std::string(tech::ToString(static_cast<tech::CellKind>(k))) +
-          "_" +
-          std::string(
-              tech::ToString(static_cast<tech::DriveStrength>(d))) +
-          ")";
-      EXPECT_NE(lib.find(name), std::string::npos) << name;
-    }
-  }
-  EXPECT_NE(lib.find("library (adq_fdsoi28_FBB)"), std::string::npos);
-  EXPECT_NE(lib.find("ff (IQ, IQN)"), std::string::npos);
-}
-
-TEST(Liberty, CornersDifferInLeakageAndDelay) {
-  const std::string fbb =
-      tech::ToLiberty(Lib(), 1.0, tech::BiasState::kFBB);
-  const std::string nobb =
-      tech::ToLiberty(Lib(), 1.0, tech::BiasState::kNoBB);
-  EXPECT_NE(fbb, nobb);
-  EXPECT_NE(nobb.find("adq_fdsoi28_NoBB"), std::string::npos);
-}
-
-TEST(Liberty, BalancedBraces) {
-  const std::string lib =
-      tech::ToLiberty(Lib(), 0.8, tech::BiasState::kRBB);
-  EXPECT_EQ(std::count(lib.begin(), lib.end(), '{'),
-            std::count(lib.begin(), lib.end(), '}'));
 }
 
 // ---------------- variation ----------------
@@ -108,115 +68,6 @@ TEST(Variation, LargerSigmaNeverImprovesWorstCase) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_GE(a[i].yield, b[i].yield - 1e-12);
-}
-
-// ---------------- schedule ----------------
-
-TEST(Schedule, ComputeEnergyMatchesHandCalc) {
-  const core::RuntimeController ctrl(Result());
-  const auto modes = ctrl.SupportedModes();
-  ASSERT_FALSE(modes.empty());
-  const int m = modes.front();
-  const auto knob = ctrl.Configure(m);
-  const auto e = core::EvaluateSchedule(
-      ctrl, {{m, 1000}}, Design22().clock_ns);
-  EXPECT_NEAR(e.compute_j,
-              knob->power_w * 1000 * Design22().clock_ns * 1e-9, 1e-18);
-  EXPECT_EQ(e.switches, 0);
-  EXPECT_TRUE(e.all_modes_available);
-}
-
-TEST(Schedule, SwitchesCountedAndCharged) {
-  const core::RuntimeController ctrl(Result());
-  const auto modes = ctrl.SupportedModes();
-  if (modes.size() < 2) GTEST_SKIP();
-  const auto e = core::EvaluateSchedule(
-      ctrl,
-      {{modes.front(), 100}, {modes.back(), 100}, {modes.front(), 100}},
-      Design22().clock_ns);
-  EXPECT_EQ(e.switches, 2);
-  EXPECT_GE(e.switching_j, 0.0);
-}
-
-TEST(Schedule, UnservableModeFlagged) {
-  const core::RuntimeController ctrl(Result());
-  const auto e = core::EvaluateSchedule(ctrl, {{/*bits=*/64, 10}},
-                                        Design22().clock_ns);
-  EXPECT_FALSE(e.all_modes_available);
-}
-
-TEST(Schedule, RequestedModeRoundsUpNotDown) {
-  const core::RuntimeController ctrl(Result());
-  const auto modes = ctrl.SupportedModes();
-  ASSERT_FALSE(modes.empty());
-  // Request one bit below a configured mode: must be served by a mode
-  // with at least the requested accuracy.
-  const int want = modes.back() - 1;
-  const auto e =
-      core::EvaluateSchedule(ctrl, {{want, 10}}, Design22().clock_ns);
-  if (std::find(modes.begin(), modes.end(), want) == modes.end()) {
-    const auto cover = ctrl.Configure(modes.back());
-    EXPECT_NEAR(e.compute_j,
-                cover->power_w * 10 * Design22().clock_ns * 1e-9, 1e-18);
-  }
-}
-
-}  // namespace
-}  // namespace adq
-// ---------------- DEF writer (appended) ----------------
-
-#include "place/def_writer.h"
-
-namespace adq {
-namespace {
-
-TEST(Def, ContainsDieRowsComponentsAndRegions) {
-  const core::ImplementedDesign& d = Design22();
-  const std::string def =
-      place::ToDef(d.op.nl, d.placement, &d.partition);
-  EXPECT_NE(def.find("DESIGN booth_mult8"), std::string::npos);
-  EXPECT_NE(def.find("DIEAREA"), std::string::npos);
-  EXPECT_NE(def.find("REGIONS 4 ;"), std::string::npos);
-  EXPECT_NE(def.find("vth_domain_3"), std::string::npos);
-  // One component line per instance.
-  std::size_t count = 0, pos = 0;
-  while ((pos = def.find("+ PLACED", pos)) != std::string::npos) {
-    ++count;
-    pos += 8;
-  }
-  EXPECT_EQ(count, d.op.nl.num_instances());
-  EXPECT_NE(def.find("END DESIGN"), std::string::npos);
-}
-
-TEST(Def, OmitsRegionsWithoutPartition) {
-  const core::ImplementedDesign& d = Design22();
-  const std::string def = place::ToDef(d.op.nl, d.flat_placement);
-  EXPECT_EQ(def.find("REGIONS"), std::string::npos);
-  EXPECT_EQ(def.find("+ REGION"), std::string::npos);
-}
-
-TEST(Def, CoordinatesWithinDie) {
-  const core::ImplementedDesign& d = Design22();
-  const std::string def =
-      place::ToDef(d.op.nl, d.placement, &d.partition);
-  // Spot check: every PLACED coordinate is non-negative and below the
-  // die bounds in database units.
-  const long wmax = std::lround(d.placement.fp.width_um * 1000);
-  const long hmax = std::lround(d.placement.fp.height_um * 1000);
-  std::istringstream is(def);
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto p = line.find("+ PLACED ( ");
-    if (p == std::string::npos) continue;
-    long x = 0, y = 0;
-    ASSERT_EQ(std::sscanf(line.c_str() + p, "+ PLACED ( %ld %ld )", &x,
-                          &y),
-              2);
-    EXPECT_GE(x, 0);
-    EXPECT_LE(x, wmax);
-    EXPECT_GE(y, 0);
-    EXPECT_LE(y, hmax);
-  }
 }
 
 }  // namespace
