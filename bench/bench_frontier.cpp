@@ -17,13 +17,15 @@
 ///
 /// Usage: bench_frontier [activity_cycles] [node_budget]
 ///                       [--trace=f] [--metrics=f] [--progress]
-/// Defaults: 128 cycles, 300-node budget for the large grid.
+/// Defaults: 128 cycles, 300-node budget for the large grid. Cycles
+/// must be in [2, 2^20] and the budget at least 1.
 ///
 /// Appends to the perf trajectory by writing BENCH_frontier.json
 /// (certified nodes/sec, warm-start eval reduction; gated by
 /// benchdiff against BENCH_HISTORY.jsonl).
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -65,8 +67,14 @@ bool MatchesExhaustive(const adq::core::FrontierResult& fr,
 int main(int argc, char** argv) {
   using namespace adq;
   bench::InitObs(argc, argv);
-  const int cycles = argc > 1 ? std::atoi(argv[1]) : 128;
-  const long budget = argc > 2 ? std::atol(argv[2]) : 300;
+  long cycles_arg = 128;
+  long budget = 300;  // >= 1: a budget <= 0 would run to certificate
+  if (!bench::ParsePositional(argc, argv,
+                              {{"activity_cycles", bench::kMinCycles,
+                                bench::kMaxCycles, &cycles_arg},
+                               {"node_budget", 1, LONG_MAX, &budget}}))
+    return 1;
+  const int cycles = static_cast<int>(cycles_arg);
 
   bench::BenchJson report;
   report.Int("activity_cycles", cycles);

@@ -53,6 +53,17 @@ void BM_CaseAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_CaseAnalysis);
 
+void BM_ModeCaseAnalyses16(benchmark::State& state) {
+  // Every accuracy mode of the explorer's sweep in one 16-lane batch.
+  const auto& d = Booth22();
+  std::vector<std::vector<netlist::ForcedValue>> sets;
+  for (int bw = 1; bw <= 16; ++bw) sets.push_back(core::ForcedZeros(d.op, bw));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(netlist::CaseAnalyses(d.op.nl, sets));
+  }
+}
+BENCHMARK(BM_ModeCaseAnalyses16);
+
 void BM_ActivityExtraction256(benchmark::State& state) {
   const auto& d = Booth22();
   // The scalar oracle: the cached ExtractActivity front door would

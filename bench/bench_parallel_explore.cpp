@@ -6,7 +6,8 @@
 ///
 /// Usage: bench_parallel_explore [activity_cycles] [max_threads]
 ///                               [--trace=f] [--metrics=f] [--progress]
-/// Defaults: 256 cycles, max(8, hardware). The design is the paper's
+/// Defaults: 256 cycles, max(8, hardware); cycles in [2, 2^20], at
+/// most 256 threads. The design is the paper's
 /// 16-bit Booth multiplier on its Table I 2x2 grid — the full
 /// 2^4 masks x 16 bitwidths x 5 VDDs lattice.
 ///
@@ -63,9 +64,17 @@ bool Identical(const adq::core::ExplorationResult& a,
 int main(int argc, char** argv) {
   using namespace adq;
   bench::InitObs(argc, argv);
-  const int cycles = argc > 1 ? std::atoi(argv[1]) : 256;
   const int hw = util::ResolveNumThreads(0);
-  const int max_threads = argc > 2 ? std::atoi(argv[2]) : std::max(8, hw);
+  long cycles_arg = 256;
+  long threads_arg = std::max(8, hw);
+  if (!bench::ParsePositional(argc, argv,
+                              {{"activity_cycles", bench::kMinCycles,
+                                bench::kMaxCycles, &cycles_arg},
+                               {"max_threads", 1, bench::kMaxThreads,
+                                &threads_arg}}))
+    return 1;
+  const int cycles = static_cast<int>(cycles_arg);
+  const int max_threads = static_cast<int>(threads_arg);
 
   std::printf("implementing 16-bit Booth, 2x2 grid (hardware threads: %d)\n",
               hw);

@@ -8,9 +8,10 @@
 /// per-net toggle counts bit-for-bit.
 ///
 /// Usage: bench_sim_packed [cycles] [--trace=f] [--metrics=f] [--progress]
-/// Defaults: cycles = 2048. The design is the raw (pre-implementation)
-/// 16-bit Booth/Wallace multiplier; the 64 requests sweep zeroed-LSB
-/// settings l % 17, covering every accuracy mode of the operator.
+/// Defaults: cycles = 2048, in [2, 2^20]. The design is the raw
+/// (pre-implementation) 16-bit Booth/Wallace multiplier; the 64
+/// requests sweep zeroed-LSB settings l % 17, covering every accuracy
+/// mode of the operator.
 ///
 /// Appends to the perf trajectory by writing BENCH_sim_packed.json
 /// (cycles/sec for both engines, packed-vs-scalar speedup, toggle
@@ -38,7 +39,12 @@ double SecondsSince(const Clock::time_point t0) {
 int main(int argc, char** argv) {
   using namespace adq;
   bench::InitObs(argc, argv);
-  const int cycles = std::max(2, argc > 1 ? std::atoi(argv[1]) : 2048);
+  long cycles_arg = 2048;
+  if (!bench::ParsePositional(
+          argc, argv,
+          {{"cycles", bench::kMinCycles, bench::kMaxCycles, &cycles_arg}}))
+    return 1;
+  const int cycles = static_cast<int>(cycles_arg);
   constexpr int kLanes = 64;
   constexpr std::uint64_t kSeed = 7;
 

@@ -6,7 +6,8 @@
 /// scalar report bit-for-bit (non-zero exit otherwise).
 ///
 /// Usage: bench_sta_batch [reps] [--trace=f] [--metrics=f] [--progress]
-/// Defaults: reps = 0 (auto-calibrate to ~0.5 s of scalar work).
+/// Defaults: reps = 0 (auto-calibrate to ~0.5 s of scalar work); at
+/// most 1000.
 ///
 /// Appends to the perf trajectory by writing BENCH_sta_batch.json
 /// (engine-tagged masks/sec rows; headline simd_masks_per_sec).
@@ -42,7 +43,10 @@ bool SameReport(const adq::sta::TimingReport& a,
 int main(int argc, char** argv) {
   using namespace adq;
   bench::InitObs(argc, argv);
-  int reps = argc > 1 ? std::atoi(argv[1]) : 0;
+  long reps_arg = 0;
+  if (!bench::ParsePositional(argc, argv, {{"reps", 0, 1000, &reps_arg}}))
+    return 1;
+  int reps = static_cast<int>(reps_arg);
 
   std::printf("implementing 16-bit Booth, 2x2 grid\n");
   const core::ImplementedDesign design =

@@ -9,12 +9,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "../examples/cli.h"
 #include "core/dvas.h"
 #include "core/explore.h"
 #include "core/flow.h"
@@ -81,6 +83,39 @@ inline void InitObs(int& argc, char** argv) {
     if (!obs::ParseObsFlag(argv[i], &o)) argv[out++] = argv[i];
   argc = out;
   obs::Configure(o);
+}
+
+/// Bounds of the benches' positional arguments. Activity extraction
+/// needs at least 2 cycles; the thread bound matches domain_explorer's.
+inline constexpr long kMinCycles = 2;
+inline constexpr long kMaxCycles = 1L << 20;
+inline constexpr long kMaxThreads = 256;
+
+/// One optional positional argument: `*value` holds its default and
+/// receives the parsed value when the argument is given.
+struct PositionalArg {
+  const char* name;
+  long lo;
+  long hi;
+  long* value;
+};
+
+/// Parses argv[1..] (InitObs has removed the obs flags) into `args` in
+/// order, each as a whole base-10 integer in [lo, hi]. On a malformed,
+/// out-of-range or surplus argument, prints why to stderr and returns
+/// false; the bench then exits 1 before it builds any design.
+inline bool ParsePositional(int argc, char** argv,
+                            std::initializer_list<PositionalArg> args) {
+  if (argc - 1 > static_cast<int>(args.size())) {
+    std::fprintf(stderr, "unexpected argument %s\n", argv[args.size() + 1]);
+    return false;
+  }
+  int i = 1;
+  for (const PositionalArg& a : args) {
+    if (i >= argc) break;
+    if (!cli::ParseLong(argv[i++], a.lo, a.hi, a.name, a.value)) return false;
+  }
+  return true;
 }
 
 /// JSON string escaping for BenchJson: quotes, backslashes and

@@ -1,6 +1,6 @@
 #include "netlist/case_analysis.h"
 
-#include <array>
+#include <algorithm>
 
 #include "netlist/topo.h"
 #include "obs/metrics.h"
@@ -9,168 +9,143 @@ namespace adq::netlist {
 
 namespace {
 
-/// Per-kind ternary truth table: entry `idx` = sum of in[i] * 3^i
-/// (kZero = 0, kOne = 1, kX = 2) over the kind's inputs holds output
-/// k in bits 2k..2k+1.
-using TernaryTable = std::array<std::uint8_t, 27>;
-
-/// Built once from tech::Evaluate by enumerating the boolean
-/// completions of the X inputs (a cube of at most 2^3): an output is
-/// constant only if every completion agrees.
-TernaryTable BuildTernaryTable(tech::CellKind kind) {
-  const int n_in = tech::NumInputs(kind);
-  const int n_out = tech::NumOutputs(kind);
-  int entries = 1;
-  for (int i = 0; i < n_in; ++i) entries *= 3;
-  TernaryTable table{};
-  for (int idx = 0; idx < entries; ++idx) {
-    int x_pos[3];
-    int n_x = 0;
-    bool base[3] = {false, false, false};
-    for (int i = 0, rem = idx; i < n_in; ++i, rem /= 3) {
-      if (rem % 3 == static_cast<int>(LogicV::kX))
-        x_pos[n_x++] = i;
-      else
-        base[i] = rem % 3 == static_cast<int>(LogicV::kOne);
-    }
-    bool first = true;
-    bool agreed[2] = {false, false};
-    bool agree_ok[2] = {true, true};
-    for (unsigned m = 0; m < (1u << n_x); ++m) {
-      bool ins[3] = {base[0], base[1], base[2]};
-      for (int j = 0; j < n_x; ++j) ins[x_pos[j]] = (m >> j) & 1u;
-      bool o[2] = {false, false};
-      tech::Evaluate(kind, ins, o);
-      for (int k = 0; k < n_out; ++k) {
-        if (first)
-          agreed[k] = o[k];
-        else if (o[k] != agreed[k])
-          agree_ok[k] = false;
+/// Dual-rail evaluation of `n` cells of kind K. Bit m of tt[o] is
+/// output o of the kind on the inputs whose bit i is bit i of m, so an
+/// output rail is the OR, over the minterms with that output value, of
+/// the AND of the matching input rails. Flattening inlines EvaluateWord
+/// with the constant K, which folds tt; the minterm loop is unrolled.
+/// `changed` collects the lanes in which any output rail moved.
+template <tech::CellKind K>
+struct RailGroup {
+  [[gnu::flatten]] static void Run(std::uint32_t n, const std::uint32_t* in,
+                                   const std::uint32_t* out,
+                                   std::uint64_t* can0, std::uint64_t* can1,
+                                   std::uint64_t* changed) {
+    const int n_in = tech::NumInputs(K);
+    const int n_out = tech::NumOutputs(K);
+    const std::uint64_t minterm_bits[tech::kMaxCellInputs] = {0xAA, 0xCC,
+                                                              0xF0};
+    std::uint64_t tt[tech::kMaxCellOutputs];
+    tech::EvaluateWord(K, minterm_bits, tt);
+    std::uint64_t moved = 0;
+    for (std::uint32_t c = 0; c < n; ++c, in += n_in, out += n_out) {
+      std::uint64_t z0[tech::kMaxCellOutputs] = {};
+      std::uint64_t z1[tech::kMaxCellOutputs] = {};
+#pragma GCC unroll 8
+      for (unsigned m = 0; m < (1u << n_in); ++m) {
+        std::uint64_t term = ~0ULL;
+        for (int i = 0; i < n_in; ++i)
+          term &= ((m >> i) & 1u) ? can1[in[i]] : can0[in[i]];
+        for (int o = 0; o < n_out; ++o)
+          ((tt[o] >> m) & 1u ? z1 : z0)[o] |= term;
       }
-      first = false;
+      for (int o = 0; o < n_out; ++o) {
+        moved |= (can0[out[o]] ^ z0[o]) | (can1[out[o]] ^ z1[o]);
+        can0[out[o]] = z0[o];
+        can1[out[o]] = z1[o];
+      }
     }
-    std::uint8_t packed = 0;
-    for (int k = 0; k < n_out; ++k) {
-      const LogicV v = agree_ok[k] ? FromBool(agreed[k]) : LogicV::kX;
-      packed = static_cast<std::uint8_t>(
-          packed | (static_cast<unsigned>(v) << (2 * k)));
-    }
-    table[static_cast<std::size_t>(idx)] = packed;
+    *changed |= moved;
   }
-  return table;
-}
-
-const std::array<TernaryTable, tech::kNumCellKinds>& TernaryTables() {
-  static const std::array<TernaryTable, tech::kNumCellKinds> tables = [] {
-    std::array<TernaryTable, tech::kNumCellKinds> t{};
-    for (int k = 0; k < tech::kNumCellKinds; ++k)
-      t[static_cast<std::size_t>(k)] =
-          BuildTernaryTable(static_cast<tech::CellKind>(k));
-    return t;
-  }();
-  return tables;
-}
-
-/// Packed table outputs of `kind` for the inputs `in(0..n_in-1)`.
-template <typename Input>
-std::uint8_t LookUp(const std::array<TernaryTable, tech::kNumCellKinds>& t,
-                    tech::CellKind kind, Input in) {
-  int idx = 0;
-  for (int i = tech::NumInputs(kind) - 1; i >= 0; --i)
-    idx = idx * 3 + static_cast<int>(in(i));
-  return t[static_cast<std::size_t>(kind)][static_cast<std::size_t>(idx)];
-}
-
-LogicV Output(std::uint8_t packed, int k) {
-  return static_cast<LogicV>((packed >> (2 * k)) & 3u);
-}
+};
 
 }  // namespace
 
-void Evaluate3(tech::CellKind kind, const LogicV* in, LogicV* out) {
-  const std::uint8_t packed =
-      LookUp(TernaryTables(), kind, [in](int i) { return in[i]; });
-  for (int k = 0; k < tech::NumOutputs(kind); ++k) out[k] = Output(packed, k);
-}
-
 CaseAnalysis::CaseAnalysis(const Netlist& nl,
                            const std::vector<ForcedValue>& forced)
-    : values_(nl.num_nets(), LogicV::kX) {
+    : CaseAnalysis(std::move(CaseAnalyses(nl, {&forced, 1}).front())) {}
+
+std::vector<CaseAnalysis> CaseAnalyses(
+    const Netlist& nl, std::span<const std::vector<ForcedValue>> sets) {
   static obs::Counter& builds =
       obs::GetCounter("netlist.case_analysis_builds");
-  builds.Add();
-  for (const ForcedValue& f : forced) {
-    ADQ_CHECK_MSG(nl.net(f.net).is_primary_input,
-                  "case analysis can only force primary-input ports");
-    values_[f.net.index()] = FromBool(f.value);
-  }
+  constexpr std::size_t kLanes = 64;
+  std::vector<CaseAnalysis> out;
+  out.reserve(sets.size());
+  if (sets.empty()) return out;
+  const CellTape tape = CompileTape(nl);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> regs;  // (D, Q)
+  for (const Instance& inst : nl.instances())
+    if (inst.is_sequential()) regs.emplace_back(inst.in[0].value,
+                                                inst.out[0].value);
+  // Per net, lane l of set at + l: "can be 0" and "can be 1" rails.
+  std::vector<std::uint64_t> can0(nl.num_nets());
+  std::vector<std::uint64_t> can1(nl.num_nets());
+  // Per register, the lanes demoted to "sticky X". Demotion guarantees
+  // termination: each register lane moves at most X -> const -> X.
+  std::vector<std::uint64_t> sticky(regs.size());
 
-  const std::vector<InstId> order = TopologicalOrder(nl);
-  const auto& tables = TernaryTables();
-
-  // DFF Q values: X initially. Demotion to "sticky X" guarantees
-  // termination: each register moves at most X -> const -> sticky X.
-  std::vector<bool> sticky(nl.num_instances(), false);
-
-  // Iterate comb propagation + register transfer to a fixpoint.
-  // Each pass is a full topological sweep, so the comb part is exact
-  // after one pass for the current register assumptions.
-  bool changed = true;
-  int guard = 0;
-  while (changed) {
-    changed = false;
-    ADQ_CHECK_MSG(++guard <= 64, "case analysis failed to converge");
-
-    for (const InstId id : order) {
-      const Instance& inst = nl.inst(id);
-      if (inst.is_sequential()) continue;  // handled below
-      const std::uint8_t packed =
-          LookUp(tables, inst.kind, [&](int p) {
-            return values_[inst.in[static_cast<std::size_t>(p)].index()];
-          });
-      for (int o = 0; o < inst.num_outputs(); ++o) {
-        LogicV& slot = values_[inst.out[o].index()];
-        if (slot != Output(packed, o)) {
-          slot = Output(packed, o);
-          changed = true;
-        }
+  for (std::size_t at = 0; at < sets.size(); at += kLanes) {
+    const std::size_t lanes = std::min(kLanes, sets.size() - at);
+    const std::uint64_t live =
+        lanes == kLanes ? ~0ULL : (1ULL << lanes) - 1ULL;
+    std::fill(can0.begin(), can0.end(), ~0ULL);
+    std::fill(can1.begin(), can1.end(), ~0ULL);
+    std::fill(sticky.begin(), sticky.end(), 0ULL);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const std::uint64_t bit = 1ULL << l;
+      for (const ForcedValue& f : sets[at + l]) {
+        ADQ_CHECK_MSG(nl.net(f.net).is_primary_input,
+                      "case analysis can only force primary-input ports");
+        const std::size_t n = f.net.index();
+        can0[n] = (can0[n] & ~bit) | (f.value ? 0 : bit);
+        can1[n] = (can1[n] & ~bit) | (f.value ? bit : 0);
       }
     }
 
-    // Register transfer: Q adopts D's constant if provable and stable.
-    for (std::size_t i = 0; i < nl.num_instances(); ++i) {
-      const Instance& inst = nl.instances()[i];
-      if (!inst.is_sequential() || sticky[i]) continue;
-      const LogicV d = values_[inst.in[0].index()];
-      LogicV& q = values_[inst.out[0].index()];
-      if (q == LogicV::kX) {
-        if (d != LogicV::kX) {
-          q = d;
-          changed = true;
-        }
-      } else if (d != q) {
-        // The assumed register constant was inconsistent with its own
-        // fanin once propagated — demote to X permanently.
-        q = LogicV::kX;
-        sticky[i] = true;
-        changed = true;
+    // Iterate comb propagation + register transfer until no live lane
+    // changes. Each pass is a full topological sweep, so the comb part
+    // is exact after one pass for the current register assumptions; a
+    // converged lane is a fixpoint that further passes leave alone.
+    int guard = 0;
+    for (std::uint64_t changed = live; changed;) {
+      ADQ_CHECK_MSG(++guard <= 64, "case analysis failed to converge");
+      changed = 0;
+      RunTape<RailGroup>(tape, can0.data(), can1.data(), &changed);
+
+      // Register transfer, in instance order (a register may read a Q
+      // updated earlier in the same transfer): Q adopts D's constant
+      // if provable, and a constant Q that its own fanin contradicts
+      // is demoted to X permanently.
+      for (std::size_t r = 0; r < regs.size(); ++r) {
+        const auto [d, q] = regs[r];
+        const std::uint64_t d0 = can0[d], d1 = can1[d];
+        const std::uint64_t q0 = can0[q], q1 = can1[q];
+        const std::uint64_t q_x = q0 & q1;
+        const std::uint64_t adopt = ~sticky[r] & q_x & ~(d0 & d1);
+        const std::uint64_t demote =
+            ~sticky[r] & ~q_x & ((d0 ^ q0) | (d1 ^ q1));
+        can0[q] = (q0 & ~adopt) | (d0 & adopt) | demote;
+        can1[q] = (q1 & ~adopt) | (d1 & adopt) | demote;
+        sticky[r] |= demote;
+        changed |= adopt | demote;
       }
+      changed &= live;
+    }
+
+    for (std::size_t l = 0; l < lanes; ++l) {
+      CaseAnalysis& ca = out.emplace_back(CaseAnalysis());
+      ca.values_.resize(nl.num_nets());
+      // FNV-1a over the resolved per-net values. The object is
+      // immutable after construction, so the digest is computed once
+      // here; callers that cache derived state (sta::TimingAnalyzer)
+      // compare digests instead of object addresses, which stack reuse
+      // can alias.
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (std::size_t n = 0; n < can0.size(); ++n) {
+        const bool c0 = (can0[n] >> l) & 1ULL;
+        const bool c1 = (can1[n] >> l) & 1ULL;
+        const LogicV v = c0 && c1 ? LogicV::kX : FromBool(c1);
+        ca.values_[n] = v;
+        if (v != LogicV::kX) ++ca.num_constant_;
+        h ^= static_cast<std::uint8_t>(v);
+        h *= 0x100000001b3ULL;
+      }
+      ca.fingerprint_ = h ^ ca.values_.size();
     }
   }
-
-  for (const LogicV v : values_)
-    if (v != LogicV::kX) ++num_constant_;
-
-  // FNV-1a over the resolved per-net values. The object is immutable
-  // after construction, so the digest is computed once here; callers
-  // that cache derived state (sta::TimingAnalyzer) compare digests
-  // instead of object addresses, which stack reuse can alias.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const LogicV v : values_) {
-    h ^= static_cast<std::uint8_t>(v);
-    h *= 0x100000001b3ULL;
-  }
-  fingerprint_ = h ^ values_.size();
+  builds.Add(sets.size());
+  return out;
 }
 
 }  // namespace adq::netlist

@@ -14,7 +14,15 @@
 /// Conservatism: iteration is bounded; a register value that cannot be
 /// proven stable stays X. Unproven constants only make timing more
 /// pessimistic (more active paths), never optimistic — the safe side.
+///
+/// CaseAnalyses runs up to 64 forced sets in one dual-rail sweep over
+/// the netlist's CellTape: each net holds a "can be 0" and a "can be
+/// 1" word with one lane per set, and a cell's output rail is the OR,
+/// over the kind's truth-table minterms with that output value, of the
+/// AND of the inputs' matching rails. An output is thus constant only
+/// if every boolean completion of its X inputs agrees.
 
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -35,7 +43,8 @@ struct ForcedValue {
 /// Result of case analysis over a netlist.
 class CaseAnalysis {
  public:
-  /// Propagates `forced` port constants to a fixpoint.
+  /// Propagates `forced` port constants to a fixpoint: the one-set
+  /// case of CaseAnalyses.
   CaseAnalysis(const Netlist& nl, const std::vector<ForcedValue>& forced);
 
   LogicV Value(NetId n) const { return values_[n.index()]; }
@@ -52,15 +61,19 @@ class CaseAnalysis {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
+  CaseAnalysis() = default;
+  friend std::vector<CaseAnalysis> CaseAnalyses(
+      const Netlist& nl, std::span<const std::vector<ForcedValue>> sets);
+
   std::vector<LogicV> values_;
   std::size_t num_constant_ = 0;
   std::uint64_t fingerprint_ = 0;
 };
 
-/// Evaluates one cell in three-valued logic: an output is a constant
-/// only if every boolean completion of the X inputs agrees on it. Looks
-/// the outputs up in a per-kind 27-entry {0,1,X}^3 table built once
-/// from tech::Evaluate. Exposed for testing.
-void Evaluate3(tech::CellKind kind, const LogicV* in, LogicV* out);
+/// The case analysis of each forced set, equal to CaseAnalysis(nl,
+/// sets[i]); 64 sets share one sweep. Each counts as one build in
+/// `netlist.case_analysis_builds`.
+std::vector<CaseAnalysis> CaseAnalyses(
+    const Netlist& nl, std::span<const std::vector<ForcedValue>> sets);
 
 }  // namespace adq::netlist

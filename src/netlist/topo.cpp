@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 
 namespace adq::netlist {
 
@@ -88,6 +89,43 @@ std::vector<int> Levelize(const Netlist& nl) {
 int LogicDepth(const Netlist& nl) {
   const auto levels = Levelize(nl);
   return levels.empty() ? 0 : *std::max_element(levels.begin(), levels.end());
+}
+
+CellTape CompileTape(const Netlist& nl) {
+  const std::vector<int> level = Levelize(nl);
+  const auto key = [&](std::size_t i) {
+    return static_cast<std::size_t>(level[i]) * tech::kNumCellKinds +
+           static_cast<std::size_t>(nl.instances()[i].kind);
+  };
+  // Counting sort of the non-DFF cells by (level, kind), stable in
+  // instance order.
+  const int depth =
+      level.empty() ? 0 : *std::max_element(level.begin(), level.end());
+  std::vector<std::uint32_t> at(
+      (static_cast<std::size_t>(depth) + 1) * tech::kNumCellKinds + 1, 0);
+  for (std::size_t i = 0; i < level.size(); ++i)
+    if (!nl.instances()[i].is_sequential()) ++at[key(i) + 1];
+  std::partial_sum(at.begin(), at.end(), at.begin());
+  std::vector<std::uint32_t> cells(at.back());
+  for (std::size_t i = 0; i < level.size(); ++i)
+    if (!nl.instances()[i].is_sequential())
+      cells[at[key(i)]++] = static_cast<std::uint32_t>(i);
+  CellTape tape;
+  tape.in.reserve(cells.size() * tech::kMaxCellInputs);
+  tape.out.reserve(cells.size() * tech::kMaxCellOutputs);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const Instance& inst = nl.instances()[cells[c]];
+    if (c == 0 || key(cells[c]) != key(cells[c - 1]))
+      tape.groups.push_back({inst.kind, static_cast<std::uint32_t>(c), 0,
+                             static_cast<std::uint32_t>(tape.in.size()),
+                             static_cast<std::uint32_t>(tape.out.size())});
+    tape.groups.back().end = static_cast<std::uint32_t>(c + 1);
+    for (int p = 0; p < inst.num_inputs(); ++p)
+      tape.in.push_back(inst.in[static_cast<std::size_t>(p)].value);
+    for (int o = 0; o < inst.num_outputs(); ++o)
+      tape.out.push_back(inst.out[static_cast<std::size_t>(o)].value);
+  }
+  return tape;
 }
 
 }  // namespace adq::netlist

@@ -58,64 +58,64 @@ std::vector<BusStream> GenerateStreams(const gen::Operator& op, int cycles,
   return streams;
 }
 
-void PutWord(std::string* s, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i)
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xffULL);
-  s->append(bytes, sizeof bytes);
-}
-
-void PutStr(std::string* s, std::string_view str) {
-  s->append(str);
-  PutWord(s, str.size());  // length word: "ab"+"c" != "a"+"bc"
-}
-
-/// Canonical byte encoding of everything the simulation result
-/// depends on: topology (cell kinds and pin nets), bus framing and
-/// the stimulus-relevant spec fields. Drive strengths are
-/// deliberately excluded — sizing changes electrical data only, so a
-/// resized copy of an operator (the VDD-island engine works on one)
+/// Canonical encoding of everything the simulation result depends
+/// on, one 64-bit word per field: topology (cell kinds and pin nets),
+/// bus framing and the stimulus-relevant spec fields. Drive strengths
+/// are deliberately excluded — sizing changes electrical data only, so
+/// a resized copy of an operator (the VDD-island engine works on one)
 /// encodes identically and hits the cache entries the explorer
 /// populated. The encoding itself is part of the cache key (full-key
 /// comparison), so a digest collision between two different operators
 /// degrades to a cache miss, never to a wrong profile.
-std::string CanonicalStructure(const gen::Operator& op) {
+using Canon = std::vector<std::uint64_t>;
+
+void PutStr(Canon* c, std::string_view str) {
+  for (std::size_t i = 0; i < str.size(); i += 8) {
+    std::uint64_t w = 0;
+    for (std::size_t j = i; j < std::min(str.size(), i + 8); ++j)
+      w |= static_cast<std::uint64_t>(static_cast<unsigned char>(str[j]))
+           << (8 * (j - i));
+    c->push_back(w);
+  }
+  c->push_back(str.size());  // length word: "ab"+"c" != "a"+"bc"
+}
+
+Canon CanonicalStructure(const gen::Operator& op) {
   const netlist::Netlist& nl = op.nl;
-  std::string canon;
-  canon.reserve(nl.num_instances() * 24 + 64);
-  PutWord(&canon, nl.num_nets());
-  PutWord(&canon, nl.num_instances());
+  Canon canon;
+  canon.reserve(nl.num_instances() * 5 + 64);
+  canon.push_back(nl.num_nets());
+  canon.push_back(nl.num_instances());
   for (const netlist::Instance& inst : nl.instances()) {
-    PutWord(&canon, static_cast<std::uint64_t>(inst.kind));
+    canon.push_back(static_cast<std::uint64_t>(inst.kind));
     for (int p = 0; p < inst.num_inputs(); ++p)
-      PutWord(&canon, inst.in[static_cast<std::size_t>(p)].index());
+      canon.push_back(inst.in[static_cast<std::size_t>(p)].value);
     for (int o = 0; o < inst.num_outputs(); ++o)
-      PutWord(&canon, inst.out[static_cast<std::size_t>(o)].index());
+      canon.push_back(inst.out[static_cast<std::size_t>(o)].value);
   }
   for (const netlist::Bus& bus : nl.input_buses()) {
     PutStr(&canon, bus.name);
-    for (const netlist::NetId bit : bus.bits) PutWord(&canon, bit.index());
+    for (const netlist::NetId bit : bus.bits) canon.push_back(bit.value);
   }
   for (const std::string& name : op.spec.scalable_buses)
     PutStr(&canon, name);
-  PutWord(&canon, static_cast<std::uint64_t>(op.spec.data_width));
-  PutWord(&canon, static_cast<std::uint64_t>(op.spec.accumulation_cycles));
+  canon.push_back(static_cast<std::uint64_t>(op.spec.data_width));
+  canon.push_back(static_cast<std::uint64_t>(op.spec.accumulation_cycles));
   return canon;
 }
 
 bool g_force_hash_collisions = false;
 
-/// FNV-1a of the canonical encoding. Field-for-field the same fold
-/// the historical StructuralHash computed (words enter as 8 LE bytes,
-/// strings as bytes plus a length word), so digests persist across
-/// this refactor. Only an index accelerator now — correctness rests
-/// on the canonical bytes in the key.
-std::uint64_t StructuralDigest(std::string_view canon) {
+/// Digest of the canonical encoding, one word per multiply-xorshift
+/// step. Only an index accelerator of this process's cache —
+/// correctness rests on the canonical words in the key — so it is
+/// free to change between builds.
+std::uint64_t StructuralDigest(const Canon& canon) {
   if (g_force_hash_collisions) return 0;
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : canon) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+  for (const std::uint64_t w : canon) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
   }
   return h;
 }
@@ -133,7 +133,7 @@ ModeKey MakeKey(int zeroed_lsbs, int cycles, std::uint64_t seed,
 /// lookups compare it in full, so the cache stays full-key exact.
 struct StructureEntry {
   std::string name;
-  std::string canon;
+  Canon canon;
   std::map<ModeKey, ActivityProfile> profiles;
   /// Case analyses by zeroed LSB count (ModeCaseAnalyses).
   std::map<int, std::shared_ptr<const netlist::CaseAnalysis>> cases;
@@ -148,7 +148,7 @@ struct ActivityCache {
 
   /// The entry of (name, digest, canon), or nullptr. Caller holds mu.
   StructureEntry* Find(std::string_view name, std::uint64_t digest,
-                       std::string_view canon) {
+                       const Canon& canon) {
     const auto [lo, hi] = structures.equal_range(digest);
     for (auto it = lo; it != hi; ++it)
       if (it->second.name == name && it->second.canon == canon)
@@ -159,7 +159,7 @@ struct ActivityCache {
   /// The entry of (name, digest, canon), created empty if missing
   /// (`canon` is moved from then). Caller holds mu.
   StructureEntry& FindOrAdd(const std::string& name, std::uint64_t digest,
-                            std::string& canon) {
+                            Canon& canon) {
     if (StructureEntry* e = Find(name, digest, canon)) return *e;
     return structures
         .emplace(digest, StructureEntry{name, std::move(canon), {}, {}})
@@ -466,7 +466,7 @@ std::vector<ActivityProfile> ExtractActivityBatch(
   extractions.Add(static_cast<std::uint64_t>(zeroed_lsbs.size()));
   sim_cycles.Add(static_cast<std::uint64_t>(cycles) * zeroed_lsbs.size());
 
-  std::string canon = CanonicalStructure(op);
+  Canon canon = CanonicalStructure(op);
   const std::uint64_t digest = StructuralDigest(canon);
   ActivityCache& cache = TheCache();
 
@@ -541,20 +541,29 @@ ActivityProfile ExtractActivity(const gen::Operator& op, int zeroed_lsbs,
 
 std::vector<std::shared_ptr<const netlist::CaseAnalysis>> ModeCaseAnalyses(
     const gen::Operator& op, std::span<const int> zeroed_lsbs) {
-  std::string canon = CanonicalStructure(op);
+  Canon canon = CanonicalStructure(op);
   const std::uint64_t digest = StructuralDigest(canon);
   ActivityCache& cache = TheCache();
   std::lock_guard<std::mutex> lock(cache.mu);
   StructureEntry& entry = cache.FindOrAdd(op.spec.name, digest, canon);
+  // Build every missing mode (deduplicated) in one batch.
+  std::vector<int> missing;
+  std::vector<std::vector<netlist::ForcedValue>> forced;
+  for (const int zs : zeroed_lsbs) {
+    if (entry.cases.count(zs) ||
+        std::find(missing.begin(), missing.end(), zs) != missing.end())
+      continue;
+    missing.push_back(zs);
+    forced.push_back(gen::ForcedZeroLsbs(op, zs));
+  }
+  std::vector<netlist::CaseAnalysis> built =
+      netlist::CaseAnalyses(op.nl, forced);
+  for (std::size_t i = 0; i < missing.size(); ++i)
+    entry.cases[missing[i]] =
+        std::make_shared<const netlist::CaseAnalysis>(std::move(built[i]));
   std::vector<std::shared_ptr<const netlist::CaseAnalysis>> out;
   out.reserve(zeroed_lsbs.size());
-  for (const int zs : zeroed_lsbs) {
-    std::shared_ptr<const netlist::CaseAnalysis>& ca = entry.cases[zs];
-    if (!ca)
-      ca = std::make_shared<const netlist::CaseAnalysis>(
-          op.nl, gen::ForcedZeroLsbs(op, zs));
-    out.push_back(ca);
-  }
+  for (const int zs : zeroed_lsbs) out.push_back(entry.cases.at(zs));
   return out;
 }
 

@@ -1,38 +1,74 @@
 #include "sim/packed_sim.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "obs/metrics.h"
 #include "util/simd.h"
 
 namespace adq::sim {
 
-using netlist::InstId;
 using netlist::NetId;
+
+namespace {
+
+/// Evaluates `n` cells of kind K for all 64 lanes of the net words `v`.
+/// Flattening inlines EvaluateWord with the constant K, so its kind
+/// switch folds away and the loop body is branch-free.
+template <tech::CellKind K>
+struct EvaluateGroup {
+  [[gnu::flatten]] static void Run(std::uint32_t n, const std::uint32_t* in,
+                                   const std::uint32_t* out,
+                                   std::uint64_t* v) {
+    const int n_in = tech::NumInputs(K);
+    const int n_out = tech::NumOutputs(K);
+    for (std::uint32_t c = 0; c < n; ++c, in += n_in, out += n_out) {
+      std::uint64_t x[tech::kMaxCellInputs] = {};
+      std::uint64_t y[tech::kMaxCellOutputs];
+      for (int p = 0; p < n_in; ++p) x[p] = v[in[p]];
+      tech::EvaluateWord(K, x, y);
+      for (int o = 0; o < n_out; ++o) v[out[o]] = y[o];
+    }
+  }
+};
+
+}  // namespace
 
 PackedLogicSim::PackedLogicSim(const netlist::Netlist& nl)
     : nl_(nl),
+      tape_(netlist::CompileTape(nl)),
       values_(nl.num_nets(), 0),
       prev_values_(nl.num_nets(), 0),
-      planes_(static_cast<std::size_t>(kCounterPlanes) * nl.num_nets(), 0),
+      bytes_(static_cast<std::size_t>(kSlices) * nl.num_nets(), 0),
       lane_toggles_(nl.num_nets() * kLanes, 0) {
-  for (const InstId id : netlist::TopologicalOrder(nl)) {
-    if (!nl.inst(id).is_sequential()) order_.push_back(id);
-  }
-  // Primary-input fan-out cone: one pass in topological order marks a
-  // cell when any of its inputs is a PI or a marked cell's output.
+  for (const netlist::Instance& inst : nl.instances())
+    if (inst.is_sequential()) regs_.emplace_back(inst.in[0].value,
+                                                 inst.out[0].value);
+  // Primary-input fan-out cone: one pass in tape (topological) order
+  // keeps a cell when any of its inputs is a PI or a kept cell's output.
   std::vector<bool> in_cone(nl.num_nets(), false);
   for (const NetId pi : nl.primary_inputs()) in_cone[pi.index()] = true;
-  for (const InstId id : order_) {
-    const netlist::Instance& inst = nl.inst(id);
-    bool fed = false;
-    for (int p = 0; p < inst.num_inputs(); ++p)
-      fed = fed || in_cone[inst.in[p].index()];
-    if (!fed) continue;
-    pi_cone_.push_back(id);
-    for (int o = 0; o < inst.num_outputs(); ++o)
-      in_cone[inst.out[o].index()] = true;
+  netlist::CellTape& cone = pi_cone_;
+  std::uint32_t cone_cells = 0;
+  for (const netlist::CellTape::Group& g : tape_.groups) {
+    const int n_in = tech::NumInputs(g.kind);
+    const int n_out = tech::NumOutputs(g.kind);
+    netlist::CellTape::Group kept{
+        g.kind, cone_cells, cone_cells,
+        static_cast<std::uint32_t>(cone.in.size()),
+        static_cast<std::uint32_t>(cone.out.size())};
+    const std::uint32_t* in = tape_.in.data() + g.in;
+    const std::uint32_t* out = tape_.out.data() + g.out;
+    for (std::uint32_t c = g.begin; c < g.end;
+         ++c, in += n_in, out += n_out) {
+      if (std::none_of(in, in + n_in,
+                       [&](std::uint32_t n) { return in_cone[n]; }))
+        continue;
+      cone.in.insert(cone.in.end(), in, in + n_in);
+      cone.out.insert(cone.out.end(), out, out + n_out);
+      for (int o = 0; o < n_out; ++o) in_cone[out[o]] = true;
+      cone_cells = ++kept.end;
+    }
+    if (kept.end > kept.begin) cone.groups.push_back(kept);
   }
   Settle();
 }
@@ -57,21 +93,10 @@ void PackedLogicSim::SetBus(const netlist::Bus& bus,
   }
 }
 
-void PackedLogicSim::Settle() { Evaluate(order_); }
+void PackedLogicSim::Settle() { Evaluate(tape_); }
 
-void PackedLogicSim::Evaluate(std::span<const InstId> cells) {
-  std::uint64_t in[tech::kMaxCellInputs];
-  std::uint64_t out[tech::kMaxCellOutputs];
-  for (const InstId id : cells) {
-    const netlist::Instance& inst = nl_.inst(id);
-    const int n_in = inst.num_inputs();
-    ADQ_DCHECK(n_in <= tech::kMaxCellInputs);
-    ADQ_DCHECK(inst.num_outputs() <= tech::kMaxCellOutputs);
-    for (int p = 0; p < n_in; ++p) in[p] = values_[inst.in[p].index()];
-    tech::EvaluateWord(inst.kind, in, out);
-    for (int o = 0; o < inst.num_outputs(); ++o)
-      values_[inst.out[o].index()] = out[o];
-  }
+void PackedLogicSim::Evaluate(const netlist::CellTape& tape) {
+  netlist::RunTape<EvaluateGroup>(tape, values_.data());
 }
 
 void PackedLogicSim::Tick(std::uint64_t count_lanes) {
@@ -79,44 +104,31 @@ void PackedLogicSim::Tick(std::uint64_t count_lanes) {
   ticks.Add();
   // Mirror LogicSim::Tick: settle D pins, clock edge, settle anew.
   // Only the PI cone can be stale before the edge (see the header).
+  // Registers transfer in instance order, reading Q nets already
+  // clocked this edge exactly as LogicSim does.
   Evaluate(pi_cone_);
-  for (const netlist::Instance& inst : nl_.instances()) {
-    if (!inst.is_sequential()) continue;
-    values_[inst.out[0].index()] = values_[inst.in[0].index()];
-  }
+  for (const auto& [d, q] : regs_) values_[q] = values_[d];
   Settle();
 
   // Per-lane cycle-based activity between consecutive post-edge
-  // steady states, accumulated into the bit-sliced counter planes.
+  // steady states: byte j of counter word k counts lane k + 8j.
   if (have_prev_) {
     if (pending_ == kFlushPeriod) FlushCounters();
+    static_assert(kSlices % simd::U64::kWidth == 0);
+    const simd::U64 ones = simd::U64::Broadcast(0x0101010101010101ULL);
+    simd::U64 shifts[kSlices / simd::U64::kWidth];
+    for (int k = 0; k < kSlices; k += simd::U64::kWidth)
+      shifts[k / simd::U64::kWidth] =
+          simd::U64::Iota(static_cast<std::uint64_t>(k));
     const std::size_t n_nets = values_.size();
-    // Ripple-carry the toggle words of U64::kWidth adjacent nets into
-    // the counter planes at once; the carry chain dies as soon as no
-    // net in the group still carries (integer ops, bit-exact).
-    const simd::U64 count_mask = simd::U64::Broadcast(count_lanes);
-    std::size_t n = 0;
-    for (; n + simd::U64::kWidth <= n_nets; n += simd::U64::kWidth) {
-      simd::U64 x = simd::And(simd::Xor(simd::U64::Load(&values_[n]),
-                                        simd::U64::Load(&prev_values_[n])),
-                              count_mask);
-      for (std::size_t p = 0; simd::AnyNonZero(x); ++p) {
-        ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
-        std::uint64_t* w = &planes_[p * n_nets + n];
-        const simd::U64 wv = simd::U64::Load(w);
-        const simd::U64 carry = simd::And(wv, x);
-        simd::Xor(wv, x).Store(w);
-        x = carry;
-      }
-    }
-    for (; n < n_nets; ++n) {
-      std::uint64_t x = (values_[n] ^ prev_values_[n]) & count_lanes;
-      for (std::size_t p = 0; x; ++p) {
-        ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
-        std::uint64_t& w = planes_[p * n_nets + n];
-        const std::uint64_t carry = w & x;
-        w ^= x;
-        x = carry;
+    for (std::size_t n = 0; n < n_nets; ++n) {
+      const std::uint64_t x = (values_[n] ^ prev_values_[n]) & count_lanes;
+      const simd::U64 xv = simd::U64::Broadcast(x);
+      std::uint64_t* cnt = &bytes_[n * kSlices];
+      for (int k = 0; k < kSlices; k += simd::U64::kWidth) {
+        const simd::U64 add = simd::And(
+            simd::ShrVar(xv, shifts[k / simd::U64::kWidth]), ones);
+        simd::Add(simd::U64::Load(cnt + k), add).Store(cnt + k);
       }
     }
     ++pending_;
@@ -127,13 +139,11 @@ void PackedLogicSim::Tick(std::uint64_t count_lanes) {
 }
 
 void PackedLogicSim::Reset() {
-  for (const netlist::Instance& inst : nl_.instances()) {
-    if (inst.is_sequential()) values_[inst.out[0].index()] = 0;
-  }
+  for (const auto& reg : regs_) values_[reg.second] = 0;
   // Counters only move on a tick after the baseline one; before it
   // they still hold the zeros of construction or of the last Reset.
   if (have_prev_) {
-    std::fill(planes_.begin(), planes_.end(), 0);
+    std::fill(bytes_.begin(), bytes_.end(), 0);
     std::fill(lane_toggles_.begin(), lane_toggles_.end(), 0);
   }
   pending_ = 0;
@@ -144,51 +154,15 @@ void PackedLogicSim::Reset() {
 
 void PackedLogicSim::FlushCounters() const {
   if (pending_ == 0) return;
-  const std::size_t n_nets = values_.size();
-  for (std::size_t n = 0; n < n_nets; ++n) {
-    std::uint64_t any = 0;
-    for (int p = 0; p < kCounterPlanes; ++p)
-      any |= planes_[static_cast<std::size_t>(p) * n_nets + n];
-    if (!any) continue;
-    // Vertical popcount reassembly, U64::kWidth lanes per step: each
-    // plane word is broadcast and its group of lane bits gathered
-    // with a per-lane variable shift, then OR-merged at bit p. Lanes
-    // whose `any` bit is clear accumulate an exact zero, so skipping
-    // is purely a fast-out for all-quiet groups.
-    constexpr int kGroup = simd::U64::kWidth;
-    const std::uint64_t group_bits =
-        kGroup >= 64 ? ~0ull : ((1ull << kGroup) - 1ull);
-    const simd::U64 one = simd::U64::Broadcast(1);
-    int l = 0;
-    for (; l + kGroup <= kLanes; l += kGroup) {
-      if (!((any >> l) & group_bits)) continue;
-      const simd::U64 shifts =
-          simd::U64::Iota(static_cast<std::uint64_t>(l));
-      simd::U64 cnt = simd::U64::Broadcast(0);
-      for (int p = 0; p < kCounterPlanes; ++p) {
-        const std::uint64_t word =
-            planes_[static_cast<std::size_t>(p) * n_nets + n];
-        if (!word) continue;
-        const simd::U64 bits =
-            simd::And(simd::ShrVar(simd::U64::Broadcast(word), shifts),
-                      one);
-        cnt = simd::Or(cnt, simd::Shl(bits, p));
-      }
-      std::uint64_t* t =
-          &lane_toggles_[n * kLanes + static_cast<std::size_t>(l)];
-      simd::Add(simd::U64::Load(t), cnt).Store(t);
-    }
-    for (; l < kLanes; ++l) {
-      if (!((any >> l) & 1ULL)) continue;
-      std::uint64_t c = 0;
-      for (int p = 0; p < kCounterPlanes; ++p)
-        c |= ((planes_[static_cast<std::size_t>(p) * n_nets + n] >> l) &
-              1ULL)
-             << p;
-      lane_toggles_[n * kLanes + static_cast<std::size_t>(l)] += c;
-    }
-    for (int p = 0; p < kCounterPlanes; ++p)
-      planes_[static_cast<std::size_t>(p) * n_nets + n] = 0;
+  for (std::size_t w = 0; w < bytes_.size(); ++w) {
+    std::uint64_t bytes = bytes_[w];
+    if (!bytes) continue;
+    bytes_[w] = 0;
+    // Word w is slice k = w % 8 of net n = w / 8: byte j is lane k + 8j.
+    std::uint64_t* lanes =
+        &lane_toggles_[(w / kSlices) * kLanes + w % kSlices];
+    for (int j = 0; bytes; ++j, bytes >>= 8)
+      lanes[j * kSlices] += bytes & 0xffULL;
   }
   pending_ = 0;
 }

@@ -12,15 +12,18 @@
 /// scalar LogicSim stays as the reference oracle; the property tests
 /// in tests/test_sim_packed.cpp pin the equivalence across operators.
 ///
-/// Per-lane toggle counts are accumulated with bit-sliced "vertical"
-/// counters: each tick adds the 64-lane toggle word into
-/// kCounterPlanes binary counter planes by ripple carry (amortized
-/// ~2 word ops per net), and the planes are flushed into plain 64-bit
-/// per-lane counters every 2^kCounterPlanes - 1 ticks — this is what
-/// keeps counting from costing 64x the evaluation work. A per-tick
-/// lane mask restricts which lanes count, so independent stimulus time
-/// slices can share one run and each count only inside its own window
-/// (the activity engine's slicing, sim/activity.cpp).
+/// Combinational cells run from a netlist::CellTape: one branch-free
+/// loop per (level, kind) group instead of a kind dispatch per cell.
+///
+/// Per-lane toggle counts are accumulated in byte-sliced counters:
+/// counter word k of a net holds lanes k, k+8, ..., k+56, one byte
+/// each, and a tick adds (toggles >> k) & 0x0101...01 to word k (two
+/// simd::U64 shift/and/add steps per net on AVX2). The bytes drain
+/// into plain 64-bit per-lane counters every 255 counted ticks and
+/// whenever the counts are read. A per-tick lane mask restricts which
+/// lanes count, so independent stimulus time slices can share one run
+/// and each count only inside its own window (the activity engine's
+/// slicing, sim/activity.cpp).
 ///
 /// The pre-edge settle of Tick re-evaluates only the combinational
 /// cells in the primary-input fan-out cone, computed once at
@@ -31,6 +34,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "gen/words.h"
@@ -99,32 +103,34 @@ class PackedLogicSim {
 
   /// Number of combinational cells the pre-edge settle re-evaluates
   /// (the primary-input fan-out cone).
-  std::size_t pre_edge_cells() const { return pi_cone_.size(); }
+  std::size_t pre_edge_cells() const {
+    return pi_cone_.groups.empty() ? 0 : pi_cone_.groups.back().end;
+  }
 
  private:
-  /// Bit-sliced counter depth: flush period is 2^kCounterPlanes - 1
-  /// ticks, the largest count the planes can hold.
-  static constexpr int kCounterPlanes = 16;
-  static constexpr std::uint64_t kFlushPeriod =
-      (1ULL << kCounterPlanes) - 1ULL;
+  /// Counter words per net (lanes per byte slice) and the most ticks
+  /// a byte holds before it must drain.
+  static constexpr int kSlices = 8;
+  static constexpr std::uint64_t kFlushPeriod = 255;
 
-  /// Drains the counter planes into lane_toggles_. Const because the
+  /// Drains the byte counters into lane_toggles_. Const because the
   /// accessors trigger it lazily; only mutates the mutable counters.
   void FlushCounters() const;
 
-  /// Evaluates `cells` (a topologically ordered subset of order_).
-  void Evaluate(std::span<const netlist::InstId> cells);
+  /// Runs every group of `tape` in order.
+  void Evaluate(const netlist::CellTape& tape);
 
   const netlist::Netlist& nl_;
-  std::vector<netlist::InstId> order_;     // topological, comb only
-  std::vector<netlist::InstId> pi_cone_;   // order_ cells fed by a PI
+  netlist::CellTape tape_;     // every tie and combinational cell
+  netlist::CellTape pi_cone_;  // tape_ cells fed by a PI
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> regs_;  // (D, Q)
   std::vector<std::uint64_t> values_;      // per net, 64 lanes
   std::vector<std::uint64_t> prev_values_; // per net, at last edge
-  // Vertical counters: planes_[p * num_nets + n] holds bit p of every
-  // lane's in-flight toggle count for net n.
-  mutable std::vector<std::uint64_t> planes_;
+  // Byte-sliced counters: bytes_[n * kSlices + k] holds lane k + 8j's
+  // in-flight toggle count for net n in byte j.
+  mutable std::vector<std::uint64_t> bytes_;
   mutable std::vector<std::uint64_t> lane_toggles_;  // [net * 64 + lane]
-  mutable std::uint64_t pending_ = 0;  // ticks accumulated in planes_
+  mutable std::uint64_t pending_ = 0;  // ticks accumulated in bytes_
   std::uint64_t cycles_ = 0;
   bool have_prev_ = false;
 };

@@ -3,7 +3,7 @@
 /// \brief Portable fixed-width SIMD value lanes (f64 / u64).
 ///
 /// The hot kernels of this repo — the batched STA arrival sweep and
-/// the packed logic simulator's bit-sliced toggle counters — both
+/// the packed logic simulator's byte-sliced toggle counters — both
 /// iterate short per-net "lane" rows in structure-of-arrays form.
 /// This header gives them explicit vector types so one instruction
 /// processes F64::kWidth lanes, with the backend chosen at compile
@@ -194,7 +194,7 @@ inline F64 Max(F64 a, F64 b) { return Select(Lt(a, b), b, a); }
 inline F64 Min(F64 a, F64 b) { return Select(Lt(b, a), b, a); }
 
 // ====================================================================
-// U64 — unsigned 64-bit lanes (bit-sliced counters, violation
+// U64 — unsigned 64-bit lanes (byte-sliced counters, violation
 // accumulators). Same lane count as F64 so float compare masks can
 // feed integer accumulators. Integer ops are exact by construction;
 // shifts with count >= 64 are NOT defined (mirrors C++).

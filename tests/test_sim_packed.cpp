@@ -3,9 +3,10 @@
 /// scalar truth tables, 64-lane functional simulation, bit-identity
 /// of per-net toggle counts between PackedLogicSim-based batch
 /// extraction and the scalar LogicSim oracle across operators /
-/// stimulus kinds / accuracy modes, vertical-counter flush behavior
-/// on long runs, the time-sliced engine (bit-identity over mode counts
-/// and run lengths, the seam fallback on state that never converges),
+/// stimulus kinds / accuracy modes, byte-counter drains at their
+/// 255-tick boundaries and on long runs, the time-sliced engine
+/// (bit-identity over mode counts and run lengths, the seam fallback
+/// on state that never converges),
 /// the primary-input pre-edge cone, cache hit/miss accounting, and a
 /// determinism pin for cached exploration at several thread counts.
 
@@ -203,9 +204,54 @@ TEST(PackedLogicSim, CountMaskLimitsCountingToSelectedLanes) {
   EXPECT_EQ(sim.cycles(), 9u);
 }
 
-TEST(PackedLogicSim, VerticalCountersSurviveFlushBoundary) {
-  // > 2^16 - 1 ticks forces at least one mid-run counter-plane flush;
-  // lane-dependent stimulus checks the flush keeps lanes separate.
+TEST(PackedLogicSim, ByteCountersDrainAt255And510) {
+  // Byte counters hold 255 ticks. Counted tick t (tick 0 is the
+  // baseline) uses all lanes up to t = 255, the even lanes up to 510,
+  // then all lanes again, so a lane's byte is full exactly at the first
+  // drain and the mask changes across it. `read` is queried at
+  // t = 254, 255 and 256 (each read drains early); `quiet` is only
+  // read at the end and drains on its own at 255 and 510.
+  netlist::Netlist nl;
+  const auto d = nl.AddInputPort("d");
+  const auto q = nl.AddGate(CellKind::kDff, {d});
+  nl.AddOutputPort("q", q);
+  PackedLogicSim read(nl), quiet(nl);
+  read.Reset();
+  quiet.Reset();
+  const std::uint64_t toggling = 0xF0F0F0F0F0F0F0F0ULL;
+  const std::uint64_t even = 0x5555555555555555ULL;
+  const auto mask = [&](int t) {
+    return t > 255 && t <= 510 ? even : ~0ULL;
+  };
+  std::vector<std::uint64_t> expect(PackedLogicSim::kLanes, 0);
+  const auto check = [&](const PackedLogicSim& sim, int t) {
+    for (int l = 0; l < PackedLogicSim::kLanes; ++l)
+      EXPECT_EQ(sim.LaneToggles(q)[static_cast<std::size_t>(l)],
+                expect[static_cast<std::size_t>(l)])
+          << "lane " << l << " after tick " << t;
+  };
+  const int kTicks = 600;
+  for (int t = 0; t < kTicks; ++t) {
+    const std::uint64_t word = (t % 2) ? toggling : 0;
+    read.SetInput(d, word);
+    quiet.SetInput(d, word);
+    read.Tick(mask(t));
+    quiet.Tick(mask(t));
+    if (t > 0)
+      for (int l = 0; l < PackedLogicSim::kLanes; ++l)
+        expect[static_cast<std::size_t>(l)] +=
+            (toggling & mask(t)) >> l & 1ULL;
+    if (t >= 254 && t <= 256) check(read, t);
+  }
+  EXPECT_EQ(expect[4], static_cast<std::uint64_t>(kTicks - 1));
+  EXPECT_EQ(expect[5], static_cast<std::uint64_t>(kTicks - 1 - 255));
+  check(read, kTicks - 1);
+  check(quiet, kTicks - 1);
+}
+
+TEST(PackedLogicSim, CountersSurviveLongRuns) {
+  // 70000 ticks drain the byte counters hundreds of times; lane-
+  // dependent stimulus checks the drains keep lanes separate.
   netlist::Netlist nl;
   const auto d = nl.AddInputPort("d");
   const auto q = nl.AddGate(CellKind::kDff, {d});
