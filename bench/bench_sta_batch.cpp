@@ -86,15 +86,17 @@ int main(int argc, char** argv) {
     double sink = 0.0;
     for (int rep = 0; rep < r; ++rep)
       for (std::size_t bi = 0; bi < bitwidths.size(); ++bi)
-        for (const double vdd : vdds)
+        for (const double vdd : vdds) {
+          const std::vector<double> vdd_row(width, vdd);
           for (std::size_t c = 0; c < masks.size(); c += width) {
             const std::span<const tech::DomainMask> lanes(
                 masks.data() + c, std::min(width, masks.size() - c));
             for (const sta::TimingReport& rep_l : analyzer.AnalyzeBatch(
-                     vdd, design.clock_ns, lanes, design.domain_of(),
-                     ca[bi].get()))
+                     std::span(vdd_row).first(lanes.size()), design.clock_ns,
+                     lanes, design.domain_of(), ca[bi].get()))
               sink += rep_l.wns_ns;
           }
+        }
     return sink;
   };
 
@@ -104,7 +106,8 @@ int main(int argc, char** argv) {
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi)
     for (const double vdd : vdds) {
       const std::vector<sta::TimingReport> batch = analyzer.AnalyzeBatch(
-          vdd, design.clock_ns, masks, design.domain_of(), ca[bi].get());
+          std::vector<double>(masks.size(), vdd), design.clock_ns, masks,
+          design.domain_of(), ca[bi].get());
       for (std::uint32_t m = 0; m < nmasks; ++m) {
         const sta::TimingReport scalar =
             analyzer.Analyze(vdd, design.clock_ns,

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/accuracy.h"
+#include "sim/activity.h"
 #include "sta/sta.h"
 #include "util/thread_pool.h"
 
@@ -28,15 +29,21 @@ std::vector<double> AccuracyCriticality(
   // the score claiming below is order-sensitive, so compute them all
   // first — sharded across workers when asked — then fold serially in
   // ascending-bitwidth order.
+  // The probes' case analyses come from the shared per-structure
+  // cache (one batched build, or none when an explorer of this
+  // netlist already warmed it).
+  std::vector<int> zeroed(sorted.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i)
+    zeroed[i] = ZeroedLsbs(op, sorted[i]);
+  const std::vector<std::shared_ptr<const netlist::CaseAnalysis>> cas =
+      sim::ModeCaseAnalyses(op, zeroed);
   std::vector<sta::TimingAnalyzer::DetailedTiming> dts(sorted.size());
   const int nthreads = util::ResolveNumThreads(num_threads);
   if (nthreads <= 1) {
     sta::TimingAnalyzer analyzer(nl, lib, loads);
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      const netlist::CaseAnalysis ca(nl, ForcedZeros(op, sorted[i]));
+    for (std::size_t i = 0; i < sorted.size(); ++i)
       dts[i] = analyzer.AnalyzeDetailed(tech::CellLibrary::kVddNominal,
-                                        clock_ns, fbb, &ca);
-    }
+                                        clock_ns, fbb, cas[i].get());
   } else {
     util::ThreadPool pool(nthreads);
     std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
@@ -46,10 +53,9 @@ std::vector<double> AccuracyCriticality(
         [&](std::int64_t i, int w) {
           auto& a = analyzer[static_cast<std::size_t>(w)];
           if (!a) a = std::make_unique<sta::TimingAnalyzer>(nl, lib, loads);
-          const netlist::CaseAnalysis ca(
-              nl, ForcedZeros(op, sorted[static_cast<std::size_t>(i)]));
           dts[static_cast<std::size_t>(i)] = a->AnalyzeDetailed(
-              tech::CellLibrary::kVddNominal, clock_ns, fbb, &ca);
+              tech::CellLibrary::kVddNominal, clock_ns, fbb,
+              cas[static_cast<std::size_t>(i)].get());
         });
   }
 

@@ -153,10 +153,10 @@ struct PointRecord {
   double leak_w = 0.0;
 };
 
-/// A ≤kStaBatchWidth run of same-VDD lattice points handed to one
-/// AnalyzeBatch call. Lane l is lattice point (vi, lane_mi[begin+l]).
+/// A ≤kStaBatchWidth run of a level's pending lattice points handed to
+/// one AnalyzeBatch call. Lane l is lattice point (lane_vi[begin+l],
+/// lane_mi[begin+l]); a chunk may span VDD rows.
 struct BatchChunk {
-  std::size_t vi = 0;
   std::size_t begin = 0;  ///< offset into the level's lane arrays
   std::size_t count = 0;
 };
@@ -227,8 +227,11 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   // because a listed mask's supersets were either feasible or already
   // listed before any submask could reach STA.)
   std::vector<std::vector<tech::DomainMask>> row_infeasible(nv);
-  std::vector<std::size_t> lane_mi;          // level's pending points
-  std::vector<tech::DomainMask> lane_masks;  // aligned with lane_mi
+  // The level's pending points in (VDD, mask) lattice order, as
+  // aligned lane arrays.
+  std::vector<std::size_t> lane_vi, lane_mi;
+  std::vector<double> lane_vdds;
+  std::vector<tech::DomainMask> lane_masks;
   std::vector<BatchChunk> chunks;
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
@@ -244,12 +247,14 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
       // Phase A (serial): classify the level. Points condemned by a
       // smaller bitwidth keep kPruned; points dominated by an earlier
       // level's infeasible supermask become kMaskPruned; the rest
-      // queue for batched STA, grouped by VDD row.
+      // queue for batched STA in (VDD, mask) order, and full batches
+      // are cut across VDD rows.
+      lane_vi.clear();
       lane_mi.clear();
+      lane_vdds.clear();
       lane_masks.clear();
       chunks.clear();
       for (std::size_t vi = 0; vi < nv; ++vi) {
-        const std::size_t row_begin = lane_mi.size();
         for (const std::size_t mi : level) {
           const std::size_t slot = vi * nm + mi;
           if (prune && dead[slot].load(std::memory_order_acquire)) {
@@ -296,14 +301,14 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
               continue;
             }
           }
+          lane_vi.push_back(vi);
           lane_mi.push_back(mi);
+          lane_vdds.push_back(opt.vdds[vi]);
           lane_masks.push_back(masks[mi]);
         }
-        for (std::size_t c = row_begin; c < lane_mi.size();
-             c += kStaBatchWidth)
-          chunks.push_back(
-              {vi, c, std::min(kStaBatchWidth, lane_mi.size() - c)});
       }
+      for (std::size_t c = 0; c < lane_mi.size(); c += kStaBatchWidth)
+        chunks.push_back({c, std::min(kStaBatchWidth, lane_mi.size() - c)});
 
       // Phase B (parallel): one AnalyzeBatch per chunk; lanes write
       // their own slots. The ParallelFor barrier makes every verdict
@@ -313,16 +318,17 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
           [&](std::int64_t idx, int w) {
             ctx.NameLane(w);
             const BatchChunk& c = chunks[static_cast<std::size_t>(idx)];
-            const double vdd = opt.vdds[c.vi];
             obs::TraceSpan batch_span("sta.batch");
-            const std::span<const tech::DomainMask> chunk_masks(
-                lane_masks.data() + c.begin, c.count);
             const std::vector<sta::TimingReport> reps =
-                ctx.analyzer(w).AnalyzeBatch(vdd, design.clock_ns,
-                                             chunk_masks, domain_of, &bca);
+                ctx.analyzer(w).AnalyzeBatch(
+                    std::span(lane_vdds).subspan(c.begin, c.count),
+                    design.clock_ns,
+                    std::span(lane_masks).subspan(c.begin, c.count),
+                    domain_of, &bca);
             for (std::size_t l = 0; l < c.count; ++l) {
+              const std::size_t vi = lane_vi[c.begin + l];
               const std::size_t mi = lane_mi[c.begin + l];
-              const std::size_t slot = c.vi * nm + mi;
+              const std::size_t slot = vi * nm + mi;
               PointRecord& r = rec[slot];
               r.wns_ns = reps[l].wns_ns;
               if (!reps[l].feasible()) {
@@ -330,24 +336,23 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
                 dead[slot].store(1, std::memory_order_release);
               } else {
                 r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = ctx.LeakageW(c.vi, masks[mi]);
+                r.leak_w = ctx.LeakageW(vi, masks[mi]);
               }
               prog.Tick();
             }
           });
 
       // Serial store write-back: persist this level's fresh STA
-      // verdicts in deterministic chunk order (the chunk layout is a
-      // pure function of the surviving set).
+      // verdicts in deterministic lane order (a pure function of the
+      // surviving set).
       if (store != nullptr)
-        for (const BatchChunk& c : chunks)
-          for (std::size_t l = 0; l < c.count; ++l) {
-            const std::size_t mi = lane_mi[c.begin + l];
-            const PointRecord& r = rec[c.vi * nm + mi];
-            store->Insert(store_ctx, bw, opt.vdds[c.vi], masks[mi],
-                          r.kind == PointRecord::Kind::kFeasible,
-                          r.wns_ns);
-          }
+        for (std::size_t l = 0; l < lane_mi.size(); ++l) {
+          const std::size_t vi = lane_vi[l];
+          const std::size_t mi = lane_mi[l];
+          const PointRecord& r = rec[vi * nm + mi];
+          store->Insert(store_ctx, bw, opt.vdds[vi], masks[mi],
+                        r.kind == PointRecord::Kind::kFeasible, r.wns_ns);
+        }
 
       // Phase C (serial): extend the per-VDD antichains with this
       // level's fresh failures, in deterministic (vi, mi) order.

@@ -213,8 +213,9 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   // wave vectors below stay valid.
   std::unordered_map<PointKey, VerdictEntry, PointKeyHash> verdicts;
 
+  // A ≤kStaBatchWidth run of the wave's fresh points (it may span VDD
+  // rows) for one AnalyzeBatch call.
   struct EvalChunk {
-    std::size_t vi = 0;
     std::size_t begin = 0;
     std::size_t count = 0;
   };
@@ -226,7 +227,9 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   std::vector<std::pair<PointKey, const Verdict*>> resolved;
   // The subset that must run STA, with the slot each result fills.
   std::vector<std::pair<PointKey, Verdict*>> need;
+  // The fresh points in (VDD, demand) order, as aligned lane arrays.
   std::vector<std::size_t> lane_idx;
+  std::vector<double> lane_vdds;
   std::vector<tech::DomainMask> lane_masks;
   std::vector<EvalChunk> chunks;
 
@@ -316,36 +319,35 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       }
 
       // Batched STA of the fresh points, sharded on the pool; each
-      // lane fills its own claimed slot. Store write-back is serial in
-      // demand order.
+      // lane fills its own claimed slot. Lanes run in (VDD, demand)
+      // order and full batches are cut across VDD rows. Store
+      // write-back is serial in demand order.
       if (!need.empty()) {
         lane_idx.clear();
+        lane_vdds.clear();
         lane_masks.clear();
         chunks.clear();
-        for (std::size_t vi = 0; vi < nv; ++vi) {
-          const std::size_t row_begin = lane_idx.size();
+        for (std::size_t vi = 0; vi < nv; ++vi)
           for (std::size_t i = 0; i < need.size(); ++i)
             if (need[i].first.first == vi) {
               lane_idx.push_back(i);
+              lane_vdds.push_back(opt.vdds[vi]);
               lane_masks.push_back(need[i].first.second);
             }
-          for (std::size_t c = row_begin; c < lane_idx.size();
-               c += kStaBatchWidth)
-            chunks.push_back(
-                {vi, c, std::min(kStaBatchWidth, lane_idx.size() - c)});
-        }
+        for (std::size_t c = 0; c < lane_idx.size(); c += kStaBatchWidth)
+          chunks.push_back({c, std::min(kStaBatchWidth, lane_idx.size() - c)});
         ctx.pool().ParallelFor(
             static_cast<std::int64_t>(chunks.size()), 1,
             [&](std::int64_t idx, int w) {
               ctx.NameLane(w);
               const EvalChunk& c = chunks[static_cast<std::size_t>(idx)];
               obs::TraceSpan batch_span("sta.batch");
-              const std::span<const tech::DomainMask> chunk_masks(
-                  lane_masks.data() + c.begin, c.count);
               const std::vector<sta::TimingReport> reps =
-                  ctx.analyzer(w).AnalyzeBatch(opt.vdds[c.vi],
-                                               design.clock_ns, chunk_masks,
-                                               domain_of, &bca);
+                  ctx.analyzer(w).AnalyzeBatch(
+                      std::span(lane_vdds).subspan(c.begin, c.count),
+                      design.clock_ns,
+                      std::span(lane_masks).subspan(c.begin, c.count),
+                      domain_of, &bca);
               for (std::size_t l = 0; l < c.count; ++l)
                 *need[lane_idx[c.begin + l]].second =
                     Verdict{reps[l].feasible(), reps[l].wns_ns};

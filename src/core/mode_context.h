@@ -36,18 +36,17 @@
 namespace adq::core {
 
 /// Lanes per batched STA call (sta::TimingAnalyzer::AnalyzeBatch) in
-/// both engines: one topological traversal serves this many masks.
-/// Every width is bit-identical (pinned lane by lane in
-/// tests/test_sta_batch); only throughput changes. bench_sta_batch on
-/// full rows (Booth 2x2, AVX2) gives width 16 1.33-1.43x the masks/s
-/// of width 8 (median 1.38x over 7 runs). The frontier search fills
-/// the wider batches: its per-VDD wave rows take the frontier_store
-/// workload from 5,243 calls at 6.5 lanes to 3,263 at 10.5 lanes,
-/// with the same 34,235 lanes. The pruned exhaustive sweep averages
-/// 2.6 lanes per call on paper_fig5, so only its few wider rows merge
-/// (437 calls at width 8, 397 at 16, 1,116 lanes either way). Width
-/// 32 was slower on frontier_store (cold pass median 0.309 -> 0.345 s,
-/// 4 alternating pairs on a 4-vCPU AVX2 box), so 16 serves both
+/// both engines: one topological traversal serves this many (VDD,
+/// mask) points. Every lane carries its own supply, so both engines cut
+/// their fresh points into full batches across VDD rows. Every width
+/// is bit-identical (pinned lane by lane in tests/test_sta_batch); only
+/// throughput changes. At 16 the frontier_store workload takes 2,619
+/// calls at 13.1 lanes (34,235 lanes) and the exhaustive sweep of
+/// paper_fig5 225 calls at 5.0 lanes (1,116 lanes), against 3,263 and
+/// 397 calls when batches stopped at each VDD row. Width 32 (1,578
+/// frontier_store calls at 21.7 lanes) was slower: frontier_store
+/// cold pass median 0.285 -> 0.332 s and peak RSS 18.4 -> 19.6 MiB
+/// (4 alternating 20 s pairs on a 4-vCPU AVX2 box), so 16 serves both
 /// engines.
 inline constexpr std::size_t kStaBatchWidth = 16;
 

@@ -126,6 +126,7 @@ std::vector<CaseAnalysis> CaseAnalyses(
     for (std::size_t l = 0; l < lanes; ++l) {
       CaseAnalysis& ca = out.emplace_back(CaseAnalysis());
       ca.values_.resize(nl.num_nets());
+      ca.constant_bits_.assign((nl.num_nets() + 63) / 64, 0);
       // FNV-1a over the resolved per-net values. The object is
       // immutable after construction, so the digest is computed once
       // here; callers that cache derived state (sta::TimingAnalyzer)
@@ -137,7 +138,10 @@ std::vector<CaseAnalysis> CaseAnalyses(
         const bool c1 = (can1[n] >> l) & 1ULL;
         const LogicV v = c0 && c1 ? LogicV::kX : FromBool(c1);
         ca.values_[n] = v;
-        if (v != LogicV::kX) ++ca.num_constant_;
+        if (v != LogicV::kX) {
+          ++ca.num_constant_;
+          ca.constant_bits_[n / 64] |= 1ULL << (n % 64);
+        }
         h ^= static_cast<std::uint8_t>(v);
         h *= 0x100000001b3ULL;
       }

@@ -53,11 +53,19 @@ class CaseAnalysis {
   /// Number of nets proven constant.
   std::size_t num_constant() const { return num_constant_; }
 
-  /// Content digest of the resolved per-net values, computed once at
-  /// construction. Two analyses with equal digests disable the same
-  /// nets — the identity sta::TimingAnalyzer keys its cached sweep
-  /// schedules on (object addresses are unreliable: a stack-allocated
-  /// analysis can reuse the address of a destroyed one).
+  /// Bit n of word n / 64 is set iff net n is constant: the part of
+  /// the analysis that decides which timing arcs are disabled.
+  std::span<const std::uint64_t> constant_bits() const {
+    return constant_bits_;
+  }
+
+  /// 64-bit FNV digest of the resolved per-net values, computed once
+  /// at construction. Equal analyses have equal digests; unequal ones
+  /// can collide, so the digest only narrows a lookup that a full
+  /// comparison then confirms. sta::TimingAnalyzer looks its cached
+  /// sweep schedules up this way, confirming with constant_bits()
+  /// (object addresses are unreliable: a stack-allocated analysis can
+  /// reuse the address of a destroyed one).
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
@@ -66,6 +74,7 @@ class CaseAnalysis {
       const Netlist& nl, std::span<const std::vector<ForcedValue>> sets);
 
   std::vector<LogicV> values_;
+  std::vector<std::uint64_t> constant_bits_;
   std::size_t num_constant_ = 0;
   std::uint64_t fingerprint_ = 0;
 };

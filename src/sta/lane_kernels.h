@@ -11,10 +11,18 @@
 /// lanes == 1, where the main loop never runs and the tail *is* the
 /// historical code. That is the property the STA engine is pinned on
 /// (tests/test_simd).
+///
+/// The kernels accept any lane count, but the batched sweep never
+/// makes them run a tail: AnalyzeBatch pads every batch wider than
+/// one lane up to a multiple of simd::F64::kWidth, so only the
+/// single-lane (scalar) analyses take the scalar loop. The whole-cell
+/// kernel is specialized on the cell's (live inputs, live outputs)
+/// shape: one instantiation per shape, 3 x 2 in all.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "util/simd.h"
 
@@ -38,38 +46,45 @@ struct OutArc {
   double wire = 0.0;
 };
 
-/// Whole-cell sweep step in a single pass over the lane row:
+/// Whole-cell sweep step in a single pass over the lane row, for a
+/// cell of NIN live inputs and NOUT live outputs:
 ///   acc      = std::max(-inf, in_0[l], in_1[l], ...)   (pin order)
 ///   out_o[l] = acc + base_o * m[l] + wire_o            (each arc)
-/// The accumulator lives in registers across the fold, so no scratch
-/// row is refilled, read-modified-written per input or reloaded per
-/// output. Expressions and their order are exactly the scalar
-/// sweep's, so lanes stay bit-identical to the oracle. Forced inline:
-/// it runs once per cell per sweep, and as an out-of-line call its
-/// pin-row and arc arrays round-trip through the stack every time.
+/// The shape is a template parameter, so the pin and arc loops are
+/// compile-time loops the compiler fully unrolls: no per-cell arity
+/// branches and no stack round-trip of the row and arc arrays. The
+/// accumulator lives in registers across the fold. Expressions and
+/// their order are exactly the scalar sweep's, so lanes stay
+/// bit-identical to the oracle. Forced inline: it runs once per cell
+/// per sweep.
+template <int NIN, int NOUT>
 [[gnu::always_inline]] inline void PropagateCell(
-    const double* const* in_rows, int nin, const OutArc* outs, int nout,
-    const double* m, double neg_inf, std::size_t n) {
-  const simd::F64 vninf = simd::F64::Broadcast(neg_inf);
-  simd::F64 vb[2], vw[2];
-  for (int o = 0; o < nout; ++o) {
-    vb[o] = simd::F64::Broadcast(outs[o].base);
-    vw[o] = simd::F64::Broadcast(outs[o].wire);
-  }
+    const double* const* in_rows, const OutArc* outs, const double* m,
+    std::size_t n) {
+  static_assert(NIN >= 1 && NOUT >= 1);
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::size_t l = 0;
-  for (; l + simd::F64::kWidth <= n; l += simd::F64::kWidth) {
-    simd::F64 acc = vninf;
-    for (int k = 0; k < nin; ++k)
-      acc = simd::Max(acc, simd::F64::Load(in_rows[k] + l));
-    const simd::F64 vm = simd::F64::Load(m + l);
-    for (int o = 0; o < nout; ++o)
-      simd::Add(simd::Add(acc, simd::Mul(vb[o], vm)), vw[o])
-          .Store(outs[o].out + l);
+  if (n >= static_cast<std::size_t>(simd::F64::kWidth)) {
+    simd::F64 vb[NOUT], vw[NOUT];
+    for (int o = 0; o < NOUT; ++o) {
+      vb[o] = simd::F64::Broadcast(outs[o].base);
+      vw[o] = simd::F64::Broadcast(outs[o].wire);
+    }
+    const simd::F64 vninf = simd::F64::Broadcast(kNegInf);
+    for (; l + simd::F64::kWidth <= n; l += simd::F64::kWidth) {
+      simd::F64 acc = vninf;
+      for (int k = 0; k < NIN; ++k)
+        acc = simd::Max(acc, simd::F64::Load(in_rows[k] + l));
+      const simd::F64 vm = simd::F64::Load(m + l);
+      for (int o = 0; o < NOUT; ++o)
+        simd::Add(simd::Add(acc, simd::Mul(vb[o], vm)), vw[o])
+            .Store(outs[o].out + l);
+    }
   }
   for (; l < n; ++l) {
-    double a = neg_inf;
-    for (int k = 0; k < nin; ++k) a = std::max(a, in_rows[k][l]);
-    for (int o = 0; o < nout; ++o)
+    double a = kNegInf;
+    for (int k = 0; k < NIN; ++k) a = std::max(a, in_rows[k][l]);
+    for (int o = 0; o < NOUT; ++o)
       outs[o].out[l] = a + outs[o].base * m[l] + outs[o].wire;
   }
 }

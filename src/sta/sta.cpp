@@ -1,6 +1,9 @@
 #include "sta/sta.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstring>
 
 #include "obs/metrics.h"
 #include "sta/lane_kernels.h"
@@ -14,6 +17,22 @@ using tech::BiasState;
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+std::atomic<bool> g_force_schedule_collisions{false};
+
+/// Grows scratch `v` to at least n elements with an exact-size
+/// allocation: the old buffer is released first, and resizing an
+/// empty vector allocates exactly n (geometric growth would keep up
+/// to twice the widest batch's rows alive for the analyzer's life).
+template <typename T>
+void GrowExact(std::vector<T>& v, std::size_t n) {
+  if (v.size() >= n) return;
+  std::vector<T>().swap(v);
+  v.resize(n);
+}
+}  // namespace
+
+void ForceScheduleHashCollisionsForTest(bool on) {
+  g_force_schedule_collisions.store(on, std::memory_order_relaxed);
 }
 
 TimingAnalyzer::TimingAnalyzer(const Netlist& nl,
@@ -73,9 +92,22 @@ void TimingAnalyzer::SetLoads(const place::NetLoads& loads) {
 const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
     const netlist::CaseAnalysis* ca) {
   const bool has_ca = ca != nullptr;
-  const std::uint64_t fp = has_ca ? ca->fingerprint() : 0;
+  std::uint64_t fp = 0;
+  if (has_ca)
+    fp = g_force_schedule_collisions.load(std::memory_order_relaxed)
+             ? 1
+             : ca->fingerprint();
+  // The digest only narrows the search; the constant-net bitset (all
+  // a schedule depends on) confirms it.
+  auto same_constants = [&](const SweepSchedule& s) {
+    const std::span<const std::uint64_t> bits = ca->constant_bits();
+    return s.ca_constants.size() == bits.size() &&
+           std::memcmp(s.ca_constants.data(), bits.data(),
+                       bits.size() * sizeof(std::uint64_t)) == 0;
+  };
   for (const auto& s : schedules_)
-    if (s->has_ca == has_ca && s->ca_fp == fp) {
+    if (s->has_ca == has_ca && s->ca_fp == fp &&
+        (!has_ca || same_constants(*s))) {
       s->tick = ++sched_tick_;
       return *s;
     }
@@ -84,6 +116,9 @@ const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
   auto sched = std::make_unique<SweepSchedule>();
   sched->has_ca = has_ca;
   sched->ca_fp = fp;
+  if (has_ca)
+    sched->ca_constants.assign(ca->constant_bits().begin(),
+                               ca->constant_bits().end());
   sched->tick = ++sched_tick_;
   sched->reached.assign(nl_.num_nets(), 0);
   sched->pis.reserve(nl_.primary_inputs().size());
@@ -159,16 +194,36 @@ const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
   return *schedules_.back();
 }
 
+namespace {
+
+/// One schedule cell (a TimingAnalyzer::SweepCell) through the
+/// whole-cell kernel of its (live inputs, live outputs) shape.
+template <int NIN, int NOUT, typename Cell>
+[[gnu::always_inline]] inline void SweepCellAs(const Cell& c, double* arr,
+                                               std::size_t lanes,
+                                               const double* m) {
+  const double* in_rows[NIN];
+  for (int k = 0; k < NIN; ++k) in_rows[k] = arr + c.in_net[k] * lanes;
+  lanes::OutArc outs[NOUT];
+  for (int o = 0; o < NOUT; ++o)
+    outs[o] = {arr + c.out_net[o] * lanes, c.base[o], c.wire[o]};
+  lanes::PropagateCell<NIN, NOUT>(in_rows, outs, m, lanes);
+}
+
+}  // namespace
+
 /// The one arrival sweep behind every Analyze* entry point. `arr`
 /// holds `lanes` arrival values per net (lane-major within a net);
 /// `mult_row(i)` returns a pointer to the `lanes` delay multipliers of
 /// instance i. The sweep walks the case-analysis-specialized schedule
-/// (see ScheduleFor): per cell one fused lane kernel — input max fold
-/// and output arcs with the accumulator in registers, base/wire
-/// delays broadcast from the schedule, F64::kWidth lanes per
-/// instruction (sta/lane_kernels.h). Rows of unreached nets are never
-/// cleared or written on the hot paths; `sched.reached` is the oracle
-/// for "finite arrival" everywhere they used to be read.
+/// (see ScheduleFor) in its topological order: per cell one fused
+/// lane kernel specialized on the cell's (live inputs, live outputs)
+/// shape — input max fold and output arcs with the accumulator in
+/// registers, base/wire delays broadcast from the schedule,
+/// F64::kWidth lanes per instruction (sta/lane_kernels.h). Rows of
+/// unreached nets are never cleared or written on the hot paths;
+/// `sched.reached` is the oracle for "finite arrival" everywhere they
+/// used to be read.
 ///
 /// With lanes == 1 every kernel reduces to its scalar tail — exactly
 /// the historical scalar sweep (same expressions, same order) — which
@@ -178,6 +233,8 @@ void TimingAnalyzer::PropagateArrivals(std::size_t lanes, double* arr,
                                        const SweepSchedule& sched,
                                        const MultRow& mult_row,
                                        bool clear_all) {
+  static_assert(tech::kMaxCellInputs == 3 && tech::kMaxCellOutputs == 2,
+                "one kernel instantiation per cell shape below");
   if (clear_all) std::fill(arr, arr + nl_.num_nets() * lanes, kNegInf);
 
   for (const SweepLaunch& r : sched.launches)
@@ -190,16 +247,16 @@ void TimingAnalyzer::PropagateArrivals(std::size_t lanes, double* arr,
   }
 
   for (const SweepCell& c : sched.cells) {
-    const double* in_rows[tech::kMaxCellInputs];
-    for (int k = 0; k < c.nin; ++k) in_rows[k] = arr + c.in_net[k] * lanes;
-    lanes::OutArc outs[tech::kMaxCellOutputs];
-    for (int o = 0; o < c.nout; ++o) {
-      outs[o].out = arr + c.out_net[o] * lanes;
-      outs[o].base = c.base[o];
-      outs[o].wire = c.wire[o];
+    const double* m = mult_row(c.inst);
+    switch ((c.nin - 1) * tech::kMaxCellOutputs + (c.nout - 1)) {
+      case 0: SweepCellAs<1, 1>(c, arr, lanes, m); break;
+      case 1: SweepCellAs<1, 2>(c, arr, lanes, m); break;
+      case 2: SweepCellAs<2, 1>(c, arr, lanes, m); break;
+      case 3: SweepCellAs<2, 2>(c, arr, lanes, m); break;
+      case 4: SweepCellAs<3, 1>(c, arr, lanes, m); break;
+      case 5: SweepCellAs<3, 2>(c, arr, lanes, m); break;
+      default: ADQ_DCHECK(false);
     }
-    lanes::PropagateCell(in_rows, c.nin, outs, c.nout, mult_row(c.inst),
-                         kNegInf, lanes);
   }
 }
 
@@ -246,11 +303,12 @@ TimingReport TimingAnalyzer::Analyze(
 }
 
 std::vector<TimingReport> TimingAnalyzer::AnalyzeBatch(
-    double vdd, double clock_ns,
+    std::span<const double> lane_vdds, double clock_ns,
     std::span<const tech::DomainMask> lane_masks,
     const std::vector<int>& domain_of_inst,
     const netlist::CaseAnalysis* ca) {
   ADQ_CHECK(domain_of_inst.size() == nl_.num_instances());
+  ADQ_CHECK(lane_vdds.size() == lane_masks.size());
   const std::size_t W = lane_masks.size();
   std::vector<TimingReport> reports(W);
   if (W == 0) return reports;
@@ -259,38 +317,69 @@ std::vector<TimingReport> TimingAnalyzer::AnalyzeBatch(
   batch_calls.Add();
   batch_lanes.Add(static_cast<long>(W));
 
-  int ndom = 1;
-  for (const int d : domain_of_inst) ndom = std::max(ndom, d + 1);
-  ADQ_DCHECK(ndom <= tech::kMaxDomains);
+  // Padded width: a multiple of the vector width once W > 1, so the
+  // lane kernels never run their scalar tail; W = 1 stays scalar.
+  constexpr std::size_t kVec = simd::F64::kWidth;
+  const std::size_t Wp = W == 1 ? 1 : (W + kVec - 1) / kVec * kVec;
 
-  // Per-lane NMAX-sized scale table: row d holds the W multipliers of
-  // domain d — the same two DelayScale values scalar Analyze uses, so
-  // every product below matches the scalar path bit for bit.
-  const double nobb = lib_.DelayScale(vdd, BiasState::kNoBB);
-  const double fbb = lib_.DelayScale(vdd, BiasState::kFBB);
-  scale_lanes_.resize(static_cast<std::size_t>(ndom) * W);
-  for (int d = 0; d < ndom; ++d)
+  // Per-lane alpha-power multipliers — the same two DelayScale values
+  // scalar Analyze uses at the lane's VDD, evaluated once per distinct
+  // VDD of the call. Padded lanes take lane 0's NoBB scale.
+  GrowExact(nobb_lanes_, Wp);
+  GrowExact(fbb_lanes_, Wp);
+  GrowExact(wns_lanes_, Wp);
+  GrowExact(viol_lanes_, Wp);
+  GrowExact(scale_lanes_, static_cast<std::size_t>(tech::kMaxDomains) * Wp);
+  for (std::size_t l = 0; l < W; ++l) {
+    std::size_t k = 0;
+    while (k < l && lane_vdds[k] != lane_vdds[l]) ++k;
+    if (k < l) {
+      nobb_lanes_[l] = nobb_lanes_[k];
+      fbb_lanes_[l] = fbb_lanes_[k];
+    } else {
+      nobb_lanes_[l] = lib_.DelayScale(lane_vdds[l], BiasState::kNoBB);
+      fbb_lanes_[l] = lib_.DelayScale(lane_vdds[l], BiasState::kFBB);
+    }
+  }
+  for (std::size_t l = W; l < Wp; ++l) nobb_lanes_[l] = nobb_lanes_[0];
+
+  // Per-domain scale table: row d holds the Wp multipliers of domain
+  // d. Every row a domain index can name is filled, so the call never
+  // scans domain_of_inst for its domain count; rows above the highest
+  // FBB bit of any lane are plain copies of the NoBB row.
+  tech::DomainMask any_fbb = 0;
+  for (const tech::DomainMask m : lane_masks) any_fbb |= m;
+  const int fbb_rows = static_cast<int>(std::bit_width(any_fbb));
+  for (int d = 0; d < tech::kMaxDomains; ++d) {
+    double* row = &scale_lanes_[static_cast<std::size_t>(d) * Wp];
+    if (d >= fbb_rows) {
+      std::copy_n(nobb_lanes_.begin(), Wp, row);
+      continue;
+    }
     for (std::size_t l = 0; l < W; ++l)
-      scale_lanes_[static_cast<std::size_t>(d) * W + l] =
-          ((lane_masks[l] >> d) & 1u) ? fbb : nobb;
+      row[l] = ((lane_masks[l] >> d) & 1u) ? fbb_lanes_[l] : nobb_lanes_[l];
+    for (std::size_t l = W; l < Wp; ++l) row[l] = nobb_lanes_[l];
+  }
+  auto scale_row = [&](std::uint32_t i) {
+    ADQ_DCHECK(domain_of_inst[i] >= 0 &&
+               domain_of_inst[i] < tech::kMaxDomains);
+    return &scale_lanes_[static_cast<std::size_t>(domain_of_inst[i]) * Wp];
+  };
 
   const SweepSchedule& sched = ScheduleFor(ca);
-  arrival_lanes_.resize(nl_.num_nets() * W);
-  PropagateArrivals(W, arrival_lanes_.data(), sched, [&](std::uint32_t i) {
-    return &scale_lanes_[static_cast<std::size_t>(domain_of_inst[i]) * W];
-  });
+  GrowExact(arrival_lanes_, nl_.num_nets() * Wp);
+  PropagateArrivals(Wp, arrival_lanes_.data(), sched, scale_row);
 
   // Capture fold over SoA accumulators: wns is a per-lane min fold in
   // instance order (exactly the scalar fold order), violations count
   // via lane compares, and the endpoint counts are lane-invariant.
-  wns_lanes_.assign(W, std::numeric_limits<double>::infinity());
-  viol_lanes_.assign(W, 0);
+  std::fill_n(wns_lanes_.begin(), Wp, std::numeric_limits<double>::infinity());
+  std::fill_n(viol_lanes_.begin(), Wp, std::uint64_t{0});
   for (const SweepCapture& c : sched.captures) {
     if (!c.active) continue;
-    lanes::EndpointFold(
-        wns_lanes_.data(), viol_lanes_.data(),
-        &scale_lanes_[static_cast<std::size_t>(domain_of_inst[c.inst]) * W],
-        &arrival_lanes_[c.d_net * W], clock_ns, tab_.setup_ns[c.inst], W);
+    lanes::EndpointFold(wns_lanes_.data(), viol_lanes_.data(),
+                        scale_row(c.inst), &arrival_lanes_[c.d_net * Wp],
+                        clock_ns, tab_.setup_ns[c.inst], Wp);
   }
   const int active_eps =
       static_cast<int>(sched.captures.size()) - sched.num_disabled;

@@ -16,14 +16,15 @@
 ///   * case analysis (zeroed input LSBs) deactivates paths exactly as
 ///     the paper's Fig. 2 describes: arcs from constant nets carry no
 ///     events, endpoints whose cone is fully constant are disabled;
-///   * many back-bias masks can be analyzed in one traversal:
-///     AnalyzeBatch propagates W arrival lanes per net in
+///   * many (VDD, back-bias mask) points can be analyzed in one
+///     traversal: AnalyzeBatch propagates W arrival lanes per net in
 ///     structure-of-arrays form, so one topological walk, one case-
-///     analysis check and one base/wire delay load serve W masks,
+///     analysis check and one base/wire delay load serve W points,
 ///     with the inner loop reduced to a W-wide fused multiply-add/max
-///     the compiler can vectorize. Each lane is bit-identical to a
-///     scalar Analyze of the same mask (same FP expressions, same
-///     evaluation order) — the exploration engine relies on that.
+///     kernel specialized on each cell's shape. Each lane is
+///     bit-identical to a scalar Analyze of the same point (same FP
+///     expressions, same evaluation order) — the exploration engine
+///     relies on that.
 ///
 /// Timing model: registered operators; startpoints are DFF clk->Q,
 /// endpoints are DFF D pins with setup; wire delay is a lumped
@@ -84,21 +85,30 @@ class TimingAnalyzer {
                        const netlist::CaseAnalysis* ca = nullptr,
                        bool collect_endpoints = false);
 
-  /// Batched STA: analyzes W = lane_masks.size() back-bias masks in
-  /// one topological traversal. Lane l uses the per-instance bias
-  /// implied by lane_masks[l] over `domain_of_inst` (bit d set =
-  /// domain d forward back-biased, clear = NoBB — the exploration
-  /// engine's FBB mask convention, see core::BiasVectorFor; masks are
-  /// tech::DomainMask wide, so up to tech::kMaxDomains domains).
-  /// Arrival times are propagated in structure-of-arrays form (W
-  /// lanes per net), so the graph walk, the case-analysis checks and
-  /// the base/wire delay loads are amortized across all W masks.
+  /// Batched STA: analyzes W = lane_masks.size() (VDD, back-bias
+  /// mask) points in one topological traversal. Lane l runs at supply
+  /// lane_vdds[l] with the per-instance bias implied by lane_masks[l]
+  /// over `domain_of_inst` (bit d set = domain d forward back-biased,
+  /// clear = NoBB — the exploration engine's FBB mask convention, see
+  /// core::BiasVectorFor; masks are tech::DomainMask wide, so up to
+  /// tech::kMaxDomains domains). Lanes may mix supplies freely; the
+  /// alpha-power scales are evaluated once per distinct VDD of the
+  /// call. Arrival times are propagated in structure-of-arrays form
+  /// (W lanes per net), so the graph walk, the case-analysis checks
+  /// and the base/wire delay loads are amortized across all W points.
   ///
-  /// Contract: reports[l] is bit-identical to
-  ///   Analyze(vdd, clock_ns, BiasVectorFor(design, lane_masks[l]), ca)
+  /// A batch wider than one lane is padded internally up to a
+  /// multiple of simd::F64::kWidth (the padded lanes take lane 0's
+  /// NoBB scale), so no scalar tail runs. Padded lanes are swept and
+  /// folded but never reported, and `sta.batch_lanes` counts W.
+  ///
+  /// Contract: lane_vdds.size() == lane_masks.size(), and reports[l]
+  /// is bit-identical to
+  ///   Analyze(lane_vdds[l], clock_ns,
+  ///           BiasVectorFor(design, lane_masks[l]), ca)
   /// (endpoints are never collected). Pinned by tests/test_sta_batch.
   std::vector<TimingReport> AnalyzeBatch(
-      double vdd, double clock_ns,
+      std::span<const double> lane_vdds, double clock_ns,
       std::span<const tech::DomainMask> lane_masks,
       const std::vector<int>& domain_of_inst,
       const netlist::CaseAnalysis* ca = nullptr);
@@ -192,6 +202,9 @@ class TimingAnalyzer {
   struct SweepSchedule {
     bool has_ca = false;
     std::uint64_t ca_fp = 0;  // CaseAnalysis::fingerprint(); 0 if none
+    /// The analysis's constant-net bitset, compared in full on a
+    /// fingerprint hit: a digest collision is a miss, never an alias.
+    std::vector<std::uint64_t> ca_constants;
     long tick = 0;            // LRU stamp
     std::vector<SweepLaunch> launches;
     std::vector<std::uint32_t> pis;  // active primary-input nets
@@ -203,20 +216,29 @@ class TimingAnalyzer {
     /// rows the sweep writes. Everything else is semantically -inf.
     std::vector<std::uint8_t> reached;
   };
-  /// Returns the cached schedule for `ca` (keyed on its fingerprint),
-  /// building and LRU-caching it on first use. SetLoads refreshes the
-  /// hoisted base/wire delays of every cached schedule.
+  /// Returns the cached schedule for `ca` (looked up by its
+  /// fingerprint, confirmed by its constant-net bitset), building and
+  /// LRU-caching it on first use. SetLoads refreshes the hoisted
+  /// base/wire delays of every cached schedule.
   const SweepSchedule& ScheduleFor(const netlist::CaseAnalysis* ca);
 
-  static constexpr std::size_t kMaxSchedules = 8;
+  /// Every caller walks its modes in order (an engine sweeps one
+  /// bitwidth at a time), so two entries serve a caller that alternates
+  /// one analysis with the unconstrained circuit. A schedule holds
+  /// about 64 bytes per live cell, so each further entry would be
+  /// resident memory that no workload rereads.
+  static constexpr std::size_t kMaxSchedules = 2;
   std::vector<std::unique_ptr<SweepSchedule>> schedules_;
   long sched_tick_ = 0;
 
+  // Batch scratch below grows to the widest padded batch seen and is
+  // never shrunk, so a steady stream of calls allocates nothing.
   std::vector<double> arrival_;        // per net, scratch (W = 1)
-  std::vector<double> arrival_lanes_;  // per net x lane, batch scratch
-  std::vector<double> scale_lanes_;    // per domain x lane, batch scales
-  std::vector<double> wns_lanes_;      // W doubles, batch capture fold
-  std::vector<std::uint64_t> viol_lanes_;  // W counts, batch capture fold
+  std::vector<double> arrival_lanes_;  // per net x padded lane
+  std::vector<double> scale_lanes_;    // kMaxDomains x padded lane
+  std::vector<double> nobb_lanes_, fbb_lanes_;  // per padded lane
+  std::vector<double> wns_lanes_;      // per padded lane, capture fold
+  std::vector<std::uint64_t> viol_lanes_;  // per padded lane
 
   /// `clear_all` pre-fills every arrival row with -inf before the
   /// sweep (AnalyzeDetailed: its caller reads arbitrary nets from the
@@ -227,5 +249,12 @@ class TimingAnalyzer {
                          const SweepSchedule& sched,
                          const MultRow& mult_row, bool clear_all = false);
 };
+
+/// Test hook: while on, every case analysis's schedule-cache digest is
+/// the same constant, so all analyses collide in the sweep-schedule
+/// cache. Lookups must still return each analysis's own schedule —
+/// the cache confirms a digest hit against the full per-net values.
+/// Production code must never call this.
+void ForceScheduleHashCollisionsForTest(bool on);
 
 }  // namespace adq::sta

@@ -71,6 +71,10 @@ constexpr long kFiltered = 297;
 constexpr long kPruned = 218;
 constexpr long kMaskPruned = 65;
 constexpr long kFeasible = 23;
+// AnalyzeBatch calls that carry the kStaRuns lanes: each popcount
+// level's pending points are cut into kStaBatchWidth chunks across VDD
+// rows (one chunk per VDD row, as before packing, would be more).
+constexpr long kStaBatchCalls = 10;
 constexpr double kFilterRate = 0.92812499999999998;
 constexpr GoldenMode kModes[] = {
     {2, 1.0, 0x8u, 4.0313686167828538e-4},
@@ -182,6 +186,7 @@ TEST(ExploreGolden, MetricsSnapshotMirrorsStats) {
     // TimingAnalyzer::AnalyzeBatch call.
     ASSERT_TRUE(snap.counters.count("sta.batch_lanes"));
     EXPECT_EQ(snap.counters.at("sta.batch_lanes"), r.stats.sta_runs);
+    EXPECT_EQ(snap.counters.at("sta.batch_calls"), kStaBatchCalls);
   }
 }
 

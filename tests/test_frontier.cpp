@@ -24,6 +24,7 @@
 #include "core/frontier.h"
 #include "core/mode_context.h"
 #include "netlist/netlist.h"
+#include "obs/obs.h"
 #include "store/exploration_store.h"
 #include "util/check.h"
 
@@ -359,14 +360,17 @@ class SearchDigest {
 // search trajectory, the fold order and the on-disk record order are
 // all fixed. A change meant to be a pure speedup must leave it alone.
 TEST(FrontierGolden, FiveByFiveBudgetedSearchBitIdentical) {
+  // batch_calls: the search's AnalyzeBatch calls, with each wave's
+  // fresh points cut into kStaBatchWidth chunks across VDD rows.
   struct Case {
     const char* name;
     const ImplementedDesign& (*design)();
     std::uint64_t digest;
+    long batch_calls;
   };
   const Case cases[] = {
-      {"Booth16 5x5", &Booth55, 0x5e18061e32ec6992ULL},
-      {"FIR16 5x5", &Fir55, 0x896b672585a69b3cULL},
+      {"Booth16 5x5", &Booth55, 0x5e18061e32ec6992ULL, 435},
+      {"FIR16 5x5", &Fir55, 0x896b672585a69b3cULL, 2184},
   };
   for (const Case& c : cases) {
     const ImplementedDesign& d = c.design();
@@ -379,7 +383,16 @@ TEST(FrontierGolden, FiveByFiveBudgetedSearchBitIdentical) {
       opt.num_threads = 1;
       opt.node_budget = 2000;
       opt.store = &st;
+      obs::EnableMetrics(true);
+      obs::ResetMetrics();
       const FrontierResult fr = FrontierExplore(d, Lib(), opt);
+      const obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+      obs::EnableMetrics(false);
+      ASSERT_TRUE(snap.counters.count("sta.batch_calls"));
+      EXPECT_EQ(snap.counters.at("sta.batch_calls"), c.batch_calls)
+          << c.name;
+      EXPECT_EQ(snap.counters.at("sta.batch_lanes"), fr.stats.sta_runs)
+          << c.name;
       ASSERT_TRUE(st.Flush());
       for (const FrontierModeResult& m : fr.modes) {
         h.Add(m.bitwidth);

@@ -73,7 +73,8 @@ void CheckBatchAgainstScalar(const core::ImplementedDesign& d,
   sta::TimingAnalyzer an(d.op.nl, Lib(), d.loads);
   for (const double vdd : {1.0, 0.7}) {
     const std::vector<sta::TimingReport> got =
-        an.AnalyzeBatch(vdd, d.clock_ns, lanes, d.domain_of(), nullptr);
+        an.AnalyzeBatch(std::vector<double>(lanes.size(), vdd), d.clock_ns,
+                        lanes, d.domain_of(), nullptr);
     ASSERT_EQ(got.size(), lanes.size());
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       SCOPED_TRACE("vdd=" + std::to_string(vdd) + " lane=" +

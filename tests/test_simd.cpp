@@ -280,6 +280,21 @@ TEST(LaneKernels, LaunchMatchesReferenceAtEveryTail) {
   }
 }
 
+/// Runs the whole-cell kernel instantiation of shape (nin, nout).
+void PropagateCellOfShape(int nin, int nout, const double* const* in_rows,
+                          const sta::lanes::OutArc* arcs, const double* m,
+                          std::size_t n) {
+  switch (nin * 10 + nout) {
+    case 11: return sta::lanes::PropagateCell<1, 1>(in_rows, arcs, m, n);
+    case 12: return sta::lanes::PropagateCell<1, 2>(in_rows, arcs, m, n);
+    case 21: return sta::lanes::PropagateCell<2, 1>(in_rows, arcs, m, n);
+    case 22: return sta::lanes::PropagateCell<2, 2>(in_rows, arcs, m, n);
+    case 31: return sta::lanes::PropagateCell<3, 1>(in_rows, arcs, m, n);
+    case 32: return sta::lanes::PropagateCell<3, 2>(in_rows, arcs, m, n);
+  }
+  FAIL() << "no kernel for shape " << nin << "x" << nout;
+}
+
 TEST(LaneKernels, PropagateCellMatchesReferenceForAllArities) {
   for (std::size_t n = 1; n <= 2 * kW + 3; ++n)
     for (int nin = 1; nin <= 3; ++nin)
@@ -302,8 +317,7 @@ TEST(LaneKernels, PropagateCellMatchesReferenceForAllArities) {
         for (int o = 0; o < nout; ++o)
           arcs[o] = {outs_buf[static_cast<std::size_t>(o)].data(),
                      0.3 + 0.1 * o, 0.02 + 0.01 * o};
-        sta::lanes::PropagateCell(in_rows, nin, arcs, nout, m.data(),
-                                  kNegInf, n);
+        PropagateCellOfShape(nin, nout, in_rows, arcs, m.data(), n);
         for (std::size_t l = 0; l < n; ++l) {
           double a = kNegInf;
           for (int k = 0; k < nin; ++k) a = std::max(a, in_rows[k][l]);
@@ -380,7 +394,8 @@ TEST(SimdSta, BatchBitIdenticalToScalarAcrossOperatorsAndWidths) {
         for (tech::DomainMask& mk : lanes) mk = rng() % nmasks;
         const double vdd = 0.7 + 0.05 * static_cast<double>(W % 7);
         const auto batch =
-            an.AnalyzeBatch(vdd, d.clock_ns, lanes, d.domain_of(), &ca);
+            an.AnalyzeBatch(std::vector<double>(W, vdd), d.clock_ns, lanes,
+                            d.domain_of(), &ca);
         ASSERT_EQ(batch.size(), W);
 
         for (std::size_t l = 0; l < W; ++l) {

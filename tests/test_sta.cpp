@@ -218,6 +218,7 @@ TEST(Sta, SetLoadsRefreshesCachedSchedules) {
   for (std::size_t i = 0; i < domain_of.size(); ++i)
     domain_of[i] = static_cast<int>(i % 3);
   const std::vector<tech::DomainMask> masks = {0, 1, 2, 3, 5, 7};
+  const std::vector<double> vdds(masks.size(), 0.9);
   const std::vector<BiasState> bias(op.nl.num_instances(), BiasState::kFBB);
   const netlist::CaseAnalysis* cases[] = {nullptr, &ca};
 
@@ -225,7 +226,7 @@ TEST(Sta, SetLoadsRefreshesCachedSchedules) {
                       place::EstimateLoadsByFanout(op.nl, Lib()));
   for (const netlist::CaseAnalysis* c : cases) {
     warm.Analyze(0.9, 0.8, bias, c);
-    warm.AnalyzeBatch(0.9, 0.8, masks, domain_of, c);
+    warm.AnalyzeBatch(vdds, 0.8, masks, domain_of, c);
   }
   for (std::uint32_t i = 0; i < op.nl.num_instances(); i += 4)
     if (!tech::IsTie(op.nl.instances()[i].kind))
@@ -237,8 +238,8 @@ TEST(Sta, SetLoadsRefreshesCachedSchedules) {
   for (const netlist::CaseAnalysis* c : cases) {
     ExpectSameReport(warm.Analyze(0.9, 0.8, bias, c, true),
                      fresh.Analyze(0.9, 0.8, bias, c, true));
-    const auto wb = warm.AnalyzeBatch(0.9, 0.8, masks, domain_of, c);
-    const auto fb = fresh.AnalyzeBatch(0.9, 0.8, masks, domain_of, c);
+    const auto wb = warm.AnalyzeBatch(vdds, 0.8, masks, domain_of, c);
+    const auto fb = fresh.AnalyzeBatch(vdds, 0.8, masks, domain_of, c);
     ASSERT_EQ(wb.size(), fb.size());
     for (std::size_t l = 0; l < wb.size(); ++l) ExpectSameReport(wb[l], fb[l]);
   }
