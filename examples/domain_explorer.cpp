@@ -3,7 +3,7 @@
 /// and a Vth-domain grid, get the full methodology report.
 ///
 /// Usage: domain_explorer [booth|butterfly|fir|mac|array] [NX] [NY]
-///                        [regular|bands] [threads] [--lint=off|warn|error]
+///                        [regular] [threads] [--lint=off|warn|error]
 ///                        [--engine=exhaustive|frontier|auto]
 ///                        [--store=DIR] [--budget=N]
 ///                        [--trace=f.json] [--metrics=f.json] [--progress]
@@ -12,11 +12,12 @@
 /// identical results — the exploration's deterministic-merge
 /// guarantee). An unknown operator, strategy or flag, a surplus
 /// argument, or a malformed or out-of-range number exits 1 with a
-/// message before the flow runs. This generalizes the paper's Fig. 6
-/// study to any operator/grid combination (optionally with
-/// criticality-fitted band cuts) and prints everything a designer
-/// needs to pick a grid: area overhead, per-mode optimal knobs, and
-/// the savings against both DVAS baselines.
+/// message before the flow runs. The strategy argument accepts only
+/// `regular`, the paper's regular grid. This generalizes the paper's
+/// Fig. 6 study to any operator/grid combination and prints
+/// everything a designer needs to pick a grid: area overhead,
+/// per-mode optimal knobs, and the savings against both DVAS
+/// baselines.
 ///
 /// --engine picks the exploration engine: `exhaustive` enumerates
 /// every mask (grids up to core::kMaxExhaustiveDomains domains),
@@ -124,8 +125,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown operator %s\n", which);
     return 1;
   }
-  const bool bands = pos.size() > 3 && std::strcmp(pos[3], "bands") == 0;
-  if (pos.size() > 3 && !bands && std::strcmp(pos[3], "regular") != 0) {
+  if (pos.size() > 3 && std::strcmp(pos[3], "regular") != 0) {
     std::fprintf(stderr, "unknown strategy %s\n", pos[3]);
     return 1;
   }
@@ -160,15 +160,9 @@ int main(int argc, char** argv) {
   const tech::CellLibrary lib;
   core::FlowOptions fopt;
   fopt.grid = grid;
-  if (bands)
-    fopt.strategy = core::DomainStrategy::kCriticalityBands;
-  fopt.num_threads = threads;
   fopt.lint = lint_gate;
-  std::printf("operator %s, grid %s (%s)\n", op.spec.name.c_str(),
-              grid.ToString().c_str(),
-              fopt.strategy == core::DomainStrategy::kCriticalityBands
-                  ? "criticality bands"
-                  : "regular grid");
+  std::printf("operator %s, grid %s (regular grid)\n", op.spec.name.c_str(),
+              grid.ToString().c_str());
   const core::ImplementedDesign design =
       core::RunImplementationFlow(std::move(op), lib, fopt);
   const auto stats = netlist::ComputeStats(design.op.nl, lib);

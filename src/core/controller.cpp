@@ -14,7 +14,6 @@ RuntimeController::RuntimeController(const ExplorationResult& result,
   for (const ModeResult& m : result.modes) {
     if (!m.has_solution) continue;
     table_.push_back(KnobSetting{m.bitwidth, m.best.vdd, m.best.mask,
-                                 m.best.rbb_mask,
                                  m.best.total_power_w()});
   }
 }
@@ -30,10 +29,9 @@ double RuntimeController::SwitchEnergyFj(int from_bitwidth,
   const auto a = Configure(from_bitwidth);
   const auto b = Configure(to_bitwidth);
   if (!a || !b) return 0.0;
-  // Any domain whose well voltage changes (forward or reverse) is
-  // re-charged: E = C * V^2 per such domain.
-  const int flipped = std::popcount((a->fbb_mask ^ b->fbb_mask) |
-                                    (a->rbb_mask ^ b->rbb_mask));
+  // Any domain whose well voltage changes is re-charged: E = C * V^2
+  // per such domain.
+  const int flipped = std::popcount(a->fbb_mask ^ b->fbb_mask);
   return flipped * well_cap_ff_ * fbb_voltage_v_ * fbb_voltage_v_;
 }
 
@@ -66,7 +64,7 @@ lint::LintReport RuntimeController::Lint(int num_domains,
   modes.reserve(table_.size());
   for (const KnobSetting& k : table_)
     modes.push_back(
-        lint::ModeEntry{k.bitwidth, k.vdd, k.fbb_mask, k.rbb_mask, k.power_w});
+        lint::ModeEntry{k.bitwidth, k.vdd, k.fbb_mask, k.power_w});
   return lint::LintModeTable("mode-table", modes, num_domains, data_width);
 }
 

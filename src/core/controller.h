@@ -25,7 +25,6 @@ struct KnobSetting {
   int bitwidth = 0;
   double vdd = 0.0;
   tech::DomainMask fbb_mask = 0;  ///< bit d: domain d on the forward pumps
-  tech::DomainMask rbb_mask = 0;  ///< bit d: domain d asleep (reverse bias)
   double power_w = 0.0;
 };
 
@@ -54,8 +53,8 @@ class RuntimeController {
 
   /// Checks the programmed schedule for consistency (lint rules
   /// FL004 bias-mask width, MD001 VDD/bitwidth schedule): masks must
-  /// fit the domain count, no domain both FBB and RBB, bitwidths
-  /// unique and within the operator's data width, power monotone.
+  /// fit the domain count, bitwidths unique and within the operator's
+  /// data width, power monotone.
   lint::LintReport Lint(int num_domains, int data_width) const;
 
  private:

@@ -107,34 +107,6 @@ store::StoreKey ExploreStoreKey(const ImplementedDesign& design) {
 
 namespace {
 
-/// Greedy RBB demotion of the mode's best point (see ExploreOptions::
-/// enable_rbb_sleep). Serial by design: it mutates one point and its
-/// STA count, and its cost is O(ndom) next to the O(2^ndom) sweep.
-void RbbSleepPass(const ImplementedDesign& design, ModeContext& ctx,
-                  const netlist::CaseAnalysis& ca, ModeResult& mode,
-                  ExplorationStats& stats) {
-  const netlist::Netlist& nl = design.op.nl;
-  const int ndom = design.num_domains();
-  ExploredPoint& best = mode.best;
-  std::vector<BiasState> bias(nl.num_instances());
-  for (int d = 0; d < ndom; ++d) {
-    if (tech::MaskHas(best.mask, d)) continue;  // boosted domains stay
-    best.rbb_mask |= tech::MaskBit(d);
-    for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-      bias[i] = best.DomainState(design.partition.domain_of[i]);
-    ++stats.sta_runs;
-    const sta::TimingReport rep =
-        ctx.analyzer(0).Analyze(best.vdd, design.clock_ns, bias, &ca);
-    if (!rep.feasible()) best.rbb_mask &= ~tech::MaskBit(d);
-  }
-  double leak_w = 0.0;
-  for (int d = 0; d < ndom; ++d)
-    leak_w += ctx.pmodel().DomainLeakageW(
-        ctx.dom_weight()[static_cast<std::size_t>(d)], best.vdd,
-        best.DomainState(d));
-  best.power.leakage_w = leak_w;
-}
-
 /// Outcome of one (bitwidth, vdd, mask) lattice point as recorded by
 /// a worker. The sweep writes these into index-addressed slots; the
 /// deterministic merge then folds them serially in lattice order, so
@@ -423,9 +395,6 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
       }
     }
 
-    if (opt.enable_rbb_sleep && mode.has_solution)
-      RbbSleepPass(design, ctx, bca, mode, result.stats);
-
     result.modes.push_back(mode);
   }
   return result;
@@ -451,8 +420,7 @@ void RecordExploreMetrics(const ExplorationResult& r, double seconds) {
     obs::GetGauge("explore.points_per_sec")
         .Set(static_cast<double>(r.stats.points_considered) / seconds);
   // Margin profile of the chosen operating points: how close the
-  // selected optima sit to the STA-filter edge (cf. the variation
-  // study in bench_ablations).
+  // selected optima sit to the STA-filter edge.
   obs::HistogramMetric& wns =
       obs::GetHistogram("explore.best_wns_ns", -0.1, 0.4, 50);
   for (const ModeResult& m : r.modes)

@@ -56,14 +56,11 @@ class ExploreError : public std::runtime_error {
 inline constexpr int kMaxExhaustiveDomains = 20;
 
 /// One explored operating point. `mask` bit d = 1 means domain d is
-/// forward back-biased (FBB); 0 means NoBB — unless the same bit is
-/// set in `rbb_mask`, in which case the domain sleeps in reverse
-/// back-bias (optional post-pass; see ExploreOptions).
+/// forward back-biased (FBB); 0 means NoBB.
 struct ExploredPoint {
   int bitwidth = 0;
   double vdd = 0.0;
   tech::DomainMask mask = 0;
-  tech::DomainMask rbb_mask = 0;
   bool feasible = false;
   double wns_ns = 0.0;
   power::PowerBreakdown power;
@@ -71,9 +68,8 @@ struct ExploredPoint {
   double total_power_w() const { return power.total_w(); }
 
   tech::BiasState DomainState(int d) const {
-    if (tech::MaskHas(mask, d)) return tech::BiasState::kFBB;
-    if (tech::MaskHas(rbb_mask, d)) return tech::BiasState::kRBB;
-    return tech::BiasState::kNoBB;
+    return tech::MaskHas(mask, d) ? tech::BiasState::kFBB
+                                  : tech::BiasState::kNoBB;
   }
 };
 
@@ -147,12 +143,6 @@ struct ExploreOptions {
   /// either way; the prunes only trade sta_runs for pruned and
   /// mask_pruned.
   bool keep_all_points = false;
-  /// RBB sleep post-pass (extension beyond the paper's 2-state
-  /// exploration): after the best (VDD, FBB mask) is found for a
-  /// mode, domains still at NoBB are greedily demoted to reverse
-  /// back-bias where STA stays feasible — an order-of-magnitude
-  /// leakage cut for logic that the accuracy mode disabled.
-  bool enable_rbb_sleep = false;
   /// Worker threads sharding the (VDD, mask) lattice and the per-mode
   /// activity extraction: 0 = one per hardware thread, 1 = run the
   /// whole sweep inline on the caller, n > 1 = n workers. Every

@@ -1,6 +1,5 @@
 #include "core/flow.h"
 
-#include "core/band_optimizer.h"
 #include "obs/obs.h"
 #include "sta/sta.h"
 
@@ -79,31 +78,12 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     d.sizing.downsize_moves += r.downsize_moves;
   }
 
-  // --- Vth-domain insertion + incremental placement. The regular
-  // grid is the paper's method; criticality bands are the future-work
-  // alternative (cut lines fitted to the accuracy-criticality
-  // profile measured on the pre-partition layout).
+  // --- Vth-domain insertion (the paper's regular grid) + incremental
+  // placement.
   {
     ADQ_OBS_PHASE("flow.partition");
-    if (fopt.strategy == DomainStrategy::kCriticalityBands &&
-        fopt.grid.ny > 1) {
-      const place::NetLoads pre_loads =
-          place::ComputeLoads(nl, lib, first_wires);
-      std::vector<int> probe_bw;
-      for (int b = 2; b <= d.op.spec.data_width; b += 2)
-        probe_bw.push_back(b);
-      const std::vector<double> score =
-          AccuracyCriticality(d.op, lib, pre_loads, d.clock_ns, probe_bw,
-                              /*slack_window_ns=*/0.12 * d.clock_ns,
-                              fopt.num_threads);
-      const std::vector<int> bands =
-          OptimizeBandRows(nl, first, score, fopt.grid.ny);
-      d.partition = place::MakePartitionWithBands(
-          nl, lib, first, fopt.grid.nx, bands, fopt.guardband_um);
-    } else {
-      d.partition =
-          place::MakePartition(nl, lib, first, fopt.grid, fopt.guardband_um);
-    }
+    d.partition =
+        place::MakePartition(nl, lib, first, fopt.grid, fopt.guardband_um);
   }
   {
     ADQ_OBS_PHASE("flow.legalize");

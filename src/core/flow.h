@@ -22,17 +22,8 @@
 
 namespace adq::core {
 
-/// How the Vth-domain shapes are constructed.
-enum class DomainStrategy {
-  kRegularGrid,        ///< the paper's method: equal rectangular tiles
-  kCriticalityBands,   ///< future-work extension: band cut lines chosen
-                       ///< from the per-cell accuracy-criticality
-                       ///< profile (see band_optimizer.h)
-};
-
 struct FlowOptions {
   place::GridConfig grid{1, 1};
-  DomainStrategy strategy = DomainStrategy::kRegularGrid;
   double utilization = 0.55;
   double guardband_um = 3.5;   // paper Sec. II-C
   std::uint64_t seed = 1;
@@ -41,10 +32,10 @@ struct FlowOptions {
   /// Corner used for implementation (the paper characterizes all
   /// cells in FBB during the first P&R, Sec. IV-A).
   tech::BiasState corner = tech::BiasState::kFBB;
-  /// Worker threads for the flow's shardable stages (currently the
-  /// per-bitwidth criticality probes of kCriticalityBands): 0 = one
-  /// per hardware thread, 1 = single-threaded. The produced design is
-  /// identical for every setting.
+  /// Has no effect: no flow stage runs on worker threads. Kept only
+  /// because the end-to-end benchmark (perfbench/e2e.cpp) still sets
+  /// it; that benchmark's next change stops setting it and deletes
+  /// this field.
   int num_threads = 0;
   /// Lint gate policy applied after buffering, after legalization and
   /// at signoff (see lint/lint.h). kError aborts the flow on any

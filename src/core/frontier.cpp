@@ -4,16 +4,19 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <queue>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "core/band_optimizer.h"
+#include "core/accuracy.h"
 #include "core/mode_context.h"
 #include "obs/obs.h"
+#include "sim/activity.h"
 #include "sta/sta.h"
+#include "util/thread_pool.h"
 
 namespace adq::core {
 
@@ -148,6 +151,75 @@ void RecordFrontierMetrics(const FrontierResult& r, double seconds) {
 }
 
 }  // namespace
+
+std::vector<double> AccuracyCriticality(
+    const gen::Operator& op, const tech::CellLibrary& lib,
+    const place::NetLoads& loads, double clock_ns,
+    const std::vector<int>& bitwidths, double slack_window_ns,
+    int num_threads) {
+  ADQ_CHECK(!bitwidths.empty());
+  const netlist::Netlist& nl = op.nl;
+  const std::vector<tech::BiasState> fbb(nl.num_instances(),
+                                         tech::BiasState::kFBB);
+
+  std::vector<double> score(nl.num_instances(), 1.25);
+  std::vector<int> sorted = bitwidths;
+  std::sort(sorted.begin(), sorted.end());
+
+  // The probes (one detailed STA per bitwidth) are independent; only
+  // the score claiming below is order-sensitive, so compute them all
+  // first — sharded across workers when asked — then fold serially in
+  // ascending-bitwidth order.
+  // The probes' case analyses come from the shared per-structure
+  // cache (one batched build, or none when an explorer of this
+  // netlist already warmed it).
+  std::vector<int> zeroed(sorted.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i)
+    zeroed[i] = ZeroedLsbs(op, sorted[i]);
+  const std::vector<std::shared_ptr<const netlist::CaseAnalysis>> cas =
+      sim::ModeCaseAnalyses(op, zeroed);
+  std::vector<sta::TimingAnalyzer::DetailedTiming> dts(sorted.size());
+  const int nthreads = util::ResolveNumThreads(num_threads);
+  if (nthreads <= 1) {
+    sta::TimingAnalyzer analyzer(nl, lib, loads);
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+      dts[i] = analyzer.AnalyzeDetailed(tech::CellLibrary::kVddNominal,
+                                        clock_ns, fbb, cas[i].get());
+  } else {
+    util::ThreadPool pool(nthreads);
+    std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
+        static_cast<std::size_t>(pool.num_threads()));
+    pool.ParallelFor(
+        static_cast<std::int64_t>(sorted.size()), 1,
+        [&](std::int64_t i, int w) {
+          auto& a = analyzer[static_cast<std::size_t>(w)];
+          if (!a) a = std::make_unique<sta::TimingAnalyzer>(nl, lib, loads);
+          dts[static_cast<std::size_t>(i)] = a->AnalyzeDetailed(
+              tech::CellLibrary::kVddNominal, clock_ns, fbb,
+              cas[static_cast<std::size_t>(i)].get());
+        });
+  }
+
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const int bw = sorted[k];
+    const auto& dt = dts[k];
+    const double frac =
+        static_cast<double>(bw) / op.spec.data_width;
+    for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
+      if (score[i] <= 1.0) continue;  // already claimed by a smaller bw
+      const netlist::Instance& inst = nl.instances()[i];
+      for (int o = 0; o < inst.num_outputs(); ++o) {
+        const netlist::NetId out = inst.out[o];
+        if (!dt.ActiveNet(out)) continue;
+        if (dt.SlackOf(out) <= slack_window_ns) {
+          score[i] = frac;
+          break;
+        }
+      }
+    }
+  }
+  return score;
+}
 
 FrontierResult FrontierExplore(const ImplementedDesign& design,
                                const tech::CellLibrary& lib,

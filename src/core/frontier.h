@@ -20,11 +20,12 @@
 ///     point in the subtree — in the very double-precision
 ///     expressions the exhaustive merge evaluates.
 ///
-/// Branching follows per-domain accuracy criticality (core/
-/// band_optimizer.h): the domains that carry critical paths at the
-/// smallest bitwidths are decided first, which settles feasibility
-/// high in the tree. Each expansion costs at most two fresh STA
-/// verdicts (children share the other two with their parent).
+/// Branching follows per-domain accuracy criticality
+/// (AccuracyCriticality below): the domains that carry critical paths
+/// at the smallest bitwidths are decided first, which settles
+/// feasibility high in the tree. Each expansion costs at most two
+/// fresh STA verdicts (children share the other two with their
+/// parent).
 ///
 /// Outcome per accuracy mode: either a *certificate* — the open
 /// frontier was exhausted, so the returned point is exactly the
@@ -147,5 +148,22 @@ struct FrontierResult {
 FrontierResult FrontierExplore(const ImplementedDesign& design,
                                const tech::CellLibrary& lib,
                                const FrontierOptions& opt = {});
+
+/// Per-instance accuracy criticality (index = instance id), the
+/// frontier's branch-order probe: every cell scores the smallest
+/// sampled bitwidth at which it becomes timing-relevant — an active
+/// output within `slack_window_ns` of the critical path, at the FBB
+/// corner and nominal VDD, with that mode's case analysis applied.
+/// `bitwidths` is the sample of accuracy modes probed; cells critical
+/// at bitwidths[k] (ascending) score bitwidths[k]/data_width, and
+/// never-critical cells score 1.25. `num_threads` shards the
+/// per-bitwidth timing probes (0 = one per hardware thread); the
+/// scores are identical for every setting because each probe is
+/// independent and they are folded in ascending-bitwidth order.
+std::vector<double> AccuracyCriticality(
+    const gen::Operator& op, const tech::CellLibrary& lib,
+    const place::NetLoads& loads, double clock_ns,
+    const std::vector<int>& bitwidths, double slack_window_ns,
+    int num_threads = 1);
 
 }  // namespace adq::core

@@ -558,7 +558,7 @@ void CheckGuardbands(const place::GridPartition& part, Sink& sink) {
   const double rh = part.original.row_height_um;
   const double gb_x = part.guardband_um;
   // Horizontal guardbands are snapped up to whole placement rows
-  // (see MakePartitionWithBands).
+  // (see MakePartition).
   const double gb_y = std::ceil(part.guardband_um / rh) * rh;
 
   auto tile_loc = [](int d) { return "tile " + std::to_string(d); };
@@ -765,15 +765,10 @@ LintReport LintModeTable(const std::string& subject,
     const ModeEntry& e = modes[m];
     const std::string loc = "mode " + std::to_string(e.bitwidth) + " bit";
     if (mask_rule && num_domains < tech::kMaxDomains &&
-        ((e.fbb_mask >> num_domains) != 0u ||
-         (e.rbb_mask >> num_domains) != 0u))
+        (e.fbb_mask >> num_domains) != 0u)
       sink.Report(kRuleMaskWidth, loc,
                   "bias mask references a domain >= the domain count " +
                       std::to_string(num_domains));
-    if (mask_rule && (e.fbb_mask & e.rbb_mask) != 0u)
-      sink.Report(kRuleMaskWidth, loc,
-                  "domains biased forward and reverse at once (fbb & rbb "
-                  "masks overlap)");
     if (sched_rule) {
       if (e.bitwidth < 1 || e.bitwidth > data_width)
         sink.Report(kRuleModeSchedule, loc,

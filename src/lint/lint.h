@@ -93,7 +93,6 @@ struct ModeEntry {
   int bitwidth = 0;
   double vdd = 0.0;
   tech::DomainMask fbb_mask = 0;
-  tech::DomainMask rbb_mask = 0;
   double power_w = 0.0;
 };
 

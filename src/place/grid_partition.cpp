@@ -112,24 +112,20 @@ void RebalanceDomains(const Netlist& nl, const tech::CellLibrary& lib,
 
 }  // namespace
 
-GridPartition MakePartitionWithBands(const Netlist& nl,
-                                     const tech::CellLibrary& lib,
-                                     const Placement& pl, int nx,
-                                     std::vector<int> band_rows,
-                                     double guardband_um) {
-  const GridConfig cfg{nx, static_cast<int>(band_rows.size())};
+GridPartition MakePartition(const Netlist& nl, const tech::CellLibrary& lib,
+                            const Placement& pl, GridConfig cfg,
+                            double guardband_um) {
   ADQ_CHECK(cfg.nx >= 1 && cfg.ny >= 1);
   ADQ_CHECK(guardband_um >= 0.0);
-  {
-    int sum = 0;
-    for (const int r : band_rows) {
-      ADQ_CHECK(r >= 1);
-      sum += r;
-    }
-    ADQ_CHECK_MSG(sum == pl.fp.num_rows(),
-                  "band rows sum " << sum << " != die rows "
-                                   << pl.fp.num_rows());
-  }
+  // Placement rows distributed as evenly as possible over the grid
+  // rows (the lower rows take the remainder).
+  const int rows = pl.fp.num_rows();
+  ADQ_CHECK_MSG(rows >= cfg.ny, "more domain rows than placement rows");
+  std::vector<int> band_rows(static_cast<std::size_t>(cfg.ny),
+                             rows / cfg.ny);
+  for (int r = 0; r < rows % cfg.ny; ++r)
+    ++band_rows[static_cast<std::size_t>(r)];
+
   GridPartition part;
   part.cfg = cfg;
   part.guardband_um = guardband_um;
@@ -179,20 +175,6 @@ GridPartition MakePartitionWithBands(const Netlist& nl,
   }
   RebalanceDomains(nl, lib, pl, part, tile_w, y_cut, band_rows);
   return part;
-}
-
-GridPartition MakePartition(const Netlist& nl, const tech::CellLibrary& lib,
-                            const Placement& pl, GridConfig cfg,
-                            double guardband_um) {
-  // Regular grid: placement rows distributed as evenly as possible.
-  const int rows = pl.fp.num_rows();
-  ADQ_CHECK_MSG(rows >= cfg.ny, "more domain rows than placement rows");
-  std::vector<int> band_rows(static_cast<std::size_t>(cfg.ny),
-                             rows / cfg.ny);
-  for (int r = 0; r < rows % cfg.ny; ++r)
-    ++band_rows[static_cast<std::size_t>(r)];
-  return MakePartitionWithBands(nl, lib, pl, cfg.nx, std::move(band_rows),
-                                guardband_um);
 }
 
 Placement ApplyPartition(const Netlist& nl, const tech::CellLibrary& lib,

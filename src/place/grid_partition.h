@@ -64,18 +64,6 @@ GridPartition MakePartition(const netlist::Netlist& nl,
                             const Placement& pl, GridConfig cfg,
                             double guardband_um = 3.5);
 
-/// Like MakePartition but with caller-chosen horizontal band heights
-/// (`band_rows[k]` = placement rows of band k; must sum to the die's
-/// row count). This is the hook for criticality-driven domain
-/// construction (see place/band_partition.h): the grid stays
-/// rectangular — guardbands need straight lines — but the cut
-/// positions become a design variable.
-GridPartition MakePartitionWithBands(const netlist::Netlist& nl,
-                                     const tech::CellLibrary& lib,
-                                     const Placement& pl, int nx,
-                                     std::vector<int> band_rows,
-                                     double guardband_um = 3.5);
-
 /// Incremental placement: shifts every cell by its tile's guardband
 /// offset and re-legalizes within the tile; port anchors move to the
 /// enlarged periphery. Cell-to-domain assignment is preserved.

@@ -43,15 +43,9 @@ void UpdateNetLoad(const Netlist& nl, const tech::CellLibrary& lib,
                    const NetWires& wires, NetId id, NetLoads* loads) {
   const std::size_t n = id.index();
   const double len = wires.length_um[n];
-  double cap = len * lib.wire_cap_ff_per_um() + PinCap(nl, lib, id);
-  double delay = lib.wire_delay_ns_per_um_ff() * len * cap;
-  for (int k = 0; !wires.extra_pins.empty() && k < wires.extra_pins[n];
-       ++k) {
-    cap += wires.extra_pin_cap_ff;
-    delay += wires.extra_pin_delay_ns;
-  }
+  const double cap = len * lib.wire_cap_ff_per_um() + PinCap(nl, lib, id);
   loads->cap_ff[n] = cap;
-  loads->wire_delay_ns[n] = delay;
+  loads->wire_delay_ns[n] = lib.wire_delay_ns_per_um_ff() * len * cap;
 }
 
 NetLoads ComputeLoads(const Netlist& nl, const tech::CellLibrary& lib,

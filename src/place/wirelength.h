@@ -29,17 +29,10 @@ struct NetLoads {
 };
 
 /// What a net's load depends on besides its sink pin caps, which is
-/// all that sizing changes: the route length and fixed extra pins.
+/// all that sizing changes: the route length.
 struct NetWires {
   /// Per net [um]: HPWL after placement, wireload estimate before.
   std::vector<double> length_um;
-  /// Per net (empty = none): identical extra sink pins, e.g. level
-  /// shifters (core/vdd_islands.h). Each adds extra_pin_cap_ff to the
-  /// load and extra_pin_delay_ns to the wire delay (the Elmore term
-  /// sees the load without them).
-  std::vector<int> extra_pins;
-  double extra_pin_cap_ff = 0.0;
-  double extra_pin_delay_ns = 0.0;
 };
 
 /// Each net's HPWL.

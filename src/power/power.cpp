@@ -48,31 +48,6 @@ double PowerModel::LeakageW(
   return leak;
 }
 
-double PowerModel::QuiescedLeakageW(
-    const netlist::CaseAnalysis& ca, double vdd,
-    const std::vector<BiasState>& bias_of_inst) const {
-  ADQ_CHECK(bias_of_inst.empty() ||
-            bias_of_inst.size() == nl_.num_instances());
-  double leak = 0.0;
-  for (std::uint32_t i = 0; i < nl_.num_instances(); ++i) {
-    const netlist::Instance& inst = nl_.instances()[i];
-    if (inst.num_outputs() == 0) continue;
-    bool quiesced = true;
-    for (int p = 0; p < inst.num_outputs(); ++p) {
-      const netlist::NetId out = inst.out[p];
-      if (!out.valid() || !ca.IsConstant(out)) {
-        quiesced = false;
-        break;
-      }
-    }
-    if (!quiesced) continue;
-    const BiasState b =
-        bias_of_inst.empty() ? BiasState::kNoBB : bias_of_inst[i];
-    leak += lib_.LeakagePower(inst.kind, inst.drive, vdd, b);
-  }
-  return leak;
-}
-
 std::vector<double> PowerModel::LeakWeightByDomain(
     const std::vector<int>& domain_of, int ndom) const {
   ADQ_CHECK(domain_of.size() == nl_.num_instances());

@@ -20,7 +20,6 @@
 
 #include <vector>
 
-#include "netlist/case_analysis.h"
 #include "netlist/netlist.h"
 #include "place/wirelength.h"
 #include "sim/activity.h"
@@ -50,16 +49,6 @@ class PowerModel {
   /// (empty = all NoBB).
   double LeakageW(double vdd,
                   const std::vector<tech::BiasState>& bias_of_inst) const;
-
-  /// Leakage of the cells a mode's constant propagation quiesces —
-  /// every output net proven constant under `ca`, so the cell can
-  /// never toggle in the mode. This is the leakage of logic the
-  /// accuracy mode disabled: the static headroom the RBB sleep pass
-  /// (ExploreOptions::enable_rbb_sleep) reclaims. Always <= LeakageW
-  /// at the same operating point.
-  double QuiescedLeakageW(
-      const netlist::CaseAnalysis& ca, double vdd,
-      const std::vector<tech::BiasState>& bias_of_inst) const;
 
   /// Per-domain leakage weight sums (for O(#domains) leakage in the
   /// explorer). domain_of maps instance -> domain in [0, ndom).

@@ -62,8 +62,8 @@ std::vector<BusStream> GenerateStreams(const gen::Operator& op, int cycles,
 /// on, one 64-bit word per field: topology (cell kinds and pin nets),
 /// bus framing and the stimulus-relevant spec fields. Drive strengths
 /// are deliberately excluded — sizing changes electrical data only, so
-/// a resized copy of an operator (the VDD-island engine works on one)
-/// encodes identically and hits the cache entries the explorer
+/// a resized copy of an operator (each grid's implementation of the
+/// same operator is one) encodes identically and hits the cache entries the explorer
 /// populated. The encoding itself is part of the cache key (full-key
 /// comparison), so a digest collision between two different operators
 /// degrades to a cache miss, never to a wrong profile.

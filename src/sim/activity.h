@@ -23,8 +23,8 @@
 /// ExtractActivity is the cached front door both core engines use: a
 /// process-wide cache keyed by (operator structure, zeroed_lsbs,
 /// cycles, seed, stimulus kind) makes repeated requests for the same
-/// profile (design-space exploration and VDD-island partitioning both
-/// sweep the same operator) hit memory instead of re-simulating.
+/// profile (the proposed sweep and both DVAS baselines sweep the same
+/// operator) hit memory instead of re-simulating.
 
 #include <cstdint>
 #include <memory>

@@ -271,8 +271,7 @@ TimingReport TimingAnalyzer::Analyze(
   // Per-bias-state alpha-power multipliers — all VDD/Vth dependence.
   const double scale[tech::kNumBiasStates] = {
       lib_.DelayScale(vdd, BiasState::kNoBB),
-      lib_.DelayScale(vdd, BiasState::kFBB),
-      lib_.DelayScale(vdd, BiasState::kRBB)};
+      lib_.DelayScale(vdd, BiasState::kFBB)};
   auto bias_of = [&](std::uint32_t i) -> int {
     return bias_of_inst.empty() ? 0
                                 : static_cast<int>(bias_of_inst[i]);
@@ -393,32 +392,6 @@ std::vector<TimingReport> TimingAnalyzer::AnalyzeBatch(
   return reports;
 }
 
-TimingReport TimingAnalyzer::AnalyzeWithScales(
-    const std::vector<double>& scale_of_inst, double clock_ns,
-    const netlist::CaseAnalysis* ca) {
-  ADQ_CHECK(scale_of_inst.size() == nl_.num_instances());
-  static obs::Counter& scaled_calls =
-      obs::GetCounter("sta.analyze_scaled_calls");
-  scaled_calls.Add();
-
-  const SweepSchedule& sched = ScheduleFor(ca);
-  PropagateArrivals(1, arrival_.data(), sched,
-                    [&](std::uint32_t i) { return &scale_of_inst[i]; });
-
-  TimingReport rep;
-  rep.num_disabled_endpoints = sched.num_disabled;
-  for (const SweepCapture& c : sched.captures) {
-    if (!c.active) continue;
-    const double setup = tab_.setup_ns[c.inst] * scale_of_inst[c.inst];
-    const double slack = clock_ns - setup - arrival_[c.d_net];
-    rep.wns_ns = std::min(rep.wns_ns, slack);
-    ++rep.num_active_endpoints;
-    if (slack < 0.0) ++rep.num_violations;
-  }
-  if (rep.num_active_endpoints == 0) rep.wns_ns = clock_ns;
-  return rep;
-}
-
 TimingAnalyzer::DetailedTiming TimingAnalyzer::AnalyzeDetailed(
     double vdd, double clock_ns,
     const std::vector<BiasState>& bias_of_inst,
@@ -426,8 +399,7 @@ TimingAnalyzer::DetailedTiming TimingAnalyzer::AnalyzeDetailed(
   constexpr double kPosInf = std::numeric_limits<double>::infinity();
   const double scale[tech::kNumBiasStates] = {
       lib_.DelayScale(vdd, BiasState::kNoBB),
-      lib_.DelayScale(vdd, BiasState::kFBB),
-      lib_.DelayScale(vdd, BiasState::kRBB)};
+      lib_.DelayScale(vdd, BiasState::kFBB)};
   auto bias_of = [&](std::uint32_t i) -> int {
     return bias_of_inst.empty() ? 0
                                 : static_cast<int>(bias_of_inst[i]);

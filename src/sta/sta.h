@@ -113,14 +113,6 @@ class TimingAnalyzer {
       const std::vector<int>& domain_of_inst,
       const netlist::CaseAnalysis* ca = nullptr);
 
-  /// STA with an arbitrary per-instance delay multiplier (index =
-  /// instance id) instead of the (VDD, bias) model — the entry point
-  /// for alternative knob studies such as per-domain supply voltages
-  /// (core/vdd_islands.h). Semantics otherwise match Analyze.
-  TimingReport AnalyzeWithScales(const std::vector<double>& scale_of_inst,
-                                 double clock_ns,
-                                 const netlist::CaseAnalysis* ca = nullptr);
-
   /// Per-net arrival/required times (forward + backward sweep). Used
   /// by the sizing optimizer, which needs the slack *through* every
   /// cell, not just at endpoints. Inactive nets hold -inf / +inf.

@@ -57,22 +57,15 @@ inline bool MaskHas(DomainMask mask, int d) {
 /// Runtime back-bias state of one Vth domain.
 /// NoBB = wells grounded, nominal (standard) threshold voltage.
 /// FBB  = forward back-bias, threshold lowered -> faster and leakier.
-/// RBB  = reverse back-bias, threshold raised -> slow but an order of
-///        magnitude less leaky; a *sleep* state for domains whose
-///        logic is disabled or far from critical in the selected
-///        accuracy mode. The paper restricts its exploration to
-///        {NoBB, FBB}; RBB is the natural extension it mentions the
-///        FDSOI back-gate supports (the >2 V range of Sec. II-C) and
-///        is provided here as an optional post-pass.
-enum class BiasState { kNoBB = 0, kFBB = 1, kRBB = 2 };
+/// These are the paper's two runtime states (Sec. III).
+enum class BiasState { kNoBB = 0, kFBB = 1 };
 
-inline constexpr int kNumBiasStates = 3;
+inline constexpr int kNumBiasStates = 2;
 
 inline const char* ToString(BiasState s) {
   switch (s) {
     case BiasState::kNoBB: return "NoBB";
     case BiasState::kFBB: return "FBB";
-    case BiasState::kRBB: return "RBB";
   }
   return "?";
 }
@@ -94,33 +87,16 @@ struct BackBiasParams {
   /// a NoBB cell is this factor times slower than the same cell under
   /// FBB at equal (VDD, Vth-shifted) conditions.
   double fbb_drive_factor = 1.25;
-  /// |VBB| applied in the RBB sleep state [V].
-  double rbb_well_voltage_v = 1.1;
-  /// Extra drive penalty of reverse bias beyond the Vth shift
-  /// (mirror of fbb_drive_factor on the slow side).
-  double rbb_drive_factor = 1.45;
 
   /// Threshold-voltage shift produced by a bias state (<= 0 for FBB).
   double VthShift(BiasState s) const {
-    switch (s) {
-      case BiasState::kFBB:
-        return -body_factor_v_per_v * fbb_well_voltage_v;
-      case BiasState::kRBB:
-        return body_factor_v_per_v * rbb_well_voltage_v;
-      case BiasState::kNoBB:
-        break;
-    }
-    return 0.0;
+    return s == BiasState::kFBB ? -body_factor_v_per_v * fbb_well_voltage_v
+                                : 0.0;
   }
 
   /// Multiplicative delay penalty of a state relative to FBB drive.
   double DrivePenalty(BiasState s) const {
-    switch (s) {
-      case BiasState::kFBB: return 1.0;
-      case BiasState::kRBB: return rbb_drive_factor;
-      case BiasState::kNoBB: break;
-    }
-    return fbb_drive_factor;
+    return s == BiasState::kFBB ? 1.0 : fbb_drive_factor;
   }
 };
 

@@ -5,10 +5,12 @@
 /// bit-identical, STA fully traded for store hits), and verdict
 /// sharing between the frontier and exhaustive engines through one
 /// store directory, a golden digest of the budgeted 25-domain
-/// search, and the signoff lint gate.
+/// search, the branch-order criticality probe, and the signoff lint
+/// gate.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -51,11 +53,10 @@ const ImplementedDesign& Design22() {
 }
 
 /// The frontier_store benchmark's designs: 16-bit operators on a 5x5
-/// grid (25 domains), implemented with one worker.
+/// grid (25 domains).
 ImplementedDesign Implement55(gen::Operator (*build)(int)) {
   FlowOptions fopt;
   fopt.grid = {5, 5};
-  fopt.num_threads = 1;
   return RunImplementationFlow(build(16), Lib(), fopt);
 }
 const ImplementedDesign& Booth55() {
@@ -463,6 +464,21 @@ core::ImplementedDesign CorruptCopy() {
   netlist::RawAccess raw(d.op.nl);
   raw.inst(netlist::InstId(1)).out[0] = raw.inst(netlist::InstId(0)).out[0];
   return d;
+}
+
+TEST(AccuracyCriticality, ScoresInRange) {
+  const auto& d = Design22();
+  const std::vector<double> score = AccuracyCriticality(
+      d.op, Lib(), d.flat_loads, d.clock_ns, {2, 4, 6, 8}, 0.05);
+  ASSERT_EQ(score.size(), d.op.nl.num_instances());
+  for (const double s : score) {
+    EXPECT_GE(s, 0.0);
+    EXPECT_LE(s, 1.25);
+  }
+  // At least one cell must be critical at full accuracy (the design
+  // sits at the wall), and monotone: critical-at-2 implies score 0.25.
+  EXPECT_TRUE(std::any_of(score.begin(), score.end(),
+                          [](double s) { return s <= 1.0; }));
 }
 
 TEST(LintGate, FrontierEngineRejectsCorruptNetlistIdentically) {

@@ -435,15 +435,13 @@ TEST(LintFixtures, FL003GuardbandOverlap) {
 }
 
 TEST(LintFixtures, FL004MaskWidthAndST001Endpoints) {
-  // Mode masks referencing domains beyond the count, and a domain
-  // biased forward and reverse at once.
+  // A mode mask referencing a domain beyond the count.
   const std::vector<ModeEntry> modes = {
-      {8, 0.9, 0b100u, 0u, 1e-3},   // domain 2 of 2
-      {16, 1.0, 0b01u, 0b01u, 2e-3},  // fbb & rbb overlap
+      {8, 0.9, 0b100u, 1e-3},  // domain 2 of 2
   };
   const LintReport rep = LintModeTable("fx", modes, /*num_domains=*/2,
                                        /*data_width=*/16);
-  EXPECT_GE(CountRule(rep, kRuleMaskWidth), 2) << rep.Render();
+  EXPECT_GE(CountRule(rep, kRuleMaskWidth), 1) << rep.Render();
 
   // ST001: a port-to-port path no constraint covers.
   Netlist nl("fx");
@@ -458,11 +456,11 @@ TEST(LintFixtures, FL004MaskWidthAndST001Endpoints) {
 
 TEST(LintFixtures, MD001ModeSchedule) {
   const std::vector<ModeEntry> modes = {
-      {4, 0.7, 0u, 0u, 3e-3},   // more power than the 8-bit mode below
-      {8, 0.8, 0u, 0u, 1e-3},   // -> monotonicity warning
-      {8, 0.8, 0u, 0u, 1e-3},   // duplicate bitwidth -> error
-      {99, 0.8, 0u, 0u, 2e-3},  // bitwidth beyond data width -> error
-      {12, 9.9, 0u, 0u, 2e-3},  // absurd VDD -> warning
+      {4, 0.7, 0u, 3e-3},   // more power than the 8-bit mode below
+      {8, 0.8, 0u, 1e-3},   // -> monotonicity warning
+      {8, 0.8, 0u, 1e-3},   // duplicate bitwidth -> error
+      {99, 0.8, 0u, 2e-3},  // bitwidth beyond data width -> error
+      {12, 9.9, 0u, 2e-3},  // absurd VDD -> warning
   };
   const LintReport rep =
       LintModeTable("fx", modes, /*num_domains=*/4, /*data_width=*/16);

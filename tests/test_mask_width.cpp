@@ -43,10 +43,9 @@ TEST(MaskWidth, HelpersAreDefinedAcrossTheFullWidth) {
 
 TEST(MaskWidth, DomainStateReadsBitsAbove31) {
   core::ExploredPoint p;
-  p.mask = tech::MaskBit(35);
-  p.rbb_mask = tech::MaskBit(62);
+  p.mask = tech::MaskBit(35) | tech::MaskBit(62);
   EXPECT_EQ(p.DomainState(35), tech::BiasState::kFBB);
-  EXPECT_EQ(p.DomainState(62), tech::BiasState::kRBB);
+  EXPECT_EQ(p.DomainState(62), tech::BiasState::kFBB);
   EXPECT_EQ(p.DomainState(34), tech::BiasState::kNoBB);
   EXPECT_EQ(p.DomainState(63), tech::BiasState::kNoBB);
 }
@@ -127,14 +126,14 @@ TEST(MaskWidth, Fl004LintsMasksBeyondBit31) {
   // when masks were 32-bit. A mask inside the domain count is clean;
   // one referencing domain 41 fires.
   const std::vector<ModeEntry> clean = {
-      {8, 0.9, tech::MaskBit(35), 0u, 1e-3}};
+      {8, 0.9, tech::MaskBit(35), 1e-3}};
   const lint::LintReport ok =
       lint::LintModeTable("fx", clean, /*num_domains=*/40,
                           /*data_width=*/16);
   EXPECT_EQ(ok.errors() + ok.warnings(), 0) << ok.Render();
 
   const std::vector<ModeEntry> bad = {
-      {8, 0.9, tech::MaskBit(41), 0u, 1e-3}};
+      {8, 0.9, tech::MaskBit(41), 1e-3}};
   const lint::LintReport rep =
       lint::LintModeTable("fx", bad, /*num_domains=*/40,
                           /*data_width=*/16);

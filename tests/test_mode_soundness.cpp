@@ -5,9 +5,8 @@
 ///  - case analysis: every net that netlist::CaseAnalysis resolves to
 ///    a constant under core::ForcedZeros of mode m holds that constant
 ///    in the mode-m lane at every post-edge steady state. STA disables
-///    the timing arcs of those nets and power::QuiescedLeakageW prices
-///    their cells as quiesced, so a constant that toggles would make
-///    both optimistic;
+///    the timing arcs of those nets, so a constant that toggles would
+///    make the timing filter optimistic;
 ///  - full precision is error-free;
 ///  - for the pure multiplier templates (Booth, array) the worst
 ///    |exact - mode| never exceeds the closed form

@@ -1,10 +1,12 @@
-/// Tests for the Wallace reduction and the three multiplier
-/// generators (radix-4 Booth, unsigned array, Baugh-Wooley signed).
+/// Tests for the Wallace reduction, the three multiplier generators
+/// (radix-4 Booth, unsigned array, Baugh-Wooley signed), and the MAC
+/// and array-multiplier operators built on them.
 
 #include <gtest/gtest.h>
 
 #include "gen/array_mult.h"
 #include "gen/booth.h"
+#include "gen/operator.h"
 #include "gen/wallace.h"
 #include "harness.h"
 #include "util/fixed_point.h"
@@ -182,6 +184,50 @@ TEST(Multipliers, BoothSmallerThanArrayAtSameWidth) {
     test::OutWord(nl_bw, "p", BaughWooleyMultiplySigned(nl_bw, a, b));
   }
   EXPECT_LT(nl_booth.num_instances(), nl_bw.num_instances() * 1.2);
+}
+
+// ---------------- sequential operators ----------------
+
+TEST(MacOperator, AccumulatesProducts) {
+  const gen::Operator op = gen::BuildMacOperator(8);
+  sim::LogicSim sim(op.nl);
+  sim.Reset();
+  util::Rng rng(5);
+  long long expect = 0;
+  const int kOps = 6;
+  std::vector<std::pair<std::int64_t, std::int64_t>> ab(kOps);
+  for (auto& [a, b] : ab) {
+    a = rng.UniformInt(-128, 127);
+    b = rng.UniformInt(-128, 127);
+  }
+  for (int t = 0; t <= kOps + 1; ++t) {
+    const bool on = t >= 1 && t <= kOps;
+    sim.SetBus(op.nl.InputBus("a"),
+               util::FromSigned(on ? ab[(std::size_t)t - 1].first : 0, 8));
+    sim.SetBus(op.nl.InputBus("b"),
+               util::FromSigned(on ? ab[(std::size_t)t - 1].second : 0, 8));
+    sim.SetBus(op.nl.InputBus("clr"), t == 0 ? 1 : 0);
+    sim.Tick();
+  }
+  sim.Tick();
+  for (const auto& [a, b] : ab) expect += a * b;
+  EXPECT_EQ(util::ToSigned(sim.ReadBus(op.nl.OutputBus("acc")), 24),
+            expect);
+}
+
+TEST(ArrayMultOperator, MatchesReference) {
+  const gen::Operator op = gen::BuildArrayMultOperator(8);
+  sim::LogicSim sim(op.nl);
+  util::Rng rng(6);
+  for (int i = 0; i < 30; ++i) {
+    const std::int64_t a = rng.UniformInt(-128, 127);
+    const std::int64_t b = rng.UniformInt(-128, 127);
+    sim.SetBus(op.nl.InputBus("a"), util::FromSigned(a, 8));
+    sim.SetBus(op.nl.InputBus("b"), util::FromSigned(b, 8));
+    sim.Tick();
+    sim.Tick();
+    ASSERT_EQ(util::ToSigned(sim.ReadBus(op.nl.OutputBus("p")), 16), a * b);
+  }
 }
 
 }  // namespace

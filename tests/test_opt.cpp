@@ -67,18 +67,13 @@ void ExpectSameLoads(const place::NetLoads& a, const place::NetLoads& b) {
 }
 
 // OptimizeSizing refreshes only the input nets of the cells a round
-// resized. Replaying rounds of random resizes (on placed wires with
-// extra pins, the richest load model) against a full recompute pins
-// that the incremental loads never drift.
+// resized. Replaying rounds of random resizes (on placed wires)
+// against a full recompute pins that the incremental loads never
+// drift.
 TEST(Sizing, IncrementalLoadsMatchFullRecompute) {
   gen::Operator op = gen::BuildBoothOperator(8);
-  place::NetWires wires =
+  const place::NetWires wires =
       place::PlacedWires(op.nl, place::PlaceDesign(op.nl, Lib()));
-  wires.extra_pins.assign(op.nl.num_nets(), 0);
-  for (std::size_t n = 0; n < wires.extra_pins.size(); n += 7)
-    wires.extra_pins[n] = static_cast<int>(n % 3);
-  wires.extra_pin_cap_ff = 1.5;
-  wires.extra_pin_delay_ns = 0.03;
   place::NetLoads loads = place::ComputeLoads(op.nl, Lib(), wires);
   util::Rng rng(3);
   for (int round = 0; round < 20; ++round) {

@@ -11,8 +11,8 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/band_optimizer.h"
 #include "core/explore.h"
+#include "core/frontier.h"
 #include "util/thread_pool.h"
 
 namespace adq {
@@ -121,7 +121,6 @@ void ExpectPointsIdentical(const core::ExploredPoint& a,
                            const core::ExploredPoint& b) {
   EXPECT_EQ(a.bitwidth, b.bitwidth);
   EXPECT_EQ(a.mask, b.mask);
-  EXPECT_EQ(a.rbb_mask, b.rbb_mask);
   EXPECT_EQ(a.feasible, b.feasible);
   // Bit-identical, not just close: EXPECT_EQ compares with ==.
   EXPECT_EQ(a.vdd, b.vdd);
@@ -176,12 +175,6 @@ void ExpectThreadCountInvariant(core::ExploreOptions opt,
 
 TEST(ParallelExplore, BitIdenticalAcrossThreadCounts) {
   ExpectThreadCountInvariant(BaseOptions(), {2, 8});
-}
-
-TEST(ParallelExplore, BitIdenticalWithRbbSleep) {
-  core::ExploreOptions opt = BaseOptions();
-  opt.enable_rbb_sleep = true;
-  ExpectThreadCountInvariant(opt, {2, 8});
 }
 
 TEST(ParallelExplore, HardwareDefaultMatchesSerial) {

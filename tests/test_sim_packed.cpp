@@ -462,7 +462,7 @@ TEST(ActivityCache, SizingChangesShareEntriesStructuralChangesDoNot) {
   ASSERT_EQ(GetActivityCacheStats().misses, 1u);
 
   // Drive strengths do not affect logic values, so a resized copy
-  // (what the VDD-island engine simulates) must hit.
+  // (what another grid's implementation simulates) must hit.
   gen::Operator resized = op;
   for (std::uint32_t i = 0; i < resized.nl.num_instances(); ++i)
     resized.nl.SetDrive(netlist::InstId(i), tech::DriveStrength::kX4);
