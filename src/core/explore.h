@@ -66,11 +66,6 @@ struct ExploredPoint {
   power::PowerBreakdown power;
 
   double total_power_w() const { return power.total_w(); }
-
-  tech::BiasState DomainState(int d) const {
-    return tech::MaskHas(mask, d) ? tech::BiasState::kFBB
-                                  : tech::BiasState::kNoBB;
-  }
 };
 
 /// Best configuration found for one accuracy mode.

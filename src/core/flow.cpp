@@ -59,6 +59,9 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     ADQ_OBS_PHASE("flow.place");
     first = place::PlaceDesign(nl, lib, popt);
   }
+  // QoR after the phase; the wirelength sum runs only when observed.
+  if (obs::MetricsEnabled())
+    obs::GetGauge("flow.place.hpwl_um").Set(place::TotalHpwl(nl, first));
   // Sizing never moves a cell, so the first placement's route lengths
   // serve every load computation on it below.
   const place::NetWires first_wires = place::PlacedWires(nl, first);
@@ -121,6 +124,9 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     obs::GetCounter("flow.relegalized_tiles").Add(relegalized);
     d.loads = place::ExtractLoads(nl, lib, d.placement);
   }
+  if (obs::MetricsEnabled())
+    obs::GetGauge("flow.extract_eco.hpwl_um")
+        .Set(place::TotalHpwl(nl, d.placement));
 
   // --- Preserve the pre-partition view for the DVAS baselines.
   {

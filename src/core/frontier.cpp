@@ -183,8 +183,8 @@ std::vector<double> AccuracyCriticality(
   if (nthreads <= 1) {
     sta::TimingAnalyzer analyzer(nl, lib, loads);
     for (std::size_t i = 0; i < sorted.size(); ++i)
-      dts[i] = analyzer.AnalyzeDetailed(tech::CellLibrary::kVddNominal,
-                                        clock_ns, fbb, cas[i].get());
+      analyzer.AnalyzeDetailed(tech::CellLibrary::kVddNominal, clock_ns,
+                               fbb, cas[i].get(), &dts[i]);
   } else {
     util::ThreadPool pool(nthreads);
     std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
@@ -194,9 +194,9 @@ std::vector<double> AccuracyCriticality(
         [&](std::int64_t i, int w) {
           auto& a = analyzer[static_cast<std::size_t>(w)];
           if (!a) a = std::make_unique<sta::TimingAnalyzer>(nl, lib, loads);
-          dts[static_cast<std::size_t>(i)] = a->AnalyzeDetailed(
-              tech::CellLibrary::kVddNominal, clock_ns, fbb,
-              cas[static_cast<std::size_t>(i)].get());
+          a->AnalyzeDetailed(tech::CellLibrary::kVddNominal, clock_ns, fbb,
+                             cas[static_cast<std::size_t>(i)].get(),
+                             &dts[static_cast<std::size_t>(i)]);
         });
   }
 

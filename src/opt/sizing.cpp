@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "sta/sta.h"
 
 namespace adq::opt {
@@ -13,22 +14,17 @@ using tech::DriveStrength;
 
 namespace {
 
-/// Worst slack over an instance's pins (its "through" slack).
-double InstSlack(const Netlist& nl,
-                 const sta::TimingAnalyzer::DetailedTiming& dt,
+/// Worst slack over an instance's pins (its "through" slack), from
+/// per-net slacks that read +inf on inactive nets, the identity of the
+/// min fold.
+double InstSlack(const Netlist& nl, const std::vector<double>& net_slack,
                  std::uint32_t i) {
   const netlist::Instance& inst = nl.instances()[i];
   double slack = std::numeric_limits<double>::infinity();
-  for (int o = 0; o < inst.num_outputs(); ++o) {
-    const NetId out = inst.out[o];
-    if (!dt.ActiveNet(out)) continue;
-    slack = std::min(slack, dt.SlackOf(out));
-  }
-  for (int p = 0; p < inst.num_inputs(); ++p) {
-    const NetId in = inst.in[p];
-    if (!dt.ActiveNet(in)) continue;
-    slack = std::min(slack, dt.SlackOf(in));
-  }
+  for (int o = 0; o < inst.num_outputs(); ++o)
+    slack = std::min(slack, net_slack[inst.out[o].index()]);
+  for (int p = 0; p < inst.num_inputs(); ++p)
+    slack = std::min(slack, net_slack[inst.in[p].index()]);
   return slack;
 }
 
@@ -61,13 +57,24 @@ SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
       for (int p = 0; p < inst.num_inputs(); ++p)
         place::UpdateNetLoad(nl, lib, wires, inst.in[p], &loads);
     }
-    analyzer.SetLoads(loads);
+    analyzer.UpdateLoads(loads, moved);
+  };
+  // One detailed analysis per pass into reused buffers, folded once
+  // into the per-net slack every instance scan reads.
+  sta::TimingAnalyzer::DetailedTiming dt;
+  std::vector<double> net_slack(nl.num_nets());
+  const auto analyze_detailed = [&] {
+    analyzer.AnalyzeDetailed(opt.vdd, opt.clock_ns, bias, nullptr, &dt);
+    for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
+      net_slack[n] = dt.ActiveNet(NetId(n))
+                         ? dt.SlackOf(NetId(n))
+                         : std::numeric_limits<double>::infinity();
   };
 
   // ---- Phase 1: upsize until the clock is met (or sizes saturate).
   bool met = false;
   for (; res.iterations < opt.max_iterations; ++res.iterations) {
-    const auto dt = analyzer.AnalyzeDetailed(opt.vdd, opt.clock_ns, bias);
+    analyze_detailed();
     if (dt.wns_ns >= 0.0) {
       met = true;
       break;
@@ -77,7 +84,7 @@ SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
       const netlist::Instance& inst = nl.instances()[i];
       if (tech::IsTie(inst.kind)) continue;
       if (!CanUpsize(inst.drive)) continue;
-      if (InstSlack(nl, dt, i) < 0.0) {
+      if (InstSlack(nl, net_slack, i) < 0.0) {
         nl.SetDrive(InstId(i), Up(inst.drive));
         moved.push_back(i);
       }
@@ -98,18 +105,21 @@ SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
     const long budget = static_cast<long>(
         opt.recovery_steps_per_cell * static_cast<double>(nl.num_instances()));
     int k = std::max<int>(16, static_cast<int>(nl.num_instances()) / 8);
+    static obs::Counter& passes = obs::GetCounter("opt.recovery_passes");
+    static obs::Counter& reverts = obs::GetCounter("opt.recovery_reverts");
+    std::vector<std::pair<double, std::uint32_t>> cand;  // (slack, id)
     for (int pass = 0; pass < 16 * opt.max_iterations && k >= 8 &&
                        res.downsize_moves < budget;
          ++pass) {
-      const auto dt = analyzer.AnalyzeDetailed(opt.vdd, opt.clock_ns, bias);
+      analyze_detailed();
       // Candidates: downsizable cells whose estimated self-delay
       // increase fits within their slack minus the margin.
-      std::vector<std::pair<double, std::uint32_t>> cand;  // (slack, id)
+      cand.clear();
       for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
         const netlist::Instance& inst = nl.instances()[i];
         if (tech::IsTie(inst.kind)) continue;
         if (!CanDownsize(inst.drive)) continue;
-        const double slack = InstSlack(nl, dt, i);
+        const double slack = InstSlack(nl, net_slack, i);
         if (slack == std::numeric_limits<double>::infinity()) continue;
         const tech::CellVariant& cur = lib.Variant(inst.kind, inst.drive);
         const tech::CellVariant& dn =
@@ -135,10 +145,12 @@ SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
         moved.push_back(i);
       }
       refresh_loads();
+      passes.Add();
       const auto check = analyzer.Analyze(opt.vdd, opt.clock_ns, bias);
       if (check.feasible()) {
         res.downsize_moves += take;
       } else {
+        reverts.Add();
         for (const std::uint32_t i : moved)
           nl.SetDrive(InstId(i), Up(nl.instances()[i].drive));
         refresh_loads();

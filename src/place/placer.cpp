@@ -1,10 +1,10 @@
 #include "place/placer.h"
 
 #include "netlist/topo.h"
+#include "obs/metrics.h"
 #include "place/wirelength.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -91,6 +91,59 @@ BBox NetBox(const Netlist& nl, NetId id, const std::vector<Point>& cell_pos,
   return box;
 }
 
+/// The placer's pin tape: net/cell incidence flattened once per
+/// PlaceDesign into two exactly sized arrays. Positions live in one
+/// array, the cells first and then the anchored ports (`anchor_slot`).
+struct PinTape {
+  static constexpr std::uint32_t kNoAnchor =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> anchor_slot;  ///< per net, or kNoAnchor
+  std::uint32_t num_anchors = 0;
+  /// Per net: position slots in NetBox's order (driver, port anchor,
+  /// sinks), net n at [net_start[n], net_start[n + 1]).
+  std::vector<std::uint32_t> net_start, net_slot;
+  /// Per cell: its nets in pin order (inputs, then outputs).
+  std::vector<std::uint32_t> cell_start, cell_net;
+
+  PinTape(const Netlist& nl, std::size_t n_cells)
+      : anchor_slot(nl.num_nets(), kNoAnchor),
+        net_start(nl.num_nets() + 1),
+        cell_start(n_cells + 1) {
+    for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
+      const netlist::Net& net = nl.net(NetId(n));
+      const bool anchored = net.is_primary_input || net.is_primary_output;
+      if (anchored)
+        anchor_slot[n] = static_cast<std::uint32_t>(n_cells) + num_anchors++;
+      net_start[n + 1] = net_start[n] + (net.driver.valid() ? 1 : 0) +
+                         (anchored ? 1 : 0) +
+                         static_cast<std::uint32_t>(net.sinks.size());
+    }
+    for (std::uint32_t i = 0; i < n_cells; ++i) {
+      const netlist::Instance& inst = nl.instances()[i];
+      cell_start[i + 1] = cell_start[i] +
+                          static_cast<std::uint32_t>(inst.num_inputs() +
+                                                     inst.num_outputs());
+    }
+    net_slot.resize(net_start.back());
+    cell_net.resize(cell_start.back());
+    for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
+      const netlist::Net& net = nl.net(NetId(n));
+      std::uint32_t* slot = &net_slot[net_start[n]];
+      if (net.driver.valid()) *slot++ = net.driver.inst.value;
+      if (anchor_slot[n] != kNoAnchor) *slot++ = anchor_slot[n];
+      for (const netlist::PinRef& s : net.sinks) *slot++ = s.inst.value;
+    }
+    for (std::uint32_t i = 0; i < n_cells; ++i) {
+      const netlist::Instance& inst = nl.instances()[i];
+      std::uint32_t* net = &cell_net[cell_start[i]];
+      for (int p = 0; p < inst.num_inputs(); ++p)
+        *net++ = static_cast<std::uint32_t>(inst.in[p].index());
+      for (int o = 0; o < inst.num_outputs(); ++o)
+        *net++ = static_cast<std::uint32_t>(inst.out[o].index());
+    }
+  }
+};
+
 }  // namespace
 
 namespace {
@@ -162,50 +215,89 @@ std::vector<double> CellSignificance(const Netlist& nl) {
 
 }  // namespace
 
-std::vector<std::uint32_t> RankOrder(std::span<const double> keys) {
-  // LSD radix sort of (bit pattern, index) pairs on the patterns' top
-  // 33 bits (three 11-bit digits), then a stable insertion pass over
-  // the full patterns for keys that agree in those bits (to ~2^-21
-  // relative: rare among distinct coordinates). Both steps are
-  // stable, so equal keys stay in index order.
-  constexpr int kDigitBits = 11;
-  constexpr int kPasses = 3;
-  constexpr int kLowBits = 64 - kPasses * kDigitBits;
-  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+std::span<const std::uint32_t> RankOrder(std::span<const double> keys,
+                                         RankScratch* scratch) {
+  // A 16-bit linear key, monotone in the value, sorted by two stable
+  // 8-bit LSD counting passes; then a stable insertion pass on the
+  // full values orders keys that share a bucket. Every step is
+  // stable, so equal values stay in index order throughout.
   const std::size_t n = keys.size();
   ADQ_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
-  auto digit = [](std::uint64_t bits, int pass) {
-    return static_cast<std::size_t>(
-        (bits >> (kLowBits + pass * kDigitBits)) & (kBuckets - 1));
+  std::vector<std::uint32_t>& tmp = scratch->tmp;
+  std::vector<double>& tmp_value = scratch->tmp_value;
+  std::vector<std::uint32_t>& order = scratch->order;
+  std::vector<double>& value = scratch->value;
+  tmp.resize(n);
+  tmp_value.resize(n);
+  order.resize(n);
+  value.resize(n);
+
+  // The maximum, in four independent chains (max is exact, so the
+  // fold order does not matter).
+  double hi4[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    for (std::size_t l = 0; l < 4; ++l) hi4[l] = std::max(hi4[l], keys[i + l]);
+  for (; i < n; ++i) hi4[0] = std::max(hi4[0], keys[i]);
+  const double hi = std::max(std::max(hi4[0], hi4[1]), std::max(hi4[2], hi4[3]));
+  // v * scale <= hi * (65535 / hi) < 65536 for every key v. Flooring hi
+  // keeps the scale finite (and 0 * scale = 0) when all keys are tiny
+  // or zero; -0.0 lands in bucket 0 with +0.0.
+  const double scale = 65535.0 / std::max(hi, 1e-300);
+  auto key_of = [&](double v) {
+    ADQ_DCHECK(v >= 0.0);
+    return static_cast<std::uint16_t>(v * scale);
   };
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> item(n), tmp(n);
-  std::vector<std::uint32_t> count(kPasses * kBuckets, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ADQ_DCHECK(keys[i] >= 0.0);
-    // +0.0 for -0.0: the two compare equal, so they must tie.
-    const std::uint64_t bits =
-        keys[i] == 0.0 ? 0 : std::bit_cast<std::uint64_t>(keys[i]);
-    item[i] = {bits, static_cast<std::uint32_t>(i)};
-    for (int p = 0; p < kPasses; ++p)
-      ++count[static_cast<std::size_t>(p) * kBuckets + digit(bits, p)];
+
+  // Each pass carries the values along, so no pass gathers.
+  std::uint32_t lo_count[256] = {}, hi_count[256] = {};
+  for (const double v : keys) {
+    const std::uint16_t key = key_of(v);
+    ++lo_count[key & 0xffu];
+    ++hi_count[key >> 8];
   }
-  for (int p = 0; p < kPasses && n > 0; ++p) {
-    std::uint32_t* c = &count[static_cast<std::size_t>(p) * kBuckets];
-    if (c[digit(item[0].first, p)] == n) continue;  // one digit value
-    for (std::uint32_t b = 0, sum = 0; b < kBuckets; ++b)
-      sum += std::exchange(c[b], sum);
-    for (std::size_t i = 0; i < n; ++i)
-      tmp[c[digit(item[i].first, p)]++] = item[i];
-    item.swap(tmp);
+  for (std::uint32_t b = 0, lo_sum = 0, hi_sum = 0; b < 256; ++b) {
+    lo_sum += std::exchange(lo_count[b], lo_sum);
+    hi_sum += std::exchange(hi_count[b], hi_sum);
   }
-  for (std::size_t i = 1; i < n; ++i) {
-    const auto v = item[i];
-    std::size_t j = i;
-    for (; j > 0 && item[j - 1].first > v.first; --j) item[j] = item[j - 1];
-    item[j] = v;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t pos = lo_count[key_of(keys[k]) & 0xffu]++;
+    tmp[pos] = static_cast<std::uint32_t>(k);
+    tmp_value[pos] = keys[k];
   }
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = item[i].second;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t pos = hi_count[key_of(tmp_value[j]) >> 8]++;
+    order[pos] = tmp[j];
+    value[pos] = tmp_value[j];
+  }
+
+  // Clustered keys (many distinct values in one bucket) would make
+  // the insertion pass quadratic; past a linear shift budget,
+  // std::stable_sort finishes instead. Equal values are still in
+  // index order at that point, so its output is the same.
+  static obs::Counter& fallbacks = obs::GetCounter("place.rank_fallbacks");
+  const std::size_t budget = 8 * n;
+  std::size_t shifts = 0;
+  for (std::size_t k = 1; k < n; ++k) {
+    const std::uint32_t v = order[k];
+    const double kv = value[k];
+    std::size_t j = k;
+    for (; j > 0 && value[j - 1] > kv; --j) {
+      order[j] = order[j - 1];
+      value[j] = value[j - 1];
+    }
+    order[j] = v;
+    value[j] = kv;
+    shifts += k - j;
+    if (shifts > budget) {
+      fallbacks.Add();
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return keys[a] < keys[b];
+                       });
+      break;
+    }
+  }
   return order;
 }
 
@@ -250,20 +342,38 @@ bool TryLegalizeRows(const Netlist& nl, const tech::CellLibrary& lib,
       int best_row = -1;
       double best_cost = std::numeric_limits<double>::infinity();
       double best_x = x_lo;
-      for (int r = 0; r < rows; ++r) {
+      // The cheapest feasible row, lowest row on ties (the result of
+      // an ascending scan of every row). |ry - ty| bounds a row's cost
+      // from below and grows away from ty on either side, so each side
+      // stops at the first row where it exceeds the best cost so far.
+      const auto row_y = [&](int r) { return y_lo + (r + 0.5) * row_height_um; };
+      const auto try_row = [&](int r) {  // false: the side is done
+        const double ry = row_y(r);
+        if (std::abs(ry - ty) > best_cost) return false;
         double cand = std::max(cursor[static_cast<std::size_t>(r)], desired);
         // Preferred slot past the row end: fall back to the leftmost
         // free slot of this row.
         if (cand + w > x_hi + 1e-9)
           cand = cursor[static_cast<std::size_t>(r)];
-        if (cand + w > x_hi + 1e-9) continue;  // row genuinely full
-        const double ry = y_lo + (r + 0.5) * row_height_um;
+        if (cand + w > x_hi + 1e-9) return true;  // row genuinely full
         const double cost = std::abs(cand + w / 2 - tx) + std::abs(ry - ty);
-        if (cost < best_cost) {
+        if (cost < best_cost || (cost == best_cost && r < best_row)) {
           best_cost = cost;
           best_row = r;
           best_x = cand;
         }
+        return true;
+      };
+      // First row with ry >= ty: rows from it upward, then the rest
+      // downward.
+      int split = static_cast<int>(std::clamp(
+          std::ceil((ty - y_lo) / row_height_um - 0.5), 0.0,
+          static_cast<double>(rows)));
+      while (split > 0 && row_y(split - 1) >= ty) --split;
+      while (split < rows && row_y(split) < ty) ++split;
+      for (int r = split; r < rows && try_row(r); ++r) {
+      }
+      for (int r = split - 1; r >= 0 && try_row(r); --r) {
       }
       if (best_row < 0) return false;
       cursor[static_cast<std::size_t>(best_row)] = best_x + w;
@@ -330,65 +440,70 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
   // quadratic placement + look-ahead legalization.
   const std::size_t n_cells = nl.num_instances();
   const std::size_t n_nets = nl.num_nets();
+  const PinTape tape(nl, n_cells);
 
-  // Positions are frozen within a centroid pass, so each net's centre
-  // is computed once per pass rather than once per incident pin.
+  // Two position buffers (cells, then the anchored ports): a centroid
+  // pass reads one and writes the other. Positions are frozen within
+  // a pass, so each net's centre is computed once per pass.
+  std::vector<Point> cur(n_cells + tape.num_anchors), nxt(cur.size());
+  std::copy(pl.pos.begin(), pl.pos.end(), cur.begin());
+  for (std::uint32_t n = 0; n < n_nets; ++n) {
+    const std::uint32_t a = tape.anchor_slot[n];
+    if (a != PinTape::kNoAnchor) cur[a] = nxt[a] = pl.port_anchor[n];
+  }
   std::vector<Point> centre(n_nets);
-  std::vector<std::uint8_t> has_centre(n_nets);
   auto centroid_pass = [&](double damp) {
     for (std::uint32_t n = 0; n < n_nets; ++n) {
-      const BBox box = NetBox(nl, NetId(n), pl.pos, pl.port_anchor);
-      has_centre[n] = !box.empty();
-      if (has_centre[n]) centre[n] = box.center();
+      // Min/max in NetBox's pin order: signed zeros make it
+      // order-sensitive.
+      BBox box;
+      for (std::uint32_t k = tape.net_start[n]; k < tape.net_start[n + 1]; ++k)
+        box.Add(cur[tape.net_slot[k]]);
+      centre[n] = box.center();
     }
-    std::vector<Point> next = pl.pos;
     for (std::uint32_t i = 0; i < n_cells; ++i) {
-      const netlist::Instance& inst = nl.instances()[i];
       double sx = 0.0, sy = 0.0;
-      int n = 0;
-      auto accumulate = [&](NetId net_id) {
-        if (!has_centre[net_id.index()]) return;
-        const Point& c = centre[net_id.index()];
-        sx += c.x;
-        sy += c.y;
-        ++n;
-      };
-      for (int p = 0; p < inst.num_inputs(); ++p) accumulate(inst.in[p]);
-      for (int o = 0; o < inst.num_outputs(); ++o) accumulate(inst.out[o]);
-      if (n == 0) continue;
-      const double gx = sx / n, gy = sy / n;
+      const std::uint32_t lo = tape.cell_start[i], hi = tape.cell_start[i + 1];
+      for (std::uint32_t k = lo; k < hi; ++k) {
+        const std::uint32_t net = tape.cell_net[k];
+        // The net holds this cell, so its box is never empty.
+        ADQ_DCHECK(tape.net_start[net] < tape.net_start[net + 1]);
+        sx += centre[net].x;
+        sy += centre[net].y;
+      }
+      const int pins = static_cast<int>(hi - lo);
+      const double gx = sx / pins, gy = sy / pins;
       // Blend the wirelength centroid with the bit-significance
       // anchor in y (structured-datapath placement).
       const double ay = sig[i] * pl.fp.height_um;
       const double ty = 0.65 * gy + 0.35 * ay;
-      next[i].x = std::clamp(pl.pos[i].x + damp * (gx - pl.pos[i].x), 0.0,
-                             pl.fp.width_um);
-      next[i].y = std::clamp(pl.pos[i].y + damp * (ty - pl.pos[i].y), 0.0,
-                             pl.fp.height_um);
+      nxt[i].x = std::clamp(cur[i].x + damp * (gx - cur[i].x), 0.0,
+                            pl.fp.width_um);
+      nxt[i].y = std::clamp(cur[i].y + damp * (ty - cur[i].y), 0.0,
+                            pl.fp.height_um);
     }
-    pl.pos = std::move(next);
+    cur.swap(nxt);
   };
 
   // Rank spreading: each coordinate slides a fraction beta toward its
-  // uniform-density quantile position (order preserved per axis).
-  std::vector<double> xs(n_cells), ys(n_cells);
-  auto spread_pass = [&](double beta) {
-    for (std::size_t i = 0; i < n_cells; ++i) {
-      xs[i] = pl.pos[i].x;
-      ys[i] = pl.pos[i].y;
-    }
-    const std::vector<std::uint32_t> by_x = RankOrder(xs);
-    const std::vector<std::uint32_t> by_y = RankOrder(ys);
+  // uniform-density quantile position (order preserved per axis). The
+  // axes touch disjoint coordinates, so they are ranked and moved one
+  // after the other through one set of buffers.
+  std::vector<double> axis(n_cells);
+  RankScratch rank;
+  auto spread_axis = [&](double Point::*coord, double extent, double beta) {
+    for (std::size_t i = 0; i < n_cells; ++i) axis[i] = cur[i].*coord;
+    const std::span<const std::uint32_t> by_rank = RankOrder(axis, &rank);
     for (std::size_t r = 0; r < n_cells; ++r) {
       const double frac =
           (static_cast<double>(r) + 0.5) / static_cast<double>(n_cells);
-      const double qx = frac * pl.fp.width_um;
-      const double qy = frac * pl.fp.height_um;
-      Point& px = pl.pos[by_x[r]];
-      Point& py = pl.pos[by_y[r]];
-      px.x += beta * (qx - px.x);
-      py.y += beta * (qy - py.y);
+      double& c = cur[by_rank[r]].*coord;
+      c += beta * (frac * extent - c);
     }
+  };
+  auto spread_pass = [&](double beta) {
+    spread_axis(&Point::x, pl.fp.width_um, beta);
+    spread_axis(&Point::y, pl.fp.height_um, beta);
   };
 
   for (int it = 0; it < opt.centroid_iterations; ++it) {
@@ -399,6 +514,7 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
     spread_pass(0.7 * (1.0 - 0.7 * it / std::max(1, opt.centroid_iterations)));
   }
   centroid_pass(0.5);
+  std::copy_n(cur.begin(), n_cells, pl.pos.begin());
 
   pl.pos = LegalizeRows(nl, lib, pl.pos, {}, 0.0, pl.fp.width_um, 0.0,
                         pl.fp.height_um, pl.fp.row_height_um);

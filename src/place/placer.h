@@ -65,12 +65,24 @@ bool TryLegalizeRows(const netlist::Netlist& nl,
                      double x_hi, double y_lo, double y_hi,
                      double row_height_um, std::vector<Point>* out);
 
+/// Reusable buffers for RankOrder; one per ranking that must stay
+/// alive, so a steady stream of calls allocates nothing.
+struct RankScratch {
+  std::vector<std::uint32_t> tmp, order;  ///< indices after pass 1, 2
+  std::vector<double> tmp_value, value;   ///< keys[tmp[j]], keys[order[j]]
+};
+
 /// The permutation of 0 .. keys.size()-1 that sorts `keys` ascending,
-/// equal keys in index order, so the order is total. Keys must be
-/// >= 0; -0.0 ranks as +0.0. The placer's spreading pass ranks cell
-/// coordinates with it (an LSD radix sort on the IEEE-754 bit
-/// patterns, which order like the values for non-negative doubles).
-std::vector<std::uint32_t> RankOrder(std::span<const double> keys);
+/// equal keys in index order, so the order is total (the output of a
+/// std::stable_sort of the indices). Keys must be >= 0; -0.0 ranks as
+/// +0.0. The placer's spreading pass ranks cell coordinates with it:
+/// a counting sort on a 16-bit key linear in [0, max key], then an
+/// insertion pass on the full values, with std::stable_sort taking
+/// over past a linear shift budget (clustered keys; counted by
+/// `place.rank_fallbacks`). The result views `scratch->order` and is
+/// valid until the next call on the same scratch.
+std::span<const std::uint32_t> RankOrder(std::span<const double> keys,
+                                         RankScratch* scratch);
 
 /// Total half-perimeter wirelength of the placement [um].
 double TotalHpwl(const netlist::Netlist& nl, const Placement& pl);

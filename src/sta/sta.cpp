@@ -45,7 +45,7 @@ TimingAnalyzer::TimingAnalyzer(const Netlist& nl,
       order_.push_back(id);
   }
   arrival_.resize(nl.num_nets(), kNegInf);
-  SetLoads(loads);
+  tab_.Build(nl, lib, loads);
 }
 
 void TimingAnalyzer::DelayTables::Build(const Netlist& nl,
@@ -55,17 +55,36 @@ void TimingAnalyzer::DelayTables::Build(const Netlist& nl,
   base_delay.assign(nl.num_instances() * 2, 0.0);
   wire_delay.assign(nl.num_instances() * 2, 0.0);
   setup_ns.assign(nl.num_instances(), 0.0);
-  for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
-    const netlist::Instance& inst = nl.instances()[i];
-    const tech::CellVariant& v = lib.Variant(inst.kind, inst.drive);
-    setup_ns[i] = v.setup_ns;
-    for (int o = 0; o < inst.num_outputs(); ++o) {
-      const NetId out = inst.out[o];
-      base_delay[2 * i + (std::size_t)o] =
-          v.d0_ns + v.kd_ns_per_ff * loads.cap_ff[out.index()];
-      wire_delay[2 * i + (std::size_t)o] =
-          loads.wire_delay_ns[out.index()];
-    }
+  for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
+    BuildRow(nl, lib, loads, i);
+}
+
+void TimingAnalyzer::DelayTables::BuildRow(const Netlist& nl,
+                                           const tech::CellLibrary& lib,
+                                           const place::NetLoads& loads,
+                                           std::uint32_t i) {
+  const netlist::Instance& inst = nl.instances()[i];
+  const tech::CellVariant& v = lib.Variant(inst.kind, inst.drive);
+  setup_ns[i] = v.setup_ns;
+  for (int o = 0; o < inst.num_outputs(); ++o) {
+    const NetId out = inst.out[o];
+    base_delay[2 * i + (std::size_t)o] =
+        v.d0_ns + v.kd_ns_per_ff * loads.cap_ff[out.index()];
+    wire_delay[2 * i + (std::size_t)o] = loads.wire_delay_ns[out.index()];
+  }
+}
+
+void TimingAnalyzer::RefreshLaunch(SweepLaunch& r) const {
+  r.base = tab_.base_delay[2 * r.inst];
+  r.wire = tab_.wire_delay[2 * r.inst];
+}
+
+void TimingAnalyzer::RefreshCell(SweepCell& c) const {
+  const netlist::Instance& inst = nl_.instances()[c.inst];
+  for (int k = 0; k < c.nout; ++k) {
+    const std::size_t o = inst.out[0].index() == c.out_net[k] ? 0 : 1;
+    c.base[k] = tab_.base_delay[2 * c.inst + o];
+    c.wire[k] = tab_.wire_delay[2 * c.inst + o];
   }
 }
 
@@ -74,19 +93,39 @@ void TimingAnalyzer::SetLoads(const place::NetLoads& loads) {
   // A schedule's structure depends only on its case analysis; refresh
   // the base/wire delays it hoisted out of the tables in place.
   for (const auto& s : schedules_) {
-    for (SweepLaunch& r : s->launches) {
-      r.base = tab_.base_delay[2 * r.inst];
-      r.wire = tab_.wire_delay[2 * r.inst];
-    }
-    for (SweepCell& c : s->cells) {
-      const netlist::Instance& inst = nl_.instances()[c.inst];
-      for (int k = 0; k < c.nout; ++k) {
-        const std::size_t o = inst.out[0].index() == c.out_net[k] ? 0 : 1;
-        c.base[k] = tab_.base_delay[2 * c.inst + o];
-        c.wire[k] = tab_.wire_delay[2 * c.inst + o];
-      }
+    for (SweepLaunch& r : s->launches) RefreshLaunch(r);
+    for (SweepCell& c : s->cells) RefreshCell(c);
+  }
+}
+
+void TimingAnalyzer::UpdateLoads(const place::NetLoads& loads,
+                                 std::span<const std::uint32_t> resized) {
+  ADQ_CHECK(loads.cap_ff.size() == nl_.num_nets());
+  if (dirty_.empty()) dirty_.assign(nl_.num_instances(), 0);
+  dirty_list_.clear();
+  auto mark = [&](std::uint32_t i) {
+    if (dirty_[i]) return;
+    dirty_[i] = 1;
+    dirty_list_.push_back(i);
+  };
+  for (const std::uint32_t i : resized) {
+    mark(i);
+    const netlist::Instance& inst = nl_.instances()[i];
+    for (int p = 0; p < inst.num_inputs(); ++p) {
+      const netlist::PinRef drv = nl_.net(inst.in[p]).driver;
+      if (drv.valid()) mark(drv.inst.value);
     }
   }
+  for (const std::uint32_t i : dirty_list_) tab_.BuildRow(nl_, lib_, loads, i);
+  // One pass over each schedule; a byte test per entry is cheaper than
+  // finding each dirty entry by search.
+  for (const auto& s : schedules_) {
+    for (SweepLaunch& r : s->launches)
+      if (dirty_[r.inst]) RefreshLaunch(r);
+    for (SweepCell& c : s->cells)
+      if (dirty_[c.inst]) RefreshCell(c);
+  }
+  for (const std::uint32_t i : dirty_list_) dirty_[i] = 0;
 }
 
 const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
@@ -392,10 +431,9 @@ std::vector<TimingReport> TimingAnalyzer::AnalyzeBatch(
   return reports;
 }
 
-TimingAnalyzer::DetailedTiming TimingAnalyzer::AnalyzeDetailed(
-    double vdd, double clock_ns,
-    const std::vector<BiasState>& bias_of_inst,
-    const netlist::CaseAnalysis* ca) {
+void TimingAnalyzer::AnalyzeDetailed(
+    double vdd, double clock_ns, const std::vector<BiasState>& bias_of_inst,
+    const netlist::CaseAnalysis* ca, DetailedTiming* out) {
   constexpr double kPosInf = std::numeric_limits<double>::infinity();
   const double scale[tech::kNumBiasStates] = {
       lib_.DelayScale(vdd, BiasState::kNoBB),
@@ -404,58 +442,47 @@ TimingAnalyzer::DetailedTiming TimingAnalyzer::AnalyzeDetailed(
     return bias_of_inst.empty() ? 0
                                 : static_cast<int>(bias_of_inst[i]);
   };
-  auto net_active = [&](NetId n) { return ca == nullptr || !ca->IsConstant(n); };
 
-  DetailedTiming dt;
+  DetailedTiming& dt = *out;
   dt.arrival.resize(nl_.num_nets());
   dt.required.assign(nl_.num_nets(), kPosInf);
+  dt.wns_ns = kPosInf;
+  double* const req = dt.required.data();
 
   // Forward sweep (the exact kernel Analyze runs). clear_all: the
-  // returned buffer is read for arbitrary nets, so unreached rows
-  // must hold their historical -inf.
-  PropagateArrivals(1, dt.arrival.data(), ScheduleFor(ca),
+  // caller reads arbitrary nets, so unreached rows must hold -inf.
+  const SweepSchedule& sched = ScheduleFor(ca);
+  PropagateArrivals(1, dt.arrival.data(), sched,
                     [&](std::uint32_t i) { return &scale[bias_of(i)]; },
                     /*clear_all=*/true);
 
-  // Backward sweep: required time at capture D pins, propagated back.
-  for (std::uint32_t i = 0; i < nl_.num_instances(); ++i) {
-    const netlist::Instance& inst = nl_.instances()[i];
-    if (!inst.is_sequential()) continue;
-    const NetId d = inst.in[0];
-    if (!net_active(d)) continue;
-    const double setup = tab_.setup_ns[i] * scale[bias_of(i)];
-    dt.required[d.index()] =
-        std::min(dt.required[d.index()], clock_ns - setup);
+  // Backward sweep: required time at the live capture D pins, then
+  // the schedule in reverse. Only reached nets get a required time;
+  // a full-netlist walk would also write unreached ones, which
+  // ActiveNet hides (their arrival is -inf) and which never feed a
+  // reached net. Each reached net sees the same min fold, in the same
+  // order, as in that walk.
+  for (const SweepCapture& c : sched.captures) {
+    if (!c.active) continue;
+    const double setup = tab_.setup_ns[c.inst] * scale[bias_of(c.inst)];
+    req[c.d_net] = std::min(req[c.d_net], clock_ns - setup);
   }
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    const std::uint32_t i = it->value;
-    const netlist::Instance& inst = nl_.instances()[i];
-    const int b = bias_of(i);
+  for (auto it = sched.cells.rbegin(); it != sched.cells.rend(); ++it) {
+    const SweepCell& c = *it;
+    const double m = scale[bias_of(c.inst)];
     double req_in = kPosInf;
-    for (int o = 0; o < inst.num_outputs(); ++o) {
-      const NetId out = inst.out[o];
-      if (!net_active(out)) continue;
-      req_in = std::min(req_in,
-                        dt.required[out.index()] -
-                            tab_.base_delay[2 * i + (std::size_t)o] * scale[b] -
-                            tab_.wire_delay[2 * i + (std::size_t)o]);
-    }
+    for (int k = 0; k < c.nout; ++k)
+      req_in = std::min(req_in, req[c.out_net[k]] - c.base[k] * m - c.wire[k]);
     if (req_in == kPosInf) continue;
-    for (int p = 0; p < inst.num_inputs(); ++p) {
-      const NetId in = inst.in[p];
-      if (!net_active(in)) continue;
-      dt.required[in.index()] = std::min(dt.required[in.index()], req_in);
-    }
+    for (int k = 0; k < c.nin; ++k)
+      req[c.in_net[k]] = std::min(req[c.in_net[k]], req_in);
   }
 
   for (std::uint32_t n = 0; n < nl_.num_nets(); ++n) {
-    const NetId id(n);
-    if (!net_active(id)) continue;
-    if (dt.arrival[n] == kNegInf || dt.required[n] == kPosInf) continue;
-    dt.wns_ns = std::min(dt.wns_ns, dt.required[n] - dt.arrival[n]);
+    if (!sched.reached[n] || req[n] == kPosInf) continue;
+    dt.wns_ns = std::min(dt.wns_ns, req[n] - dt.arrival[n]);
   }
   if (dt.wns_ns == kPosInf) dt.wns_ns = clock_ns;
-  return dt;
 }
 
 }  // namespace adq::sta

@@ -73,6 +73,15 @@ class TimingAnalyzer {
   /// delays refreshed in place.
   void SetLoads(const place::NetLoads& loads);
 
+  /// Incremental SetLoads after resizing: `loads` must already hold
+  /// the refreshed input nets of the `resized` instances. Rewrites only
+  /// the delay-table rows and cached schedule entries of those
+  /// instances and of the drivers of their input nets — every row a
+  /// drive change can move — so the analyzer ends exactly as after
+  /// SetLoads(loads).
+  void UpdateLoads(const place::NetLoads& loads,
+                   std::span<const std::uint32_t> resized);
+
   /// Runs one STA.
   /// \param bias_of_inst  back-bias state per instance (index = id);
   ///                      empty means all-NoBB.
@@ -115,7 +124,9 @@ class TimingAnalyzer {
 
   /// Per-net arrival/required times (forward + backward sweep). Used
   /// by the sizing optimizer, which needs the slack *through* every
-  /// cell, not just at endpoints. Inactive nets hold -inf / +inf.
+  /// cell, not just at endpoints. Only nets that ActiveNet accepts
+  /// (active under the case analysis and reached from a launch point)
+  /// carry meaningful times; inactive nets read -inf arrival.
   struct DetailedTiming {
     std::vector<double> arrival;
     std::vector<double> required;
@@ -131,10 +142,12 @@ class TimingAnalyzer {
                  std::numeric_limits<double>::infinity();
     }
   };
-  DetailedTiming AnalyzeDetailed(
-      double vdd, double clock_ns,
-      const std::vector<tech::BiasState>& bias_of_inst,
-      const netlist::CaseAnalysis* ca = nullptr);
+  /// Fills the caller-owned `*out` (its buffers are reused, so a
+  /// steady stream of calls allocates nothing). The backward sweep
+  /// walks the cached forward schedule in reverse.
+  void AnalyzeDetailed(double vdd, double clock_ns,
+                       const std::vector<tech::BiasState>& bias_of_inst,
+                       const netlist::CaseAnalysis* ca, DetailedTiming* out);
 
   const netlist::Netlist& nl() const { return nl_; }
   const tech::CellLibrary& lib() const { return lib_; }
@@ -156,6 +169,9 @@ class TimingAnalyzer {
 
     void Build(const netlist::Netlist& nl, const tech::CellLibrary& lib,
                const place::NetLoads& loads);
+    /// Rewrites instance i's rows (Build is this for every instance).
+    void BuildRow(const netlist::Netlist& nl, const tech::CellLibrary& lib,
+                  const place::NetLoads& loads, std::uint32_t i);
   };
   DelayTables tab_;
 
@@ -213,6 +229,9 @@ class TimingAnalyzer {
   /// LRU-caching it on first use. SetLoads refreshes the hoisted
   /// base/wire delays of every cached schedule.
   const SweepSchedule& ScheduleFor(const netlist::CaseAnalysis* ca);
+  /// Copies an entry's hoisted base/wire delays from the tables.
+  void RefreshLaunch(SweepLaunch& r) const;
+  void RefreshCell(SweepCell& c) const;
 
   /// Every caller walks its modes in order (an engine sweeps one
   /// bitwidth at a time), so two entries serve a caller that alternates
@@ -231,6 +250,10 @@ class TimingAnalyzer {
   std::vector<double> nobb_lanes_, fbb_lanes_;  // per padded lane
   std::vector<double> wns_lanes_;      // per padded lane, capture fold
   std::vector<std::uint64_t> viol_lanes_;  // per padded lane
+  // UpdateLoads scratch, allocated on its first call: a per-instance
+  // dirty mark (all clear between calls) and the marked instances.
+  std::vector<std::uint8_t> dirty_;
+  std::vector<std::uint32_t> dirty_list_;
 
   /// `clear_all` pre-fills every arrival row with -inf before the
   /// sweep (AnalyzeDetailed: its caller reads arbitrary nets from the

@@ -62,14 +62,6 @@ enum class BiasState { kNoBB = 0, kFBB = 1 };
 
 inline constexpr int kNumBiasStates = 2;
 
-inline const char* ToString(BiasState s) {
-  switch (s) {
-    case BiasState::kNoBB: return "NoBB";
-    case BiasState::kFBB: return "FBB";
-  }
-  return "?";
-}
-
 /// Static parameters of the back-bias mechanism.
 /// Defaults reproduce the paper's technology: 85 mV/V body factor and
 /// a ±1.1 V FBB well voltage.

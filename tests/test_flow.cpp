@@ -11,6 +11,7 @@
 #include "core/error_metrics.h"
 #include "core/flow.h"
 #include "gen/operator.h"
+#include "obs/metrics.h"
 
 namespace adq::core {
 namespace {
@@ -115,6 +116,33 @@ TEST(Flow, GuardbandOverheadInPlausibleBand) {
       RunImplementationFlow(gen::BuildBoothOperator(16), Lib(), fopt);
   EXPECT_GT(d.partition.area_overhead(), 0.03);
   EXPECT_LT(d.partition.area_overhead(), 0.35);
+}
+
+// With metrics on, the flow reports the wirelength after placement and
+// after the extract ECO, and the sizing and placer attribution
+// counters; with them off, the gauges are never computed.
+TEST(Flow, ReportsPhaseWirelengthAndAttributionCounters) {
+  FlowOptions fopt;
+  fopt.grid = {2, 2};
+  obs::ResetMetrics();
+  RunImplementationFlow(gen::BuildBoothOperator(8), Lib(), fopt);
+  EXPECT_EQ(obs::GetGauge("flow.place.hpwl_um").value(), 0.0);
+
+  obs::EnableMetrics(true);
+  const ImplementedDesign d =
+      RunImplementationFlow(gen::BuildBoothOperator(8), Lib(), fopt);
+  const double place_hpwl = obs::GetGauge("flow.place.hpwl_um").value();
+  const double eco_hpwl = obs::GetGauge("flow.extract_eco.hpwl_um").value();
+  const long passes = obs::GetCounter("opt.recovery_passes").value();
+  const long reverts = obs::GetCounter("opt.recovery_reverts").value();
+  const long fallbacks = obs::GetCounter("place.rank_fallbacks").value();
+  obs::EnableMetrics(false);
+  EXPECT_EQ(place_hpwl, place::TotalHpwl(d.op.nl, d.flat_placement));
+  EXPECT_EQ(eco_hpwl, place::TotalHpwl(d.op.nl, d.placement));
+  EXPECT_GT(eco_hpwl, 0.0);
+  EXPECT_GT(passes, 0);
+  EXPECT_LE(reverts, passes);
+  EXPECT_EQ(fallbacks, 0);
 }
 
 /// FNV-1a over the bit patterns of a flow run's outputs.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/operator.h"
+#include "netlist/case_analysis.h"
 #include "opt/buffering.h"
 #include "opt/sizing.h"
 #include "place/placer.h"
@@ -66,17 +67,41 @@ void ExpectSameLoads(const place::NetLoads& a, const place::NetLoads& b) {
   }
 }
 
+void ExpectSameDetailed(const sta::TimingAnalyzer::DetailedTiming& a,
+                        const sta::TimingAnalyzer::DetailedTiming& b) {
+  ASSERT_EQ(a.arrival.size(), b.arrival.size());
+  EXPECT_EQ(a.wns_ns, b.wns_ns);
+  for (std::size_t n = 0; n < a.arrival.size(); ++n) {
+    ASSERT_EQ(a.arrival[n], b.arrival[n]) << "net " << n;
+    ASSERT_EQ(a.required[n], b.required[n]) << "net " << n;
+  }
+}
+
 // OptimizeSizing refreshes only the input nets of the cells a round
-// resized. Replaying rounds of random resizes (on placed wires)
-// against a full recompute pins that the incremental loads never
-// drift.
+// resized, and the analyzer only the rows those nets and cells feed
+// (UpdateLoads). Replaying rounds of random resizes (on placed wires)
+// against a full recompute pins that neither drifts: the loads equal
+// ComputeLoads, and the incrementally updated analyzer, with cached
+// schedules for the full circuit and a case analysis, answers every
+// query exactly as one given the same loads through SetLoads.
 TEST(Sizing, IncrementalLoadsMatchFullRecompute) {
   gen::Operator op = gen::BuildBoothOperator(8);
   const place::NetWires wires =
       place::PlacedWires(op.nl, place::PlaceDesign(op.nl, Lib()));
   place::NetLoads loads = place::ComputeLoads(op.nl, Lib(), wires);
+  const netlist::CaseAnalysis ca(op.nl, gen::ForcedZeroLsbs(op, 3));
+  const netlist::CaseAnalysis* cases[] = {nullptr, &ca};
+  const std::vector<BiasState> bias(op.nl.num_instances(), BiasState::kFBB);
+  sta::TimingAnalyzer inc(op.nl, Lib(), loads);
+  sta::TimingAnalyzer full(op.nl, Lib(), loads);
+  sta::TimingAnalyzer::DetailedTiming inc_dt, full_dt;
+  for (const netlist::CaseAnalysis* c : cases) {
+    inc.Analyze(1.0, 0.8, bias, c);
+    full.Analyze(1.0, 0.8, bias, c);
+  }
   util::Rng rng(3);
   for (int round = 0; round < 20; ++round) {
+    std::vector<std::uint32_t> resized;
     for (int k = 0; k < 25; ++k) {
       const auto i = static_cast<std::uint32_t>(
           rng.UniformInt(0, static_cast<std::int64_t>(op.nl.num_instances()) - 1));
@@ -87,8 +112,22 @@ TEST(Sizing, IncrementalLoadsMatchFullRecompute) {
                          0, static_cast<int>(tech::DriveStrength::kX4))));
       for (int p = 0; p < inst.num_inputs(); ++p)
         place::UpdateNetLoad(op.nl, Lib(), wires, inst.in[p], &loads);
+      resized.push_back(i);
     }
     ExpectSameLoads(loads, place::ComputeLoads(op.nl, Lib(), wires));
+    inc.UpdateLoads(loads, resized);
+    full.SetLoads(loads);
+    for (const netlist::CaseAnalysis* c : cases) {
+      const sta::TimingReport a = inc.Analyze(1.0, 0.8, bias, c, true);
+      const sta::TimingReport b = full.Analyze(1.0, 0.8, bias, c, true);
+      EXPECT_EQ(a.wns_ns, b.wns_ns);
+      ASSERT_EQ(a.endpoints.size(), b.endpoints.size());
+      for (std::size_t e = 0; e < a.endpoints.size(); ++e)
+        ASSERT_EQ(a.endpoints[e].slack_ns, b.endpoints[e].slack_ns);
+      inc.AnalyzeDetailed(1.0, 0.8, bias, c, &inc_dt);
+      full.AnalyzeDetailed(1.0, 0.8, bias, c, &full_dt);
+      ExpectSameDetailed(inc_dt, full_dt);
+    }
   }
 }
 

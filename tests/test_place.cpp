@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <numeric>
 #include <set>
+#include <span>
 
 #include "gen/operator.h"
+#include "obs/metrics.h"
+#include "opt/buffering.h"
+#include "opt/sizing.h"
 #include "place/grid_partition.h"
 #include "place/placer.h"
 #include "place/wirelength.h"
@@ -87,16 +92,80 @@ TEST(Placer, BeatsRandomPlacementOnHpwl) {
   EXPECT_LT(TotalHpwl(op.nl, pl), 0.8 * TotalHpwl(op.nl, rnd));
 }
 
+/// FNV-1a over the bit patterns of a placement's cell centres.
+std::uint64_t PositionDigest(const std::vector<Point>& pos) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Point& p : pos) {
+    add(p.x);
+    add(p.y);
+  }
+  return h;
+}
+
+// Pins PlaceDesign alone, bit for bit, on the paper's three designs as
+// the flow hands them to it: high-fanout buffering, then the
+// wireload-model sizing at 0.8x the target clock (the prefix of
+// core::RunImplementationFlow). Any placer change meant as a pure
+// speedup must leave these digests alone.
+TEST(Placer, PaperDesignsBitIdentical) {
+  struct Case {
+    const char* name;
+    gen::Operator (*build)(int);
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"Booth16", &gen::BuildBoothOperator, 0xf5df4efc06cdcdf9ULL},
+      {"Butterfly16", &gen::BuildButterflyOperator, 0xb82c8c9c8bb712eeULL},
+      {"FIR16", &gen::BuildFirMacOperator, 0xbabd64fcc6ef4edcULL},
+  };
+  for (const Case& c : cases) {
+    gen::Operator op = c.build(16);
+    opt::BufferHighFanout(op.nl, 8);
+    opt::SizingOptions sopt;
+    sopt.clock_ns = op.spec.target_clock_ns * 0.8;
+    sopt.enable_recovery = false;
+    sopt.recovery_margin_ns = 0.04 * op.spec.target_clock_ns;
+    opt::OptimizeSizing(op.nl, Lib(), FanoutWires(op.nl), sopt);
+    const Placement pl = PlaceDesign(op.nl, Lib(), {});
+    EXPECT_EQ(PositionDigest(pl.pos), c.digest)
+        << c.name << ": digest 0x" << std::hex << PositionDigest(pl.pos);
+  }
+}
+
+std::vector<std::uint32_t> Ranked(std::span<const double> keys) {
+  RankScratch scratch;
+  const std::span<const std::uint32_t> order = RankOrder(keys, &scratch);
+  return {order.begin(), order.end()};
+}
+
+/// The oracle: a std::stable_sort of the indices.
+std::vector<std::uint32_t> StableOrder(const std::vector<double>& keys) {
+  std::vector<std::uint32_t> want(keys.size());
+  std::iota(want.begin(), want.end(), 0u);
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return keys[a] < keys[b];
+                   });
+  return want;
+}
+
 TEST(RankOrder, TiesFallToIndexOrder) {
   const std::vector<double> keys = {3.0, 1.0, 3.0, 0.5, 1.0, 3.0};
-  EXPECT_EQ(RankOrder(keys),
+  EXPECT_EQ(Ranked(keys),
             (std::vector<std::uint32_t>{3, 1, 4, 0, 2, 5}));
-  EXPECT_TRUE(RankOrder(std::vector<double>{}).empty());
+  EXPECT_TRUE(Ranked(std::vector<double>{}).empty());
 }
 
 TEST(RankOrder, NegativeZeroTiesWithPositiveZero) {
   const std::vector<double> keys = {1.0, 0.0, -0.0, 0.0, 2.0, -0.0};
-  EXPECT_EQ(RankOrder(keys),
+  EXPECT_EQ(Ranked(keys),
             (std::vector<std::uint32_t>{1, 2, 3, 5, 0, 4}));
 }
 
@@ -117,7 +186,64 @@ TEST(RankOrder, MatchesStdSortOnTieFreeKeys) {
   std::sort(want.begin(), want.end(), [&](std::uint32_t a, std::uint32_t b) {
     return keys[a] < keys[b];
   });
-  EXPECT_EQ(RankOrder(keys), want);
+  EXPECT_EQ(Ranked(keys), want);
+}
+
+// RankOrder against the std::stable_sort oracle on key sets that
+// stress each of its steps: spread buckets, heavy ties, signed zeros,
+// keys across every exponent, and distinct keys crowded into one
+// 16-bit bucket (quadratic for the insertion pass alone, so it must
+// take the stable_sort fallback). One scratch serves every case.
+TEST(RankOrder, MatchesStableSortOracle) {
+  util::Rng rng(7);
+  struct Set {
+    const char* name;
+    std::vector<double> keys;
+    long fallbacks;  // stable_sort takeovers expected
+  };
+  std::vector<Set> sets;
+  std::vector<double> uniform(20000);
+  for (double& k : uniform) k = rng.Uniform(0.0, 137.5);
+  sets.push_back({"uniform", uniform, 0});
+  std::vector<double> quantized(20000);
+  for (double& k : quantized)
+    k = 0.25 * static_cast<double>(rng.UniformInt(0, 40));
+  sets.push_back({"quantized", quantized, 0});
+  std::vector<double> zeros(3000);
+  for (double& k : zeros) {
+    const auto r = rng.UniformInt(0, 3);
+    k = r == 0 ? 0.0 : r == 1 ? -0.0 : rng.Uniform(0.0, 1e-3);
+  }
+  sets.push_back({"signed zeros", zeros, 0});
+  // On a linear scale almost all of these share bucket 0.
+  std::vector<double> spread(5000);
+  for (double& k : spread)
+    k = std::ldexp(rng.Uniform(0.5, 1.0),
+                   static_cast<int>(rng.UniformInt(-1070, 40)));
+  sets.push_back({"exponent spread", spread, 1});
+  // 100k distinct keys a few ulps apart just above 1.0, ranked against
+  // a maximum of 2.0: all share bucket 32767, in shuffled order.
+  std::vector<double> clustered(100000);
+  for (std::size_t i = 0; i < clustered.size(); ++i)
+    clustered[i] = 1.0 + static_cast<double>(i) * 0x1p-52;
+  for (std::size_t i = clustered.size() - 1; i > 0; --i)
+    std::swap(clustered[i], clustered[static_cast<std::size_t>(rng.UniformInt(
+                                0, static_cast<std::int64_t>(i)))]);
+  clustered.push_back(2.0);
+  sets.push_back({"one bucket", clustered, 1});
+
+  obs::EnableMetrics(true);
+  obs::Counter& fallbacks = obs::GetCounter("place.rank_fallbacks");
+  RankScratch scratch;
+  for (const Set& set : sets) {
+    const long before = fallbacks.value();
+    const std::span<const std::uint32_t> got = RankOrder(set.keys, &scratch);
+    EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+              StableOrder(set.keys))
+        << set.name;
+    EXPECT_EQ(fallbacks.value() - before, set.fallbacks) << set.name;
+  }
+  obs::EnableMetrics(false);
 }
 
 TEST(Partition, DegenerateSingleDomain) {

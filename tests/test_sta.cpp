@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "gen/operator.h"
 #include "netlist/case_analysis.h"
+#include "netlist/topo.h"
 #include "place/wirelength.h"
 #include "sta/slack_histogram.h"
 #include "sta/sta.h"
@@ -140,7 +144,8 @@ TEST(Sta, DetailedConsistentWithEndpointAnalysis) {
   TimingAnalyzer an(c.nl, Lib(), c.ZeroLoads());
   const std::vector<BiasState> bias(c.nl.num_instances(), BiasState::kNoBB);
   const TimingReport rep = an.Analyze(0.8, 0.6, bias, nullptr, true);
-  const auto dt = an.AnalyzeDetailed(0.8, 0.6, bias);
+  TimingAnalyzer::DetailedTiming dt;
+  an.AnalyzeDetailed(0.8, 0.6, bias, nullptr, &dt);
   EXPECT_NEAR(rep.wns_ns, dt.wns_ns, 1e-12);
 }
 
@@ -150,7 +155,8 @@ TEST(Sta, DetailedSlackDecreasesAlongPath) {
   Chain c(5);
   TimingAnalyzer an(c.nl, Lib(), c.ZeroLoads());
   const std::vector<BiasState> bias(c.nl.num_instances(), BiasState::kFBB);
-  const auto dt = an.AnalyzeDetailed(1.0, 1.0, bias);
+  TimingAnalyzer::DetailedTiming dt;
+  an.AnalyzeDetailed(1.0, 1.0, bias, nullptr, &dt);
   // Collect slacks of inverter output nets.
   double first_slack = 0.0;
   bool have = false;
@@ -242,6 +248,105 @@ TEST(Sta, SetLoadsRefreshesCachedSchedules) {
     const auto fb = fresh.AnalyzeBatch(vdds, 0.8, masks, domain_of, c);
     ASSERT_EQ(wb.size(), fb.size());
     for (std::size_t l = 0; l < wb.size(); ++l) ExpectSameReport(wb[l], fb[l]);
+  }
+}
+
+/// The historical backward sweep, kept as the oracle: required times
+/// over the whole netlist in reverse topological order, from delay
+/// rows rebuilt here from the library and the loads.
+struct ReferenceDetailed {
+  std::vector<double> required;
+  double wns_ns = std::numeric_limits<double>::infinity();
+};
+ReferenceDetailed ReferenceBackwardSweep(
+    const netlist::Netlist& nl, const place::NetLoads& loads, double vdd,
+    double clock_ns, const std::vector<BiasState>& bias,
+    const netlist::CaseAnalysis* ca, const std::vector<double>& arrival) {
+  constexpr double kPosInf = std::numeric_limits<double>::infinity();
+  const double scale[] = {Lib().DelayScale(vdd, BiasState::kNoBB),
+                          Lib().DelayScale(vdd, BiasState::kFBB)};
+  auto net_active = [&](netlist::NetId n) {
+    return ca == nullptr || !ca->IsConstant(n);
+  };
+  ReferenceDetailed ref;
+  ref.required.assign(nl.num_nets(), kPosInf);
+  for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
+    const netlist::Instance& inst = nl.instances()[i];
+    if (!inst.is_sequential() || !net_active(inst.in[0])) continue;
+    const double setup = Lib().Variant(inst.kind, inst.drive).setup_ns *
+                         scale[static_cast<int>(bias[i])];
+    double& r = ref.required[inst.in[0].index()];
+    r = std::min(r, clock_ns - setup);
+  }
+  const std::vector<netlist::InstId> order = netlist::TopologicalOrder(nl);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const netlist::Instance& inst = nl.inst(*it);
+    if (inst.is_sequential() || tech::IsTie(inst.kind)) continue;
+    const tech::CellVariant& v = Lib().Variant(inst.kind, inst.drive);
+    const double m = scale[static_cast<int>(bias[it->index()])];
+    double req_in = kPosInf;
+    for (int o = 0; o < inst.num_outputs(); ++o) {
+      const netlist::NetId out = inst.out[o];
+      if (!net_active(out)) continue;
+      const double base = v.d0_ns + v.kd_ns_per_ff * loads.cap_ff[out.index()];
+      req_in = std::min(req_in, ref.required[out.index()] - base * m -
+                                    loads.wire_delay_ns[out.index()]);
+    }
+    if (req_in == kPosInf) continue;
+    for (int p = 0; p < inst.num_inputs(); ++p)
+      if (net_active(inst.in[p]))
+        ref.required[inst.in[p].index()] =
+            std::min(ref.required[inst.in[p].index()], req_in);
+  }
+  for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
+    if (!net_active(netlist::NetId(n))) continue;
+    if (arrival[n] == -kPosInf || ref.required[n] == kPosInf) continue;
+    ref.wns_ns = std::min(ref.wns_ns, ref.required[n] - arrival[n]);
+  }
+  if (ref.wns_ns == kPosInf) ref.wns_ns = clock_ns;
+  return ref;
+}
+
+// AnalyzeDetailed's backward sweep walks the cached schedule in
+// reverse. On every net ActiveNet accepts it must give the required
+// time of the full-netlist reverse walk bit for bit, accept exactly
+// the same nets and report the same wns — with and without a case
+// analysis, and with one DetailedTiming reused across all calls.
+TEST(Sta, DetailedMatchesReferenceSweep) {
+  gen::Operator op = gen::BuildBoothOperator(16);
+  for (std::uint32_t i = 0; i < op.nl.num_instances(); i += 3)
+    if (!tech::IsTie(op.nl.instances()[i].kind))
+      op.nl.SetDrive(netlist::InstId(i), DriveStrength::kX2);
+  const place::NetLoads loads = place::EstimateLoadsByFanout(op.nl, Lib());
+  const netlist::CaseAnalysis ca6(op.nl, gen::ForcedZeroLsbs(op, 6));
+  const netlist::CaseAnalysis ca12(op.nl, gen::ForcedZeroLsbs(op, 12));
+  std::vector<BiasState> bias(op.nl.num_instances(), BiasState::kFBB);
+  for (std::size_t i = 0; i < bias.size(); i += 5) bias[i] = BiasState::kNoBB;
+
+  TimingAnalyzer an(op.nl, Lib(), loads);
+  TimingAnalyzer::DetailedTiming dt;
+  const netlist::CaseAnalysis* cases[] = {nullptr, &ca6, &ca12, nullptr};
+  for (const double clock : {1.0, 0.4}) {
+    for (const netlist::CaseAnalysis* ca : cases) {
+      an.AnalyzeDetailed(0.9, clock, bias, ca, &dt);
+      const ReferenceDetailed ref = ReferenceBackwardSweep(
+          op.nl, loads, 0.9, clock, bias, ca, dt.arrival);
+      EXPECT_EQ(dt.wns_ns, ref.wns_ns);
+      int active = 0;
+      for (std::uint32_t n = 0; n < op.nl.num_nets(); ++n) {
+        const netlist::NetId id(n);
+        const bool ref_active =
+            dt.arrival[n] != -std::numeric_limits<double>::infinity() &&
+            ref.required[n] != std::numeric_limits<double>::infinity();
+        ASSERT_EQ(dt.ActiveNet(id), ref_active) << "net " << n;
+        if (!ref_active) continue;
+        ++active;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(dt.required[n]),
+                  std::bit_cast<std::uint64_t>(ref.required[n]))
+            << "net " << n;
+      }
+      EXPECT_GT(active, 100);
+    }
   }
 }
 
