@@ -119,6 +119,11 @@ struct ExplorationResult {
   const ModeResult& Mode(int bitwidth) const;
 };
 
+/// Stimulus of both engines' activity-annotated power analysis (paper
+/// Sec. III-C): the lag-1 correlated DSP-like signal.
+inline constexpr sim::StimulusKind kActivityStimulus =
+    sim::StimulusKind::kCorrelated;
+
 struct ExploreOptions {
   /// Supply range: paper Sec. IV-B uses 1.0 .. 0.6 V in 0.1 V steps.
   std::vector<double> vdds = {1.0, 0.9, 0.8, 0.7, 0.6};
@@ -129,7 +134,6 @@ struct ExploreOptions {
   std::vector<tech::DomainMask> masks;
   int activity_cycles = 1024;
   std::uint64_t seed = 7;
-  sim::StimulusKind stimulus = sim::StimulusKind::kCorrelated;
   /// The unpruned reference sweep: record every lattice point in
   /// ExplorationResult::all_points, each with its computed wns_ns.
   /// This turns both exact prunes off (the monotone-in-bitwidth one

@@ -14,31 +14,18 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   d.op = std::move(op);
   netlist::Netlist& nl = d.op.nl;
 
-  // Post-phase lint gates. The netlist DRC runs with the fanout
-  // ceiling the buffering pass just enforced; flow-artifact rules are
-  // added once the partition and final placement exist.
-  lint::LintOptions lint_opt;
-  lint_opt.max_fanout = 8;
-  const auto lint_netlist_gate = [&] {
-    if (fopt.lint == lint::LintGate::kOff) return;
-    ADQ_OBS_PHASE("flow.lint");
-    lint::EnforceGate(lint::LintNetlist(nl, lint_opt), fopt.lint);
-  };
-
   // --- Fanout bounding (buffer trees on high-fanout control nets).
   {
     ADQ_OBS_PHASE("flow.buffering");
     opt::BufferHighFanout(nl, 8);
     nl.Validate();
   }
-  lint_netlist_gate();
 
   // --- Synthesis-like sizing against a wireload model. The clock is
   // tightened by a margin so that post-layout parasitics (unknown at
   // this stage) do not immediately break timing — standard practice.
   opt::SizingOptions sopt;
   sopt.clock_ns = d.clock_ns * 0.8;
-  sopt.corner = fopt.corner;
   sopt.enable_recovery = false;
   // Deep paths keep ~4% of the period after recovery: enough to stay
   // below one 0.1 V supply step (~10% delay) even after adding the
@@ -52,7 +39,6 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
 
   // --- First placement (no BB domains).
   place::PlacerOptions popt;
-  popt.utilization = fopt.utilization;
   popt.seed = fopt.seed;
   place::Placement first;
   {
@@ -86,18 +72,11 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   {
     ADQ_OBS_PHASE("flow.partition");
     d.partition =
-        place::MakePartition(nl, lib, first, fopt.grid, fopt.guardband_um);
+        place::MakePartition(nl, lib, first, fopt.grid, place::kGuardbandUm);
   }
   {
     ADQ_OBS_PHASE("flow.legalize");
     d.placement = place::ApplyPartition(nl, lib, first, d.partition);
-  }
-  if (fopt.lint != lint::LintGate::kOff) {
-    ADQ_OBS_PHASE("flow.lint");
-    lint::FlowArtifacts art;
-    art.placement = &d.placement;
-    art.partition = &d.partition;
-    lint::EnforceGate(lint::LintFlow(nl, lib, art, lint_opt), fopt.lint);
   }
 
   // --- Final extraction + incremental-placement ECO (the paper's
@@ -139,16 +118,17 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   {
     ADQ_OBS_PHASE("flow.signoff");
     sta::TimingAnalyzer analyzer(nl, lib, d.loads);
-    const std::vector<tech::BiasState> bias(nl.num_instances(), fopt.corner);
+    const std::vector<tech::BiasState> bias(nl.num_instances(),
+                                            opt::kImplementationCorner);
     const sta::TimingReport rep =
         analyzer.Analyze(tech::CellLibrary::kVddNominal, d.clock_ns, bias);
     d.timing_met = rep.feasible();
     d.sizing.wns_ns = rep.wns_ns;
   }
 
-  // --- Signoff lint: the full netlist DRC again (the ECO passes
-  // rewired and resized cells) plus every flow-artifact invariant,
-  // now including the registered-I/O constraint discipline.
+  // --- Signoff lint, the flow's only lint run: the full netlist DRC
+  // plus every flow-artifact invariant on the final placement,
+  // including the registered-I/O constraint discipline.
   SignoffLint(d, lib, fopt.lint);
   return d;
 }

@@ -22,23 +22,20 @@
 
 namespace adq::core {
 
+/// The flow implements at opt::kImplementationCorner, places at
+/// place::kUtilization and separates domains by place::kGuardbandUm.
 struct FlowOptions {
   place::GridConfig grid{1, 1};
-  double utilization = 0.55;
-  double guardband_um = 3.5;   // paper Sec. II-C
   std::uint64_t seed = 1;
   /// Overrides the operator's nominal clock when > 0.
   double clock_ns = 0.0;
-  /// Corner used for implementation (the paper characterizes all
-  /// cells in FBB during the first P&R, Sec. IV-A).
-  tech::BiasState corner = tech::BiasState::kFBB;
   /// Has no effect: no flow stage runs on worker threads. Kept only
   /// because the end-to-end benchmark (perfbench/e2e.cpp) still sets
   /// it; that benchmark's next change stops setting it and deletes
   /// this field.
   int num_threads = 0;
-  /// Lint gate policy applied after buffering, after legalization and
-  /// at signoff (see lint/lint.h). kError aborts the flow on any
+  /// Lint gate policy of the flow's one lint run, SignoffLint on the
+  /// finished design (see lint/lint.h). kError aborts the flow on any
   /// structural error; warnings (dead cones, fanout) never abort.
   lint::LintGate lint = lint::LintGate::kError;
 };
@@ -84,11 +81,13 @@ ImplementedDesign FlatView(const ImplementedDesign& d,
 
 /// The signoff lint gate: the full netlist DRC (with the fanout
 /// ceiling the buffering pass enforces) plus every flow-artifact
-/// invariant of the implemented design. RunImplementationFlow calls
-/// this at signoff; ExploreDesignSpace and FrontierExplore call the
-/// very same gate when their `lint` option is enabled, so a corrupt
-/// netlist is rejected identically on every engine (pinned by
-/// tests/test_explore_lint_gate). kOff is a no-op.
+/// invariant of the implemented design. It is the flow's only lint
+/// run: after buffering only drive strengths change, which no netlist
+/// rule reads, and the flow rules check the final placement.
+/// RunImplementationFlow calls it at signoff; ExploreDesignSpace and
+/// FrontierExplore call the very same gate when their `lint` option
+/// is enabled, so a corrupt netlist is rejected identically on every
+/// engine (pinned by tests/test_explore_lint_gate). kOff is a no-op.
 void SignoffLint(const ImplementedDesign& d, const tech::CellLibrary& lib,
                  lint::LintGate gate);
 

@@ -65,7 +65,6 @@ struct FrontierOptions {
   std::vector<int> bitwidths;
   int activity_cycles = 1024;
   std::uint64_t seed = 7;
-  sim::StimulusKind stimulus = sim::StimulusKind::kCorrelated;
   /// Nodes expanded per wave. Fixed by this option — never derived
   /// from the worker count — so the search trajectory (and therefore
   /// the result, stats included) is bit-identical at any num_threads.

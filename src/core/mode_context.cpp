@@ -77,7 +77,7 @@ ModeContext::ModeContext(Engine engine, const ImplementedDesign& design,
     mode_lsbs[i] = ZeroedLsbs(design.op, bitwidths_[i]);
   const std::vector<sim::ActivityProfile> acts = sim::ExtractActivityBatch(
       design.op, mode_lsbs, setup.activity_cycles, setup.seed,
-      setup.stimulus);
+      kActivityStimulus);
   ca_ = sim::ModeCaseAnalyses(design.op, mode_lsbs);
   energy_fj_.assign(nmodes, 0.0);
   pool_.ParallelFor(

@@ -61,7 +61,7 @@ class ModeContext {
               const tech::CellLibrary& lib, const Options& opt)
       : ModeContext(engine, design, lib,
                     Setup{opt.vdds, opt.bitwidths, opt.activity_cycles,
-                          opt.seed, opt.stimulus, opt.lint, opt.store,
+                          opt.seed, opt.lint, opt.store,
                           opt.num_threads}) {}
 
   /// The modes to search, ascending; never empty.
@@ -111,7 +111,6 @@ class ModeContext {
     const std::vector<int>& bitwidths;
     int activity_cycles;
     std::uint64_t seed;
-    sim::StimulusKind stimulus;
     lint::LintGate lint;
     store::ExplorationStore* store;
     int num_threads;

@@ -43,8 +43,9 @@ SizingResult OptimizeSizing(Netlist& nl, const tech::CellLibrary& lib,
                             const place::NetWires& wires,
                             const SizingOptions& opt) {
   SizingResult res;
-  const std::vector<tech::BiasState> bias(nl.num_instances(), opt.corner);
-  const double scale = lib.DelayScale(opt.vdd, opt.corner);
+  const std::vector<tech::BiasState> bias(nl.num_instances(),
+                                          kImplementationCorner);
+  const double scale = lib.DelayScale(opt.vdd, kImplementationCorner);
 
   place::NetLoads loads = place::ComputeLoads(nl, lib, wires);
   sta::TimingAnalyzer analyzer(nl, lib, loads);

@@ -23,11 +23,14 @@
 
 namespace adq::opt {
 
+/// Characterization corner for implementation: the paper
+/// characterizes all cells in FBB during the first P&R (Sec. IV-A).
+inline constexpr tech::BiasState kImplementationCorner =
+    tech::BiasState::kFBB;
+
 struct SizingOptions {
   double clock_ns = 1.0;
   double vdd = tech::CellLibrary::kVddNominal;
-  /// Characterization corner for implementation (paper: all-FBB).
-  tech::BiasState corner = tech::BiasState::kFBB;
   int max_iterations = 60;
   /// Slack a cell must retain after a downsize move [ns].
   double recovery_margin_ns = 0.010;

@@ -30,9 +30,13 @@ struct GridConfig {
   }
 };
 
+/// Guardband width the flow inserts between BB domains (paper
+/// Sec. II-C).
+inline constexpr double kGuardbandUm = 3.5;
+
 struct GridPartition {
   GridConfig cfg;
-  double guardband_um = 3.5;
+  double guardband_um = kGuardbandUm;
   Floorplan original;  ///< die before guardband insertion
   Floorplan enlarged;  ///< die after guardband insertion
 
@@ -62,7 +66,7 @@ struct GridPartition {
 GridPartition MakePartition(const netlist::Netlist& nl,
                             const tech::CellLibrary& lib,
                             const Placement& pl, GridConfig cfg,
-                            double guardband_um = 3.5);
+                            double guardband_um = kGuardbandUm);
 
 /// Incremental placement: shifts every cell by its tile's guardband
 /// offset and re-legalizes within the tile; port anchors move to the

@@ -416,7 +416,7 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
   ADQ_CHECK_MSG(cell_area > 0.0, "cannot place an empty netlist");
 
   Placement pl;
-  pl.fp = MakeFloorplan(cell_area, opt.utilization,
+  pl.fp = MakeFloorplan(cell_area, kUtilization,
                         tech::CellLibrary::kCellHeightUm);
   pl.port_anchor = PortAnchors(nl, pl.fp);
 

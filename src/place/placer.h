@@ -32,8 +32,10 @@ struct Placement {
   const Point& of(netlist::InstId id) const { return pos[id.index()]; }
 };
 
+/// Cell area / die area of every placement (routing space).
+inline constexpr double kUtilization = 0.55;
+
 struct PlacerOptions {
-  double utilization = 0.55;   ///< cell area / die area (routing space)
   int centroid_iterations = 60;
   std::uint64_t seed = 1;
 };

@@ -18,7 +18,8 @@
 /// Per-lane toggle counts are accumulated in byte-sliced counters:
 /// counter word k of a net holds lanes k, k+8, ..., k+56, one byte
 /// each, and a tick adds (toggles >> k) & 0x0101...01 to word k (two
-/// simd::U64 shift/and/add steps per net on AVX2). The bytes drain
+/// simd::U64 shift/and/add steps per net at 4 lanes under AVX2, four
+/// at the 2-lane width of every other target). The bytes drain
 /// into plain 64-bit per-lane counters every 255 counted ticks and
 /// whenever the counts are read. A per-tick lane mask restricts which
 /// lanes count, so independent stimulus time slices can share one run

@@ -5,8 +5,9 @@
 /// Every hot loop of TimingAnalyzer's arrival sweep is one of the
 /// small fixed shapes below, applied to a W-lane SoA row. Each kernel
 /// documents the exact scalar expression it computes; the vector body
-/// (util/simd.h) and the scalar tail evaluate that expression with
-/// the same operations in the same order, so results are
+/// (util/simd.h, one generic-vector implementation at 4 lanes under
+/// AVX2 and 2 lanes otherwise) and the scalar tail evaluate that
+/// expression with the same operations in the same order, so results are
 /// bit-identical to the historical scalar loops — including for
 /// lanes == 1, where the main loop never runs and the tail *is* the
 /// historical code. That is the property the STA engine is pinned on

@@ -145,6 +145,20 @@ TEST(Flow, ReportsPhaseWirelengthAndAttributionCounters) {
   EXPECT_EQ(fallbacks, 0);
 }
 
+// The flow lints once, at signoff: one netlist DRC report and one
+// flow-artifact report, the same gate the explore engines call.
+TEST(Flow, LintsOnceAtSignoff) {
+  FlowOptions fopt;
+  fopt.grid = {2, 2};
+  obs::ResetMetrics();
+  obs::EnableMetrics(true);
+  const long before = obs::GetCounter("lint.reports").value();
+  RunImplementationFlow(gen::BuildBoothOperator(8), Lib(), fopt);
+  const long reports = obs::GetCounter("lint.reports").value() - before;
+  obs::EnableMetrics(false);
+  EXPECT_EQ(reports, 2);
+}
+
 /// FNV-1a over the bit patterns of a flow run's outputs.
 class FlowDigest {
  public:
