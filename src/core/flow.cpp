@@ -32,10 +32,21 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   // flat view's wire-load advantage, so DVAS cannot harvest the
   // recovery leftover as a free voltage reduction.
   sopt.recovery_margin_ns = 0.04 * d.clock_ns;
+  // QoR after each sizing phase; the area sum runs only when observed.
+  const auto sizing_qor = [&](const std::string& phase,
+                              const opt::SizingResult& r) {
+    if (!obs::MetricsEnabled()) return;
+    double area = 0.0;
+    for (const netlist::Instance& inst : nl.instances())
+      area += lib.AreaUm2(inst.kind, inst.drive);
+    obs::GetGauge("flow." + phase + ".wns_ns").Set(r.wns_ns);
+    obs::GetGauge("flow." + phase + ".cell_area_um2").Set(area);
+  };
   {
     ADQ_OBS_PHASE("flow.sizing");
     d.sizing = opt::OptimizeSizing(nl, lib, place::FanoutWires(nl), sopt);
   }
+  sizing_qor("sizing", d.sizing);
 
   // --- First placement (no BB domains).
   place::PlacerOptions popt;
@@ -56,16 +67,17 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   // timing at the real clock, then recover power on slack paths.
   // The recovery step is what produces the wall of slack (Fig. 1)
   // against real wire loads.
+  opt::SizingResult postplace;
   {
     ADQ_OBS_PHASE("flow.postplace_eco");
     opt::SizingOptions eco = sopt;
     eco.clock_ns = d.clock_ns;
     eco.enable_recovery = true;
-    const opt::SizingResult r =
-        opt::OptimizeSizing(nl, lib, first_wires, eco);
-    d.sizing.upsize_moves += r.upsize_moves;
-    d.sizing.downsize_moves += r.downsize_moves;
+    postplace = opt::OptimizeSizing(nl, lib, first_wires, eco);
+    d.sizing.upsize_moves += postplace.upsize_moves;
+    d.sizing.downsize_moves += postplace.downsize_moves;
   }
+  sizing_qor("postplace_eco", postplace);
 
   // --- Vth-domain insertion (the paper's regular grid) + incremental
   // placement.
@@ -84,6 +96,7 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   // parasitics: fix violations, then recover power again so the final
   // margin sits at the wall — the same end state the flat flow
   // reaches, which keeps the DVAS comparison apples-to-apples).
+  opt::SizingResult extract;
   {
     ADQ_OBS_PHASE("flow.extract_eco");
     opt::SizingOptions eco = sopt;
@@ -92,9 +105,9 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     // Small top-up budget: the bulk of recovery already ran; this
     // pass only re-balances cells the guardband ECO upsized.
     eco.recovery_steps_per_cell = 0.15;
-    const opt::SizingResult r = opt::OptimizeSizing(
-        nl, lib, place::PlacedWires(nl, d.placement), eco);
-    d.sizing.upsize_moves += r.upsize_moves;
+    extract = opt::OptimizeSizing(nl, lib, place::PlacedWires(nl, d.placement),
+                                  eco);
+    d.sizing.upsize_moves += extract.upsize_moves;
     // The ECO resized cells after legalization, so a boundary cell
     // that grew can now protrude into the guardband (lint FL002).
     // Re-legalize exactly the affected tiles before final extraction.
@@ -103,6 +116,7 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
     obs::GetCounter("flow.relegalized_tiles").Add(relegalized);
     d.loads = place::ExtractLoads(nl, lib, d.placement);
   }
+  sizing_qor("extract_eco", extract);
   if (obs::MetricsEnabled())
     obs::GetGauge("flow.extract_eco.hpwl_um")
         .Set(place::TotalHpwl(nl, d.placement));

@@ -256,68 +256,59 @@ void CheckPinArity(const Netlist& nl, Sink& sink) {
 
 void CheckCombLoops(const Netlist& nl, Sink& sink) {
   const std::uint32_t n = static_cast<std::uint32_t>(nl.num_instances());
-  // 0 = unvisited, 1 = on the current DFS path, 2 = done.
-  std::vector<std::uint8_t> color(n, 0);
-  std::vector<std::uint32_t> path;  // current DFS chain, for cycle print
-
-  // succ(i): combinational instances reading any output net of i.
-  auto for_each_succ = [&](std::uint32_t i, auto&& fn) {
+  const auto comb = [](const netlist::Instance& inst) {
+    return KindValid(inst) && !inst.is_sequential();
+  };
+  // succ(i), the combinational instances reading any output net of
+  // combinational i, flattened once: succ[succ_start[i], succ_start[i + 1]).
+  std::vector<std::uint32_t> succ_start(n + 1, 0), succ;
+  for (std::uint32_t i = 0; i < n; ++i) {
     const netlist::Instance& inst = nl.instances()[i];
-    if (!KindValid(inst) || inst.is_sequential()) return;
-    for (int o = 0; o < inst.num_outputs(); ++o) {
+    for (int o = 0; comb(inst) && o < inst.num_outputs(); ++o) {
       const NetId out = inst.out[o];
       if (!out.valid() || out.index() >= nl.num_nets()) continue;
-      for (const PinRef& s : nl.net(out).sinks) {
-        if (!s.valid() || s.inst.index() >= nl.num_instances()) continue;
-        const netlist::Instance& si = nl.inst(s.inst);
-        if (KindValid(si) && !si.is_sequential())
-          fn(static_cast<std::uint32_t>(s.inst.index()));
-      }
+      for (const PinRef& s : nl.net(out).sinks)
+        if (s.valid() && s.inst.index() < n && comb(nl.inst(s.inst)))
+          succ.push_back(static_cast<std::uint32_t>(s.inst.index()));
     }
-  };
+    succ_start[i + 1] = static_cast<std::uint32_t>(succ.size());
+  }
 
-  struct Frame {
-    std::uint32_t inst;
-    std::vector<std::uint32_t> succ;
-    std::size_t next = 0;
+  // 0 = unvisited, 1 = on the current DFS path, 2 = done.
+  std::vector<std::uint8_t> color(n, 0);
+  // The current DFS path, each instance with its next successor slot.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> path;
+  const auto push = [&](std::uint32_t i) {
+    color[i] = 1;
+    path.push_back({i, succ_start[i]});
   };
   for (std::uint32_t start = 0; start < n; ++start) {
     if (color[start] != 0) continue;
-    const netlist::Instance& si = nl.instances()[start];
-    if (!KindValid(si) || si.is_sequential()) {
+    if (!comb(nl.instances()[start])) {
       color[start] = 2;
       continue;
     }
-    std::vector<Frame> stack;
-    auto push = [&](std::uint32_t i) {
-      Frame f;
-      f.inst = i;
-      for_each_succ(i, [&](std::uint32_t s) { f.succ.push_back(s); });
-      color[i] = 1;
-      path.push_back(i);
-      stack.push_back(std::move(f));
-    };
     push(start);
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.next >= f.succ.size()) {
-        color[f.inst] = 2;
+    while (!path.empty()) {
+      auto& [inst, next] = path.back();
+      if (next == succ_start[inst + 1]) {
+        color[inst] = 2;
         path.pop_back();
-        stack.pop_back();
         continue;
       }
-      const std::uint32_t s = f.succ[f.next++];
+      const std::uint32_t s = succ[next++];
       if (color[s] == 0) {
         push(s);
       } else if (color[s] == 1) {
         // Back edge: the cycle is the path suffix starting at s.
-        const auto it = std::find(path.begin(), path.end(), s);
+        const auto it = std::find_if(
+            path.begin(), path.end(),
+            [&](const auto& f) { return f.first == s; });
         std::ostringstream os;
-        os << "combinational cycle of length "
-           << (path.end() - it) << ": ";
+        os << "combinational cycle of length " << (path.end() - it) << ": ";
         for (auto p = it; p != path.end(); ++p)
-          os << tech::ToString(nl.instances()[*p].kind) << "#" << *p
-             << " -> ";
+          os << tech::ToString(nl.instances()[p->first].kind) << "#"
+             << p->first << " -> ";
         os << tech::ToString(nl.instances()[s].kind) << "#" << s;
         sink.Report(kRuleCombLoop, InstLoc(nl, InstId(s)), os.str(),
                     "cut the loop with a register");

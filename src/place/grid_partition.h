@@ -30,8 +30,8 @@ struct GridConfig {
   }
 };
 
-/// Guardband width the flow inserts between BB domains (paper
-/// Sec. II-C).
+/// Guardband width the flow inserts between adjacent deep-N-well BB
+/// domains (paper Sec. II-C: ~3.5 um, about three 1.2 um cell rows).
 inline constexpr double kGuardbandUm = 3.5;
 
 struct GridPartition {

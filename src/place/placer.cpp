@@ -3,6 +3,7 @@
 #include "netlist/topo.h"
 #include "obs/metrics.h"
 #include "place/wirelength.h"
+#include "util/simd.h"
 
 #include <algorithm>
 #include <cmath>
@@ -91,60 +92,162 @@ BBox NetBox(const Netlist& nl, NetId id, const std::vector<Point>& cell_pos,
   return box;
 }
 
-/// The placer's pin tape: net/cell incidence flattened once per
-/// PlaceDesign into two exactly sized arrays. Positions live in one
-/// array, the cells first and then the anchored ports (`anchor_slot`).
-struct PinTape {
-  static constexpr std::uint32_t kNoAnchor =
-      std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> anchor_slot;  ///< per net, or kNoAnchor
-  std::uint32_t num_anchors = 0;
-  /// Per net: position slots in NetBox's order (driver, port anchor,
-  /// sinks), net n at [net_start[n], net_start[n + 1]).
-  std::vector<std::uint32_t> net_start, net_slot;
-  /// Per cell: its nets in pin order (inputs, then outputs).
-  std::vector<std::uint32_t> cell_start, cell_net;
+constexpr std::uint32_t kNoAnchor = std::numeric_limits<std::uint32_t>::max();
 
-  PinTape(const Netlist& nl, std::size_t n_cells)
-      : anchor_slot(nl.num_nets(), kNoAnchor),
-        net_start(nl.num_nets() + 1),
-        cell_start(n_cells + 1) {
-    for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
-      const netlist::Net& net = nl.net(NetId(n));
-      const bool anchored = net.is_primary_input || net.is_primary_output;
-      if (anchored)
-        anchor_slot[n] = static_cast<std::uint32_t>(n_cells) + num_anchors++;
-      net_start[n + 1] = net_start[n] + (net.driver.valid() ? 1 : 0) +
-                         (anchored ? 1 : 0) +
-                         static_cast<std::uint32_t>(net.sinks.size());
+/// The pin tape of `nl`. The anchored ports take the position slots
+/// after the cells in net order: `anchor_slot[n]`, or kNoAnchor.
+PinTape NetlistPinTape(const Netlist& nl,
+                       std::vector<std::uint32_t>* anchor_slot,
+                       std::uint32_t* num_anchors) {
+  const auto n_cells = static_cast<std::uint32_t>(nl.num_instances());
+  PinTape t;
+  anchor_slot->assign(nl.num_nets(), kNoAnchor);
+  *num_anchors = 0;
+  t.net_start.push_back(0);
+  for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
+    const netlist::Net& net = nl.net(NetId(n));
+    if (net.driver.valid()) t.net_slot.push_back(net.driver.inst.value);
+    if (net.is_primary_input || net.is_primary_output) {
+      (*anchor_slot)[n] = n_cells + (*num_anchors)++;
+      t.net_slot.push_back((*anchor_slot)[n]);
     }
-    for (std::uint32_t i = 0; i < n_cells; ++i) {
-      const netlist::Instance& inst = nl.instances()[i];
-      cell_start[i + 1] = cell_start[i] +
-                          static_cast<std::uint32_t>(inst.num_inputs() +
-                                                     inst.num_outputs());
+    for (const netlist::PinRef& s : net.sinks)
+      t.net_slot.push_back(s.inst.value);
+    t.net_start.push_back(static_cast<std::uint32_t>(t.net_slot.size()));
+  }
+  t.cell_start.push_back(0);
+  for (const netlist::Instance& inst : nl.instances()) {
+    for (int p = 0; p < inst.num_inputs(); ++p)
+      t.cell_net.push_back(static_cast<std::uint32_t>(inst.in[p].index()));
+    for (int o = 0; o < inst.num_outputs(); ++o)
+      t.cell_net.push_back(static_cast<std::uint32_t>(inst.out[o].index()));
+    t.cell_start.push_back(static_cast<std::uint32_t>(t.cell_net.size()));
+  }
+  t.Group();
+  return t;
+}
+
+using simd::F64;
+/// A lane kernel takes kPairs nets or cells as (x, y) lane pairs: one
+/// op serves both coordinates, and a Point leaves in one 16-byte store.
+constexpr std::uint32_t kPairs = F64::kWidth / 2;
+
+/// Lanes 2k, 2k + 1 = point(k).x, point(k).y.
+template <typename PointOf>
+F64 GatherPairs(const PointOf& point) {
+  return F64::Generate([&](int l) {
+    const Point& p = point(l / 2);
+    return l % 2 ? p.y : p.x;
+  });
+}
+
+/// out[ids[k]] = lanes 2k, 2k + 1.
+void ScatterPairs(const std::uint32_t* ids, F64 v, Point* out) {
+  for (std::uint32_t k = 0; k < kPairs; ++k)
+    out[ids[k]] = Point{v[2 * k], v[2 * k + 1]};
+}
+
+/// The centroid pass on kPairs nets or cells of one degree, in the
+/// scalar pass's expressions and order: simd::Min/Max are std::min/max,
+/// and Min(Max(v, 0), e) is std::clamp(v, 0, e), NaN and -0.0 included.
+struct CentroidKernels {
+  const PinTape& t;
+  const Point* cur;
+  const double* anchor_y;
+  Point* centre;
+  Point* nxt;
+  double damp, width, height;
+
+  /// Bounding-box centres of nets of `deg` slots. The min/max runs in
+  /// NetBox's pin order: signed zeros make it order-sensitive.
+  void Nets(const std::uint32_t* ids, std::uint32_t deg) const {
+    const std::uint32_t* slot[kPairs];
+    for (std::uint32_t k = 0; k < kPairs; ++k)
+      slot[k] = t.net_slot.data() + t.net_start[ids[k]];
+    F64 lo = F64::Broadcast(std::numeric_limits<double>::infinity());
+    F64 hi = F64::Broadcast(-std::numeric_limits<double>::infinity());
+    for (std::uint32_t s = 0; s < deg; ++s) {
+      const F64 p =
+          GatherPairs([&](int k) -> const Point& { return cur[slot[k][s]]; });
+      lo = simd::Min(lo, p);
+      hi = simd::Max(hi, p);
     }
-    net_slot.resize(net_start.back());
-    cell_net.resize(cell_start.back());
-    for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
-      const netlist::Net& net = nl.net(NetId(n));
-      std::uint32_t* slot = &net_slot[net_start[n]];
-      if (net.driver.valid()) *slot++ = net.driver.inst.value;
-      if (anchor_slot[n] != kNoAnchor) *slot++ = anchor_slot[n];
-      for (const netlist::PinRef& s : net.sinks) *slot++ = s.inst.value;
-    }
-    for (std::uint32_t i = 0; i < n_cells; ++i) {
-      const netlist::Instance& inst = nl.instances()[i];
-      std::uint32_t* net = &cell_net[cell_start[i]];
-      for (int p = 0; p < inst.num_inputs(); ++p)
-        *net++ = static_cast<std::uint32_t>(inst.in[p].index());
-      for (int o = 0; o < inst.num_outputs(); ++o)
-        *net++ = static_cast<std::uint32_t>(inst.out[o].index());
-    }
+    ScatterPairs(ids, simd::Div(simd::Add(lo, hi), F64::Broadcast(2.0)),
+                 centre);
+  }
+  /// Moves cells toward the mean centre of their nets (summed in pin
+  /// order from 0.0), in y blended with the bit-significance anchor.
+  void Cells(const std::uint32_t* ids, std::uint32_t pins) const {
+    const std::uint32_t* net[kPairs];
+    for (std::uint32_t k = 0; k < kPairs; ++k)
+      net[k] = t.cell_net.data() + t.cell_start[ids[k]];
+    F64 sum = F64::Broadcast(0.0);
+    for (std::uint32_t p = 0; p < pins; ++p)
+      sum = simd::Add(sum, GatherPairs([&](int k) -> const Point& {
+                        return centre[net[k][p]];
+                      }));
+    const F64 g = simd::Div(sum, F64::Broadcast(pins));
+    const F64 ay = F64::Generate([&](int l) { return anchor_y[ids[l / 2]]; });
+    const F64 ty = simd::Add(simd::Mul(F64::Broadcast(0.65), g),
+                             simd::Mul(F64::Broadcast(0.35), ay));
+    // The target: gx in the x lanes, the anchor blend in the y lanes.
+    const F64 target =
+        F64::Generate([&](int l) { return l % 2 ? ty[l] : g[l]; });
+    const F64 extent =
+        F64::Generate([&](int l) { return l % 2 ? height : width; });
+    const F64 c =
+        GatherPairs([&](int k) -> const Point& { return cur[ids[k]]; });
+    const F64 moved =
+        simd::Add(c, simd::Mul(F64::Broadcast(damp), simd::Sub(target, c)));
+    ScatterPairs(ids, simd::Min(simd::Max(moved, F64::Broadcast(0.0)), extent),
+                 nxt);
   }
 };
 
 }  // namespace
+
+void PinTape::Group() {
+  // The ids by degree, each group padded to whole lane sets with its
+  // last id: a repeated lane rewrites the same value.
+  const auto by_degree = [](const std::vector<std::uint32_t>& start,
+                            std::vector<std::uint32_t>* group,
+                            std::vector<std::uint32_t>* ids) {
+    std::vector<std::vector<std::uint32_t>> of_degree;
+    for (std::uint32_t i = 0; i + 1 < start.size(); ++i) {
+      const std::uint32_t d = start[i + 1] - start[i];
+      if (d >= of_degree.size()) of_degree.resize(d + 1);
+      of_degree[d].push_back(i);
+    }
+    group->assign(1, 0);
+    ids->clear();
+    for (std::vector<std::uint32_t>& g : of_degree) {
+      if (!g.empty())
+        g.resize((g.size() + kPairs - 1) / kPairs * kPairs, g.back());
+      ids->insert(ids->end(), g.begin(), g.end());
+      group->push_back(static_cast<std::uint32_t>(ids->size()));
+    }
+  };
+  by_degree(net_start, &net_group, &net_ids);
+  by_degree(cell_start, &cell_group, &cell_ids);
+  // A cell in no group would keep a stale position in the pass output.
+  ADQ_CHECK(cell_ids.size() + 1 >= cell_start.size());
+}
+
+void CentroidPass(const PinTape& tape, std::span<const Point> cur,
+                  std::span<const double> anchor_y, double damp,
+                  double width, double height, std::span<Point> centre,
+                  std::span<Point> nxt) {
+  const CentroidKernels k{tape,         cur.data(), anchor_y.data(),
+                          centre.data(), nxt.data(), damp,
+                          width,         height};
+  // Every net centre first: the cells read them.
+  for (std::uint32_t d = 0; d + 1 < tape.net_group.size(); ++d)
+    for (auto i = tape.net_group[d]; i < tape.net_group[d + 1]; i += kPairs)
+      k.Nets(&tape.net_ids[i], d);
+  for (std::uint32_t d = 0; d + 1 < tape.cell_group.size(); ++d)
+    for (auto i = tape.cell_group[d]; i < tape.cell_group[d + 1]; i += kPairs)
+      k.Cells(&tape.cell_ids[i], d);
+}
 
 namespace {
 
@@ -217,86 +320,80 @@ std::vector<double> CellSignificance(const Netlist& nl) {
 
 std::span<const std::uint32_t> RankOrder(std::span<const double> keys,
                                          RankScratch* scratch) {
-  // A 16-bit linear key, monotone in the value, sorted by two stable
-  // 8-bit LSD counting passes; then a stable insertion pass on the
-  // full values orders keys that share a bucket. Every step is
-  // stable, so equal values stay in index order throughout.
+  // A 16-bit linear key, monotone in the value, packed above the index
+  // into one word and sorted by two stable 8-bit LSD counting passes;
+  // then a stable insertion pass on the full values orders keys that
+  // share a bucket. Every step is stable, so equal values stay in
+  // index order throughout.
   const std::size_t n = keys.size();
   ADQ_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
-  std::vector<std::uint32_t>& tmp = scratch->tmp;
-  std::vector<double>& tmp_value = scratch->tmp_value;
+  std::vector<std::uint64_t>& packed = scratch->packed;
+  std::vector<std::uint64_t>& tmp = scratch->tmp;
   std::vector<std::uint32_t>& order = scratch->order;
-  std::vector<double>& value = scratch->value;
+  packed.resize(n);
   tmp.resize(n);
-  tmp_value.resize(n);
   order.resize(n);
-  value.resize(n);
 
-  // The maximum, in four independent chains (max is exact, so the
-  // fold order does not matter).
-  double hi4[4] = {0.0, 0.0, 0.0, 0.0};
+  // The maximum, lane-parallel (max is exact and keys are not NaN, so
+  // the fold order does not matter; -0.0 never replaces the +0.0 start).
+  F64 hi_lanes = F64::Broadcast(0.0);
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    for (std::size_t l = 0; l < 4; ++l) hi4[l] = std::max(hi4[l], keys[i + l]);
-  for (; i < n; ++i) hi4[0] = std::max(hi4[0], keys[i]);
-  const double hi = std::max(std::max(hi4[0], hi4[1]), std::max(hi4[2], hi4[3]));
+  for (; i + F64::kWidth <= n; i += F64::kWidth)
+    hi_lanes = simd::Max(hi_lanes, F64::Load(&keys[i]));
+  double hi = 0.0;
+  for (int l = 0; l < F64::kWidth; ++l) hi = std::max(hi, hi_lanes[l]);
+  for (; i < n; ++i) hi = std::max(hi, keys[i]);
   // v * scale <= hi * (65535 / hi) < 65536 for every key v. Flooring hi
   // keeps the scale finite (and 0 * scale = 0) when all keys are tiny
   // or zero; -0.0 lands in bucket 0 with +0.0.
   const double scale = 65535.0 / std::max(hi, 1e-300);
-  auto key_of = [&](double v) {
-    ADQ_DCHECK(v >= 0.0);
-    return static_cast<std::uint16_t>(v * scale);
-  };
 
-  // Each pass carries the values along, so no pass gathers.
   std::uint32_t lo_count[256] = {}, hi_count[256] = {};
-  for (const double v : keys) {
-    const std::uint16_t key = key_of(v);
+  for (std::size_t k = 0; k < n; ++k) {
+    ADQ_DCHECK(keys[k] >= 0.0);
+    const auto key = static_cast<std::uint16_t>(keys[k] * scale);
     ++lo_count[key & 0xffu];
     ++hi_count[key >> 8];
+    packed[k] = std::uint64_t{key} << 32 | k;
   }
   for (std::uint32_t b = 0, lo_sum = 0, hi_sum = 0; b < 256; ++b) {
     lo_sum += std::exchange(lo_count[b], lo_sum);
     hi_sum += std::exchange(hi_count[b], hi_sum);
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t pos = lo_count[key_of(keys[k]) & 0xffu]++;
-    tmp[pos] = static_cast<std::uint32_t>(k);
-    tmp_value[pos] = keys[k];
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t pos = hi_count[key_of(tmp_value[j]) >> 8]++;
-    order[pos] = tmp[j];
-    value[pos] = tmp_value[j];
-  }
+  for (const std::uint64_t e : packed) tmp[lo_count[(e >> 32) & 0xffu]++] = e;
+  for (const std::uint64_t e : tmp) packed[hi_count[e >> 40]++] = e;
 
+  // A smaller 16-bit key means a smaller value, so a key moves only
+  // within its run of equal 16-bit keys; a run's first key stays put.
   // Clustered keys (many distinct values in one bucket) would make
   // the insertion pass quadratic; past a linear shift budget,
   // std::stable_sort finishes instead. Equal values are still in
   // index order at that point, so its output is the same.
   static obs::Counter& fallbacks = obs::GetCounter("place.rank_fallbacks");
+  const auto value = [&](std::uint64_t e) {
+    return keys[static_cast<std::uint32_t>(e)];
+  };
   const std::size_t budget = 8 * n;
   std::size_t shifts = 0;
-  for (std::size_t k = 1; k < n; ++k) {
-    const std::uint32_t v = order[k];
-    const double kv = value[k];
+  bool fell_back = false;
+  for (std::size_t k = 1; k < n && !fell_back; ++k) {
+    const std::uint64_t e = packed[k];
+    if ((packed[k - 1] ^ e) >> 32) continue;
+    const double kv = value(e);
     std::size_t j = k;
-    for (; j > 0 && value[j - 1] > kv; --j) {
-      order[j] = order[j - 1];
-      value[j] = value[j - 1];
-    }
-    order[j] = v;
-    value[j] = kv;
+    for (; j > 0 && value(packed[j - 1]) > kv; --j) packed[j] = packed[j - 1];
+    packed[j] = e;
     shifts += k - j;
-    if (shifts > budget) {
-      fallbacks.Add();
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return keys[a] < keys[b];
-                       });
-      break;
-    }
+    fell_back = shifts > budget;
+  }
+  for (std::size_t k = 0; k < n; ++k)
+    order[k] = static_cast<std::uint32_t>(packed[k]);
+  if (fell_back) {
+    fallbacks.Add();
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return keys[a] < keys[b];
+                     });
   }
   return order;
 }
@@ -440,48 +537,26 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
   // quadratic placement + look-ahead legalization.
   const std::size_t n_cells = nl.num_instances();
   const std::size_t n_nets = nl.num_nets();
-  const PinTape tape(nl, n_cells);
+  std::vector<std::uint32_t> anchor_slot;
+  std::uint32_t num_anchors = 0;
+  const PinTape tape = NetlistPinTape(nl, &anchor_slot, &num_anchors);
 
   // Two position buffers (cells, then the anchored ports): a centroid
   // pass reads one and writes the other. Positions are frozen within
   // a pass, so each net's centre is computed once per pass.
-  std::vector<Point> cur(n_cells + tape.num_anchors), nxt(cur.size());
+  std::vector<Point> cur(n_cells + num_anchors), nxt(cur.size());
   std::copy(pl.pos.begin(), pl.pos.end(), cur.begin());
   for (std::uint32_t n = 0; n < n_nets; ++n) {
-    const std::uint32_t a = tape.anchor_slot[n];
-    if (a != PinTape::kNoAnchor) cur[a] = nxt[a] = pl.port_anchor[n];
+    const std::uint32_t a = anchor_slot[n];
+    if (a != kNoAnchor) cur[a] = nxt[a] = pl.port_anchor[n];
   }
+  std::vector<double> anchor_y(n_cells);
+  for (std::size_t i = 0; i < n_cells; ++i)
+    anchor_y[i] = sig[i] * pl.fp.height_um;
   std::vector<Point> centre(n_nets);
   auto centroid_pass = [&](double damp) {
-    for (std::uint32_t n = 0; n < n_nets; ++n) {
-      // Min/max in NetBox's pin order: signed zeros make it
-      // order-sensitive.
-      BBox box;
-      for (std::uint32_t k = tape.net_start[n]; k < tape.net_start[n + 1]; ++k)
-        box.Add(cur[tape.net_slot[k]]);
-      centre[n] = box.center();
-    }
-    for (std::uint32_t i = 0; i < n_cells; ++i) {
-      double sx = 0.0, sy = 0.0;
-      const std::uint32_t lo = tape.cell_start[i], hi = tape.cell_start[i + 1];
-      for (std::uint32_t k = lo; k < hi; ++k) {
-        const std::uint32_t net = tape.cell_net[k];
-        // The net holds this cell, so its box is never empty.
-        ADQ_DCHECK(tape.net_start[net] < tape.net_start[net + 1]);
-        sx += centre[net].x;
-        sy += centre[net].y;
-      }
-      const int pins = static_cast<int>(hi - lo);
-      const double gx = sx / pins, gy = sy / pins;
-      // Blend the wirelength centroid with the bit-significance
-      // anchor in y (structured-datapath placement).
-      const double ay = sig[i] * pl.fp.height_um;
-      const double ty = 0.65 * gy + 0.35 * ay;
-      nxt[i].x = std::clamp(cur[i].x + damp * (gx - cur[i].x), 0.0,
-                            pl.fp.width_um);
-      nxt[i].y = std::clamp(cur[i].y + damp * (ty - cur[i].y), 0.0,
-                            pl.fp.height_um);
-    }
+    CentroidPass(tape, cur, anchor_y, damp, pl.fp.width_um, pl.fp.height_um,
+                 centre, nxt);
     cur.swap(nxt);
   };
 

@@ -67,22 +67,49 @@ bool TryLegalizeRows(const netlist::Netlist& nl,
                      double x_hi, double y_lo, double y_hi,
                      double row_height_um, std::vector<Point>* out);
 
+/// The centroid pass's net/cell incidence, flattened once per
+/// PlaceDesign over positions that hold the cells, then the anchored
+/// ports. Net n's slots in NetBox's order (driver, port anchor, sinks)
+/// are net_slot[net_start[n], net_start[n + 1]); cell i's nets in pin
+/// order (inputs, then outputs) are cell_net[cell_start[i], ...).
+struct PinTape {
+  std::vector<std::uint32_t> net_start, net_slot, cell_start, cell_net;
+  /// Filled by Group(): the nets of d slots are net_ids[net_group[d],
+  /// net_group[d + 1]), and likewise the cells of d pins, each group
+  /// padded to whole lane sets by repeating its last id.
+  std::vector<std::uint32_t> net_group, net_ids, cell_group, cell_ids;
+
+  void Group();
+};
+
+/// One centroid pass of PlaceDesign: net bounding-box centres over
+/// `cur` into `centre`, then each cell i moved by `damp` toward the
+/// mean centre of its nets (in y blended 0.65 / 0.35 with anchor_y[i])
+/// and clamped to the die into `nxt`. Bit-identical on any lane count.
+void CentroidPass(const PinTape& tape, std::span<const Point> cur,
+                  std::span<const double> anchor_y, double damp,
+                  double width, double height, std::span<Point> centre,
+                  std::span<Point> nxt);
+
 /// Reusable buffers for RankOrder; one per ranking that must stay
 /// alive, so a steady stream of calls allocates nothing.
 struct RankScratch {
-  std::vector<std::uint32_t> tmp, order;  ///< indices after pass 1, 2
-  std::vector<double> tmp_value, value;   ///< keys[tmp[j]], keys[order[j]]
+  /// `key16 << 32 | index` per key, ping-ponged by the counting passes.
+  std::vector<std::uint64_t> packed, tmp;
+  std::vector<std::uint32_t> order;  ///< the result
 };
 
 /// The permutation of 0 .. keys.size()-1 that sorts `keys` ascending,
 /// equal keys in index order, so the order is total (the output of a
 /// std::stable_sort of the indices). Keys must be >= 0; -0.0 ranks as
 /// +0.0. The placer's spreading pass ranks cell coordinates with it:
-/// a counting sort on a 16-bit key linear in [0, max key], then an
-/// insertion pass on the full values, with std::stable_sort taking
-/// over past a linear shift budget (clustered keys; counted by
-/// `place.rank_fallbacks`). The result views `scratch->order` and is
-/// valid until the next call on the same scratch.
+/// a counting sort on a 16-bit key linear in [0, max key], packed
+/// with the index into one 64-bit word, then an insertion pass on the
+/// full values within each run of equal 16-bit keys, with
+/// std::stable_sort taking over past a linear shift budget (clustered
+/// keys; counted by `place.rank_fallbacks`). The result views
+/// `scratch->order` and is valid until the next call on the same
+/// scratch.
 std::span<const std::uint32_t> RankOrder(std::span<const double> keys,
                                          RankScratch* scratch);
 

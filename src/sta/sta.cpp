@@ -447,6 +447,7 @@ void TimingAnalyzer::AnalyzeDetailed(
   dt.arrival.resize(nl_.num_nets());
   dt.required.assign(nl_.num_nets(), kPosInf);
   dt.wns_ns = kPosInf;
+  dt.num_violations = 0;
   double* const req = dt.required.data();
 
   // Forward sweep (the exact kernel Analyze runs). clear_all: the
@@ -466,6 +467,7 @@ void TimingAnalyzer::AnalyzeDetailed(
     if (!c.active) continue;
     const double setup = tab_.setup_ns[c.inst] * scale[bias_of(c.inst)];
     req[c.d_net] = std::min(req[c.d_net], clock_ns - setup);
+    if (clock_ns - setup - dt.arrival[c.d_net] < 0.0) ++dt.num_violations;
   }
   for (auto it = sched.cells.rbegin(); it != sched.cells.rend(); ++it) {
     const SweepCell& c = *it;

@@ -131,6 +131,10 @@ class TimingAnalyzer {
     std::vector<double> arrival;
     std::vector<double> required;
     double wns_ns = std::numeric_limits<double>::infinity();
+    /// Capture violations, Analyze's fold exactly: the live captures
+    /// with clock_ns - setup - arrival < 0, so this is Analyze's
+    /// num_violations for the same state.
+    int num_violations = 0;
 
     double SlackOf(netlist::NetId n) const {
       return required[n.index()] - arrival[n.index()];

@@ -68,9 +68,6 @@ inline constexpr int kNumBiasStates = 2;
 struct BackBiasParams {
   double body_factor_v_per_v = 0.085;  ///< dVth / dVBB [V/V]
   double fbb_well_voltage_v = 1.1;     ///< |VBB| applied in FBB state [V]
-  /// Guardband width separating adjacent deep-N-well BB domains [um]
-  /// (paper: ~3.5 um, comparable to the 1.2 um standard-cell height).
-  double guardband_um = 3.5;
   /// Drive-current boost of forward back-bias beyond the pure Vth
   /// shift (mobility / DIBL / velocity effects). Measured FDSOI
   /// silicon shows FBB buys 30-40% speed at the nominal supply — more

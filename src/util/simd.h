@@ -2,13 +2,15 @@
 /// \file simd.h
 /// \brief Portable fixed-width SIMD value lanes (f64 / u64).
 ///
-/// The hot kernels of this repo — the batched STA arrival sweep and
-/// the packed logic simulator's byte-sliced toggle counters — both
-/// iterate short per-net "lane" rows in structure-of-arrays form.
-/// This header gives them explicit vector types so one instruction
-/// processes F64::kWidth lanes. There is one implementation, on
-/// GCC/Clang generic vector types (`__attribute__((vector_size))`);
-/// the target ISA (CMake's ADQ_SIMD_ARCH) only picks the lane count:
+/// The hot kernels of this repo — the batched STA arrival sweep, the
+/// packed logic simulator's byte-sliced toggle counters and the
+/// placer's centroid pass — run F64::kWidth lanes per instruction on
+/// the explicit vector types of this header: STA and simulation on
+/// short per-net lane rows, the placer on kWidth / 2 nets or cells of
+/// one degree as (x, y) lane pairs, gathered lane by lane. There is one
+/// implementation, on GCC/Clang generic vector types
+/// (`__attribute__((vector_size))`); the target ISA (CMake's
+/// ADQ_SIMD_ARCH) only picks the lane count:
 ///
 ///   * 4 x f64 / u64 under AVX2 (x86-64, `-mavx2`);
 ///   * 2 x f64 / u64 otherwise (SSE2 on x86-64, NEON on aarch64, or
@@ -26,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace adq::simd {
 
@@ -47,7 +50,6 @@ inline constexpr const char* kBackendName = "generic";
 
 namespace detail {
 using F64v = double __attribute__((vector_size(kLanes * 8)));
-using I64v = std::int64_t __attribute__((vector_size(kLanes * 8)));
 using U64v = std::uint64_t __attribute__((vector_size(kLanes * 8)));
 }  // namespace detail
 
@@ -71,25 +73,29 @@ struct F64 {
     for (double& l : lanes) l = x;
     return Load(lanes);
   }
+  /// {f(0), f(1), ..., f(kWidth - 1)}, built in registers: a gather by
+  /// per-lane scalar loads, or a lane blend (one vshufpd). Through an
+  /// array and a Load, the wide load would wait on kWidth narrow stores
+  /// that the CPU cannot forward to it.
+  template <typename F>
+  static F64 Generate(const F& f) {
+    return [&]<int... L>(std::integer_sequence<int, L...>) {
+      return F64{detail::F64v{f(L)...}};
+    }(std::make_integer_sequence<int, kWidth>{});
+  }
   void Store(double* p) const { __builtin_memcpy(p, &v, sizeof(v)); }
+  double operator[](int lane) const { return v[lane]; }
 };
 
 inline F64 Add(F64 a, F64 b) { return {a.v + b.v}; }
 inline F64 Sub(F64 a, F64 b) { return {a.v - b.v}; }
 inline F64 Mul(F64 a, F64 b) { return {a.v * b.v}; }
-/// Lane mask (all-ones / all-zero per lane) of a[l] < b[l] (ordered:
-/// false when either operand is NaN — exactly the C++ `<`).
-inline F64 Lt(F64 a, F64 b) {
-  return {reinterpret_cast<detail::F64v>(a.v < b.v)};
-}
-/// m[l] all-ones -> a[l], all-zero -> b[l].
-inline F64 Select(F64 m, F64 a, F64 b) {
-  return {reinterpret_cast<detail::I64v>(m.v) != 0 ? a.v : b.v};
-}
+inline F64 Div(F64 a, F64 b) { return {a.v / b.v}; }
 /// Elementwise std::max: (a[l] < b[l]) ? b[l] : a[l]. Returns a on
 /// NaN in either slot exactly as the scalar ternary would.
 inline F64 Max(F64 a, F64 b) { return {a.v < b.v ? b.v : a.v}; }
-/// Elementwise std::min: (b[l] < a[l]) ? b[l] : a[l].
+/// Elementwise std::min: (b[l] < a[l]) ? b[l] : a[l]. So
+/// Min(Max(v, lo), hi) is std::clamp(v, lo, hi) for lo <= hi.
 inline F64 Min(F64 a, F64 b) { return {b.v < a.v ? b.v : a.v}; }
 
 // ====================================================================

@@ -11,6 +11,7 @@
 #include "core/error_metrics.h"
 #include "core/flow.h"
 #include "gen/operator.h"
+#include "netlist/stats.h"
 #include "obs/metrics.h"
 
 namespace adq::core {
@@ -220,6 +221,51 @@ TEST(FlowGolden, PaperDesignsBitIdentical) {
     EXPECT_EQ(h.value(), c.digest)
         << c.name << ": digest 0x" << std::hex << h.value();
   }
+}
+
+// With metrics on, every sizing phase leaves its QoR in gauges: the
+// phase's wns and the cell area it ends on. They are computed outside
+// the phase spans and never feed back into the flow: Booth16 2x2 keeps
+// its FlowGolden digest with metrics on.
+TEST(Flow, EmitsPhaseQorGauges) {
+  const char* phases[] = {"sizing", "postplace_eco", "extract_eco"};
+  FlowOptions fopt;
+  fopt.grid = {2, 2};
+  obs::ResetMetrics();
+  RunImplementationFlow(gen::BuildBoothOperator(8), Lib(), fopt);
+  for (const std::string phase : phases)
+    EXPECT_EQ(obs::GetGauge("flow." + phase + ".cell_area_um2").value(), 0.0)
+        << phase;
+
+  obs::EnableMetrics(true);
+  const ImplementedDesign d =
+      RunImplementationFlow(gen::BuildBoothOperator(16), Lib(), fopt);
+  double wns[3], area[3];
+  for (int k = 0; k < 3; ++k) {
+    const std::string phase = phases[k];
+    wns[k] = obs::GetGauge("flow." + phase + ".wns_ns").value();
+    area[k] = obs::GetGauge("flow." + phase + ".cell_area_um2").value();
+  }
+  obs::EnableMetrics(false);
+  // Wireload sizing closes at 0.8x the clock; recovery keeps timing
+  // met; the extract ECO's netlist is the final one.
+  EXPECT_GE(wns[0], 0.0);
+  EXPECT_GE(wns[1], 0.0);
+  EXPECT_TRUE(std::isfinite(wns[2]));
+  EXPECT_GT(area[0], 0.0);
+  EXPECT_LT(area[1], area[0]) << "recovery downsizes";
+  EXPECT_EQ(area[2], netlist::ComputeStats(d.op.nl, Lib()).cell_area_um2);
+
+  FlowDigest h;
+  h.Add(d.flat_placement.pos);
+  h.Add(d.placement.pos);
+  for (const netlist::Instance& inst : d.op.nl.instances())
+    h.Add(static_cast<std::uint64_t>(inst.drive));
+  h.Add(d.loads.cap_ff);
+  h.Add(d.loads.wire_delay_ns);
+  h.Add(d.sizing.wns_ns);
+  EXPECT_EQ(h.value(), 0xa2b5095a17d78eafULL)
+      << "digest 0x" << std::hex << h.value();
 }
 
 }  // namespace

@@ -292,6 +292,36 @@ TEST(LintFixtures, NL004CombinationalLoopWithCyclePrinted) {
   EXPECT_TRUE(printed) << rep.Render();
 }
 
+// Two loops, the second with a chord (NAND2 -> AND2) that closes one
+// more cycle. The findings and their order follow the DFS from
+// instance 0 over each instance's successors in output-pin, then sink
+// order: one finding per back edge, so the chord, which reaches AND2
+// after its DFS is done, adds none.
+TEST(LintFixtures, NL004TwoLoopsInDfsOrder) {
+  Netlist nl("fx");
+  const NetId a = nl.NewNet();
+  const NetId b = nl.AddGate(CellKind::kInv, {a});
+  nl.AddCellWithOutputs(CellKind::kInv, DriveStrength::kX1, {b}, {a});
+  const NetId in = nl.AddInputPort("i");
+  const NetId c = nl.NewNet();
+  const NetId d = nl.AddGate(CellKind::kNand2, {in, c});
+  const NetId e = nl.AddGate(CellKind::kBuf, {d});
+  const NetId f = nl.AddGate(CellKind::kAnd2, {e, d});
+  nl.AddCellWithOutputs(CellKind::kInv, DriveStrength::kX1, {f}, {c});
+  nl.AddOutputPort("o", b);
+  nl.AddOutputPort("p", f);
+  const LintReport rep = LintNetlist(nl);
+  std::vector<std::string> loops;
+  for (const Diagnostic& diag : rep.diagnostics)
+    if (diag.rule == kRuleCombLoop) loops.push_back(diag.message);
+  EXPECT_EQ(loops,
+            (std::vector<std::string>{
+                "combinational cycle of length 2: INV#0 -> INV#1 -> INV#0",
+                "combinational cycle of length 4: NAND2#2 -> BUF#3 -> "
+                "AND2#4 -> INV#5 -> NAND2#2"}))
+      << rep.Render();
+}
+
 TEST(LintFixtures, NL004RegisterCutsTheLoop) {
   // Same topology but with a DFF in the cycle: a legal accumulator.
   Netlist nl("fx");

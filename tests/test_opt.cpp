@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "gen/operator.h"
 #include "netlist/case_analysis.h"
+#include "obs/metrics.h"
 #include "opt/buffering.h"
 #include "opt/sizing.h"
 #include "place/placer.h"
@@ -149,6 +152,95 @@ TEST(Sizing, ReportedWnsMatchesFullRecomputeAfterEveryRound) {
     EXPECT_EQ(res.wns_ns, fresh.Analyze(sopt.vdd, sopt.clock_ns, bias).wns_ns)
         << rounds << " rounds";
   }
+}
+
+// A recovery revert restores the drives, and refresh_loads the loads
+// and the analyzer's rows, so OptimizeSizing swaps the pre-move
+// analysis back instead of recomputing it. Pins that: after any
+// downsize batch, its revert and the incremental refresh, a detailed
+// analysis equals the one saved before the move bit for bit, with
+// and without a case analysis.
+TEST(Sizing, RevertRestoresTiming) {
+  gen::Operator op = gen::BuildBoothOperator(8);
+  const place::NetWires wires =
+      place::PlacedWires(op.nl, place::PlaceDesign(op.nl, Lib()));
+  place::NetLoads loads = place::ComputeLoads(op.nl, Lib(), wires);
+  const netlist::CaseAnalysis ca(op.nl, gen::ForcedZeroLsbs(op, 4));
+  const std::vector<BiasState> bias(op.nl.num_instances(), BiasState::kFBB);
+  sta::TimingAnalyzer an(op.nl, Lib(), loads);
+  const auto resize = [&](const std::vector<std::uint32_t>& cells, int step) {
+    for (const std::uint32_t i : cells) {
+      const netlist::Instance& inst = op.nl.instances()[i];
+      op.nl.SetDrive(netlist::InstId(i),
+                     static_cast<tech::DriveStrength>(
+                         static_cast<int>(inst.drive) + step));
+      for (int p = 0; p < inst.num_inputs(); ++p)
+        place::UpdateNetLoad(op.nl, Lib(), wires, inst.in[p], &loads);
+    }
+    an.UpdateLoads(loads, cells);
+  };
+  util::Rng rng(5);
+  sta::TimingAnalyzer::DetailedTiming saved, moved, now;
+  for (int round = 0; round < 12; ++round) {
+    const netlist::CaseAnalysis* c = round % 3 == 2 ? &ca : nullptr;
+    const double clock = round % 2 ? 0.45 : 0.9;
+    an.AnalyzeDetailed(1.0, clock, bias, c, &saved);
+    std::vector<std::uint32_t> cells;
+    std::vector<std::uint8_t> picked(op.nl.num_instances(), 0);
+    for (int k = 0; k < 40; ++k) {
+      const auto i = static_cast<std::uint32_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(op.nl.num_instances()) - 1));
+      const netlist::Instance& inst = op.nl.instances()[i];
+      if (picked[i] || tech::IsTie(inst.kind) ||
+          inst.drive == tech::DriveStrength::kX0P25)
+        continue;
+      picked[i] = 1;
+      cells.push_back(i);
+    }
+    resize(cells, -1);
+    an.AnalyzeDetailed(1.0, clock, bias, c, &moved);
+    resize(cells, +1);
+    an.AnalyzeDetailed(1.0, clock, bias, c, &now);
+    EXPECT_NE(moved.wns_ns, saved.wns_ns) << "round " << round;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(now.wns_ns),
+              std::bit_cast<std::uint64_t>(saved.wns_ns));
+    EXPECT_EQ(now.num_violations, saved.num_violations);
+    ASSERT_EQ(now.arrival.size(), saved.arrival.size());
+    for (std::size_t n = 0; n < now.arrival.size(); ++n) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(now.arrival[n]),
+                std::bit_cast<std::uint64_t>(saved.arrival[n]))
+          << "round " << round << " net " << n;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(now.required[n]),
+                std::bit_cast<std::uint64_t>(saved.required[n]))
+          << "round " << round << " net " << n;
+    }
+  }
+}
+
+// Recovery runs one timing analysis per pass, the detailed one, and
+// only the final report calls Analyze: sta.analyze_calls reads 1 per
+// ECO however many recovery passes ran.
+TEST(Sizing, OneAnalysisPerRecoveryPass) {
+  obs::EnableMetrics(true);
+  obs::Counter& analyze_calls = obs::GetCounter("sta.analyze_calls");
+  obs::Counter& passes = obs::GetCounter("opt.recovery_passes");
+  std::vector<long> pass_counts;
+  for (const double steps : {0.2, 1.2}) {
+    gen::Operator op = gen::BuildBoothOperator(8);
+    SizingOptions sopt;
+    sopt.clock_ns = 0.9;
+    sopt.recovery_steps_per_cell = steps;
+    const long calls_before = analyze_calls.value();
+    const long passes_before = passes.value();
+    const SizingResult res =
+        OptimizeSizing(op.nl, Lib(), place::FanoutWires(op.nl), sopt);
+    EXPECT_TRUE(res.timing_met);
+    EXPECT_EQ(analyze_calls.value() - calls_before, 1) << steps;
+    pass_counts.push_back(passes.value() - passes_before);
+  }
+  obs::EnableMetrics(false);
+  EXPECT_GE(pass_counts[0], 1);
+  EXPECT_GT(pass_counts[1], pass_counts[0]);
 }
 
 TEST(Sizing, RecoveryReducesAreaAndLeakage) {

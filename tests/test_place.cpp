@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -19,6 +20,7 @@
 #include "place/placer.h"
 #include "place/wirelength.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace adq::place {
 namespace {
@@ -137,6 +139,160 @@ TEST(Placer, PaperDesignsBitIdentical) {
     EXPECT_EQ(PositionDigest(pl.pos), c.digest)
         << c.name << ": digest 0x" << std::hex << PositionDigest(pl.pos);
   }
+}
+
+/// A test-local copy of the scalar centroid pass, as PlaceDesign ran it
+/// before the degree groups: every net's box in slot order, then every
+/// cell in id order.
+void ScalarCentroidPass(const PinTape& t, const std::vector<Point>& cur,
+                        const std::vector<double>& anchor_y, double damp,
+                        double width, double height, std::vector<Point>* nxt) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Point> centre(t.net_start.size() - 1);
+  for (std::size_t n = 0; n < centre.size(); ++n) {
+    double xlo = kInf, xhi = -kInf, ylo = kInf, yhi = -kInf;
+    for (std::uint32_t k = t.net_start[n]; k < t.net_start[n + 1]; ++k) {
+      const Point& p = cur[t.net_slot[k]];
+      xlo = std::min(xlo, p.x);
+      xhi = std::max(xhi, p.x);
+      ylo = std::min(ylo, p.y);
+      yhi = std::max(yhi, p.y);
+    }
+    centre[n] = Point{(xlo + xhi) / 2, (ylo + yhi) / 2};
+  }
+  for (std::size_t i = 0; i + 1 < t.cell_start.size(); ++i) {
+    double sx = 0.0, sy = 0.0;
+    const std::uint32_t lo = t.cell_start[i], hi = t.cell_start[i + 1];
+    for (std::uint32_t k = lo; k < hi; ++k) {
+      sx += centre[t.cell_net[k]].x;
+      sy += centre[t.cell_net[k]].y;
+    }
+    const int pins = static_cast<int>(hi - lo);
+    const double gx = sx / pins, gy = sy / pins;
+    const double ty = 0.65 * gy + 0.35 * anchor_y[i];
+    (*nxt)[i].x = std::clamp(cur[i].x + damp * (gx - cur[i].x), 0.0, width);
+    (*nxt)[i].y = std::clamp(cur[i].y + damp * (ty - cur[i].y), 0.0, height);
+  }
+}
+
+/// A random pin tape beyond what the paper designs reach: cell pin
+/// counts 1..9, nets of 1..12 cell pins (some with a port anchor,
+/// some with no slot at all), and positions pinned at 0, -0.0, the
+/// die edges and far enough outside the die that both clamps bite.
+struct SyntheticTape {
+  PinTape tape;
+  std::vector<Point> cur;  // cells, then anchors
+  std::vector<double> anchor_y;
+  double width = 97.3, height = 61.2;
+
+  SyntheticTape(std::uint32_t n_cells, std::uint64_t seed) {
+    util::Rng rng(seed);
+    std::vector<std::uint32_t> stubs;  // cell i once per pin
+    for (std::uint32_t i = 0; i < n_cells; ++i)
+      for (std::int64_t p = rng.UniformInt(1, 9); p > 0; --p) stubs.push_back(i);
+    for (std::size_t i = stubs.size(); i > 1; --i)
+      std::swap(stubs[i - 1], stubs[static_cast<std::size_t>(rng.UniformInt(
+                                  0, static_cast<std::int64_t>(i) - 1))]);
+    std::vector<std::vector<std::uint32_t>> nets;
+    std::uint32_t n_anchors = 0;
+    for (std::size_t k = 0; k < stubs.size();) {
+      std::vector<std::uint32_t> slots;
+      const std::size_t pins = static_cast<std::size_t>(rng.UniformInt(1, 12));
+      for (; slots.size() < pins && k < stubs.size(); ++k)
+        slots.push_back(stubs[k]);
+      if (rng.UniformInt(0, 4) == 0)  // a port: anchor after the driver
+        slots.insert(slots.begin() + 1, n_cells + n_anchors++);
+      nets.push_back(std::move(slots));
+      if (rng.UniformInt(0, 9) == 0) nets.emplace_back();  // no slot
+    }
+    std::vector<std::vector<std::uint32_t>> cell_nets(n_cells);
+    tape.net_start.push_back(0);
+    for (std::uint32_t n = 0; n < nets.size(); ++n) {
+      for (const std::uint32_t slot : nets[n]) {
+        tape.net_slot.push_back(slot);
+        if (slot < n_cells) cell_nets[slot].push_back(n);
+      }
+      tape.net_start.push_back(static_cast<std::uint32_t>(tape.net_slot.size()));
+    }
+    tape.cell_start.push_back(0);
+    for (const auto& cn : cell_nets) {
+      tape.cell_net.insert(tape.cell_net.end(), cn.begin(), cn.end());
+      tape.cell_start.push_back(static_cast<std::uint32_t>(tape.cell_net.size()));
+    }
+    tape.Group();
+
+    const auto coord = [&](double extent) {
+      switch (rng.UniformInt(0, 6)) {
+        case 0: return 0.0;
+        case 1: return -0.0;
+        case 2: return extent;
+        case 3: return rng.Uniform(-extent, 2.0 * extent);
+        default: return rng.Uniform(0.0, extent);
+      }
+    };
+    for (std::uint32_t i = 0; i < n_cells; ++i) {
+      const double x = coord(width);
+      cur.push_back(Point{x, coord(height)});
+      anchor_y.push_back(coord(height));
+    }
+    for (std::uint32_t a = 0; a < n_anchors; ++a)
+      cur.push_back(Point{rng.UniformInt(0, 1) ? width : 0.0, coord(height)});
+  }
+};
+
+bool SamePoint(const Point& a, const Point& b) {
+  return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+// The degree-group lane kernels of CentroidPass against the scalar
+// pass, bit for bit, over several chained passes: net degrees 0..13
+// and cell pin counts 1..9 (past anything the paper designs reach),
+// groups that end in a part-filled lane set, and signed zeros, die
+// edges and out-of-die positions through the clamp. Anchor entries of
+// the output stay untouched.
+TEST(Placer, CentroidLanesMatchScalarReference) {
+  // A lane kernel takes F64::kWidth / 2 elements, as (x, y) pairs.
+  constexpr std::uint32_t kPairs = simd::F64::kWidth / 2;
+  bool tails = false;
+  for (const std::uint32_t n_cells : {1u, 3u, 7u, 38u, 129u, 611u}) {
+    SyntheticTape syn(n_cells, 40 + n_cells);
+    const PinTape& t = syn.tape;
+    // Every cell sits in the group of its pin count, padded groups
+    // repeating their last id.
+    std::vector<std::uint32_t> count(t.cell_group.size() - 1, 0);
+    for (std::uint32_t i = 0; i < n_cells; ++i)
+      ++count[t.cell_start[i + 1] - t.cell_start[i]];
+    for (std::uint32_t d = 0; d < count.size(); ++d) {
+      std::set<std::uint32_t> ids(t.cell_ids.begin() + t.cell_group[d],
+                                  t.cell_ids.begin() + t.cell_group[d + 1]);
+      ASSERT_EQ(ids.size(), count[d]) << "pin count " << d;
+      for (const std::uint32_t i : ids)
+        ASSERT_EQ(t.cell_start[i + 1] - t.cell_start[i], d);
+      tails |= count[d] % kPairs != 0;
+    }
+    if (n_cells > 100) {
+      EXPECT_EQ(t.cell_group.size(), 11u) << "pin counts up to 9";
+      EXPECT_GE(t.net_group.size(), 13u) << "nets of 12 or more slots";
+    }
+    std::vector<Point> cur = syn.cur;
+    const Point canary{-1234.5, 6789.25};
+    std::vector<Point> centre(t.net_start.size() - 1);
+    for (const double damp : {0.8, 0.8, 0.5, 1.0}) {
+      std::vector<Point> want(cur.size(), canary), got(cur.size(), canary);
+      ScalarCentroidPass(t, cur, syn.anchor_y, damp, syn.width, syn.height,
+                         &want);
+      CentroidPass(t, cur, syn.anchor_y, damp, syn.width, syn.height, centre,
+                   got);
+      for (std::size_t i = 0; i < cur.size(); ++i)
+        ASSERT_TRUE(SamePoint(got[i], want[i]))
+            << n_cells << " cells, damp " << damp << ", slot " << i << ": ("
+            << got[i].x << ", " << got[i].y << ") vs (" << want[i].x << ", "
+            << want[i].y << ")";
+      std::copy_n(got.begin(), n_cells, cur.begin());
+    }
+  }
+  EXPECT_TRUE(tails || kPairs == 1);
 }
 
 std::vector<std::uint32_t> Ranked(std::span<const double> keys) {

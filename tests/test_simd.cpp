@@ -62,7 +62,7 @@ bool SameBits(double a, double b) {
 /// payload unspecified when both operands are NaN (and +/- add/mul
 /// commute, so the scalar reference may evaluate b+a), so two NaNs
 /// always match; everything else — including signed zeros — must be
-/// bit-identical. Select/Min/Max route whole operands and stay on the
+/// bit-identical. Min/Max route whole operands and stay on the
 /// strict SameBits check.
 bool ArithBits(double r, double want) {
   return SameBits(r, want) || (std::isnan(r) && std::isnan(want));
@@ -111,6 +111,18 @@ TEST(SimdF64, ArithmeticMatchesScalarExpressionOnSpecials) {
     for (int l = 0; l < simd::F64::kWidth; ++l)
       EXPECT_TRUE(SameBits(r[l], x)) << "Broadcast lane " << l;
   }
+  // Generate sets lane l to f(l), and operator[] reads lane l back.
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const auto at = [&](int l) {
+      return pool[(i + static_cast<std::size_t>(l)) % pool.size()];
+    };
+    const simd::F64 g = simd::F64::Generate(at);
+    g.Store(r);
+    for (int l = 0; l < simd::F64::kWidth; ++l) {
+      EXPECT_TRUE(SameBits(r[l], at(l))) << "Generate lane " << l;
+      EXPECT_TRUE(SameBits(g[l], at(l))) << "operator[] lane " << l;
+    }
+  }
   for (std::size_t i = 0; i < pool.size(); ++i)
     for (std::size_t j = 0; j < pool.size(); ++j) {
       const simd::F64 va = LoadRot(pool, i, a);
@@ -126,10 +138,30 @@ TEST(SimdF64, ArithmeticMatchesScalarExpressionOnSpecials) {
       simd::Mul(va, vb).Store(r);
       for (int l = 0; l < simd::F64::kWidth; ++l)
         EXPECT_TRUE(ArithBits(r[l], a[l] * b[l])) << "Mul lane " << l;
+      simd::Div(va, vb).Store(r);
+      for (int l = 0; l < simd::F64::kWidth; ++l)
+        EXPECT_TRUE(ArithBits(r[l], a[l] / b[l])) << "Div lane " << l;
     }
 }
 
-TEST(SimdF64, CompareSelectMinMaxMatchStdSemantics) {
+// The placer's clamp: Min(Max(v, 0), e) is std::clamp(v, 0.0, e) bit
+// for bit, including which zero survives, NaN and infinities.
+TEST(SimdF64, MinOfMaxIsStdClamp) {
+  const auto& pool = Specials();
+  double v[simd::F64::kWidth], r[simd::F64::kWidth];
+  const simd::F64 zero = simd::F64::Broadcast(0.0);
+  for (const double e : {0.0, 1e-300, 1.5, 137.25,
+                         std::numeric_limits<double>::max(), kInf})
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const simd::F64 vv = LoadRot(pool, i, v);
+      simd::Min(simd::Max(vv, zero), simd::F64::Broadcast(e)).Store(r);
+      for (int l = 0; l < simd::F64::kWidth; ++l)
+        EXPECT_TRUE(SameBits(r[l], std::clamp(v[l], 0.0, e)))
+            << "clamp(" << v[l] << ", 0, " << e << ") lane " << l;
+    }
+}
+
+TEST(SimdF64, MinMaxMatchStdSemantics) {
   const auto& pool = Specials();
   double a[simd::F64::kWidth], b[simd::F64::kWidth],
       r[simd::F64::kWidth];
@@ -149,11 +181,6 @@ TEST(SimdF64, CompareSelectMinMaxMatchStdSemantics) {
       for (int l = 0; l < simd::F64::kWidth; ++l)
         EXPECT_TRUE(SameBits(r[l], b[l] < a[l] ? b[l] : a[l]))
             << "Min lane " << l;
-      // Select routes lane l from its mask lane alone.
-      simd::Select(simd::Lt(va, vb), va, vb).Store(r);
-      for (int l = 0; l < simd::F64::kWidth; ++l)
-        EXPECT_TRUE(SameBits(r[l], a[l] < b[l] ? a[l] : b[l]))
-            << "Select lane " << l;
     }
 }
 
@@ -265,6 +292,33 @@ std::vector<double> ArrivalRow(std::size_t n, std::uint32_t seed) {
 void ExpectCanaryIntact(const std::vector<double>& buf, std::size_t n) {
   for (std::size_t i = n; i < buf.size(); ++i)
     EXPECT_EQ(buf[i], kCanary) << "overwrite at lane " << i;
+}
+
+// Div on rows of every length around the lane-width boundaries, the
+// way the placer's kernels divide a degree group: whole vectors, then
+// the scalar `/` on the tail. Across the rotations every row position
+// sees every pair of special values.
+TEST(SimdF64, DivMatchesScalarAtEveryTailBoundary) {
+  const auto& pool = Specials();
+  const std::size_t p = pool.size();
+  for (std::size_t n = 1; n <= 2 * kW + 3; ++n)
+    for (std::size_t rot = 0; rot < p * p; ++rot) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " rot=" + std::to_string(rot));
+      std::vector<double> a(n), b(n), out(n + kW, kCanary);
+      for (std::size_t k = 0; k < n; ++k) {
+        a[k] = pool[(rot + k) % p];
+        b[k] = pool[(rot / p + 3 * k) % p];
+      }
+      std::size_t k = 0;
+      for (; k + kW <= n; k += kW)
+        simd::Div(simd::F64::Load(&a[k]), simd::F64::Load(&b[k]))
+            .Store(&out[k]);
+      for (; k < n; ++k) out[k] = a[k] / b[k];
+      for (std::size_t l = 0; l < n; ++l)
+        EXPECT_TRUE(ArithBits(out[l], a[l] / b[l]))
+            << l << ": " << a[l] << " / " << b[l];
+      ExpectCanaryIntact(out, n);
+    }
 }
 
 TEST(LaneKernels, LaunchMatchesReferenceAtEveryTail) {

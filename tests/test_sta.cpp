@@ -13,6 +13,7 @@
 #include "place/wirelength.h"
 #include "sta/slack_histogram.h"
 #include "sta/sta.h"
+#include "util/rng.h"
 
 namespace adq::sta {
 namespace {
@@ -348,6 +349,43 @@ TEST(Sta, DetailedMatchesReferenceSweep) {
       EXPECT_GT(active, 100);
     }
   }
+}
+
+// AnalyzeDetailed counts capture violations with Analyze's fold, so
+// sizing recovery can check a move on the detailed analysis alone.
+// Random loads, supplies, bias vectors and clocks around the critical
+// delay, with and without a case analysis: the counts must agree, and
+// the clocks must give both clean and partly violating points.
+TEST(Sta, DetailedViolationsMatchAnalyze) {
+  gen::Operator op = gen::BuildBoothOperator(16);
+  util::Rng rng(9);
+  place::NetLoads loads = place::EstimateLoadsByFanout(op.nl, Lib());
+  for (std::size_t n = 0; n < loads.cap_ff.size(); ++n) {
+    loads.cap_ff[n] *= rng.Uniform(0.5, 2.0);
+    loads.wire_delay_ns[n] *= rng.Uniform(0.0, 3.0);
+  }
+  const netlist::CaseAnalysis ca(op.nl, gen::ForcedZeroLsbs(op, 7));
+  TimingAnalyzer an(op.nl, Lib(), loads);
+  TimingAnalyzer::DetailedTiming dt;
+  int clean = 0, partial = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const double vdd = rng.Uniform(0.6, 1.0);
+    std::vector<BiasState> bias(op.nl.num_instances());
+    for (BiasState& b : bias)
+      b = rng.UniformInt(0, 1) ? BiasState::kFBB : BiasState::kNoBB;
+    const netlist::CaseAnalysis* c = trial % 2 ? &ca : nullptr;
+    // The critical delay of this point, from a clock no path misses.
+    const TimingReport loose = an.Analyze(vdd, 100.0, bias, c);
+    const double clock = (100.0 - loose.wns_ns) * rng.Uniform(0.8, 1.05);
+    const TimingReport rep = an.Analyze(vdd, clock, bias, c);
+    an.AnalyzeDetailed(vdd, clock, bias, c, &dt);
+    EXPECT_EQ(dt.num_violations, rep.num_violations) << "trial " << trial;
+    clean += rep.num_violations == 0;
+    partial += rep.num_violations > 0 &&
+               rep.num_violations < rep.num_active_endpoints;
+  }
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(partial, 0);
 }
 
 }  // namespace
