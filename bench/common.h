@@ -85,6 +85,41 @@ inline void InitObs(int& argc, char** argv) {
   obs::Configure(o);
 }
 
+/// Prints one row of a markdown table; a header row also prints the
+/// separator under it. The paper-artifact benches print their tables
+/// this way, and EXPERIMENTS.md is regenerated from that output.
+inline void MarkdownRow(const std::vector<std::string>& cells,
+                        bool header = false) {
+  for (const std::string& c : cells) std::printf("| %s ", c.c_str());
+  std::printf("|\n");
+  if (!header) return;
+  for (std::size_t i = 0; i < cells.size(); ++i) std::printf("|---");
+  std::printf("|\n");
+}
+
+/// The shape checks of a paper artifact: every check that fails is
+/// printed, and Finish() returns the bench's exit status (1 if any
+/// failed), so ctest's `paper` label and CI's bench drive both gate on
+/// it.
+class ShapeGate {
+ public:
+  void Expect(bool ok, const std::string& what) {
+    ++checks_;
+    if (ok) return;
+    ++failed_;
+    std::printf("SHAPE VIOLATION: %s\n", what.c_str());
+  }
+  int Finish() const {
+    std::printf("shape checks: %d of %d passed\n", checks_ - failed_,
+                checks_);
+    return failed_ > 0 ? 1 : 0;
+  }
+
+ private:
+  int checks_ = 0;
+  int failed_ = 0;
+};
+
 /// Bounds of the benches' positional arguments. Activity extraction
 /// needs at least 2 cycles; the thread bound matches domain_explorer's.
 inline constexpr long kMinCycles = 2;

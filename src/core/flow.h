@@ -2,8 +2,9 @@
 /// \file flow.h
 /// \brief The automated implementation flow of the paper (Fig. 4,
 /// green phase): synthesis-like sizing -> placement -> Vth-domain
-/// grid insertion -> incremental placement -> parasitic extraction,
-/// all at the FBB characterization corner and nominal VDD.
+/// grid insertion -> incremental placement -> parasitic extraction
+/// and timing closure, all at the FBB characterization corner and
+/// nominal VDD.
 ///
 /// The result (an ImplementedDesign) is the physical artifact the
 /// optimization phase (explore.h) analyzes: a sized netlist, its
@@ -68,7 +69,12 @@ struct ImplementedDesign {
   const std::vector<int>& domain_of() const { return partition.domain_of; }
 };
 
-/// Runs the full flow on (a copy of) the operator.
+/// Runs the full flow on (a copy of) the operator. After the extract
+/// ECO a closure loop alternates place::RelegalizeViolations with a
+/// fix-only sizing ECO on the re-legalized wires until no tile moves.
+/// It fails a check if it has not converged after 4 rounds; a design
+/// it hands back with `timing_met == false` converged, and its clock is
+/// out of the sizer's reach.
 ImplementedDesign RunImplementationFlow(gen::Operator op,
                                         const tech::CellLibrary& lib,
                                         const FlowOptions& opt = {});

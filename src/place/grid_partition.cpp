@@ -2,12 +2,53 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace adq::place {
 
 using netlist::Netlist;
 
 namespace {
+
+/// The neighbour of tile `dom` (left, right, below, above; the first
+/// on ties) with the most spare width cap - used; -1 if it has none.
+int RoomiestNeighbour(const GridConfig& cfg, int dom,
+                      const std::vector<double>& cap,
+                      const std::vector<double>& used) {
+  const int tx = dom % cfg.nx, ty = dom / cfg.nx;
+  const int nbs[] = {tx > 0 ? dom - 1 : -1, tx + 1 < cfg.nx ? dom + 1 : -1,
+                     ty > 0 ? dom - cfg.nx : -1,
+                     ty + 1 < cfg.ny ? dom + cfg.nx : -1};
+  const auto spare = [&](int d) {
+    return cap[static_cast<std::size_t>(d)] - used[static_cast<std::size_t>(d)];
+  };
+  int best = -1;
+  for (const int nb : nbs)
+    if (nb >= 0 && (best < 0 || spare(nb) > spare(best))) best = nb;
+  return best;
+}
+
+/// Sorts `members` by distance from `to`, closest first, ties by id.
+void SortClosestTo(std::vector<std::uint32_t>* members,
+                   const std::vector<Point>& pos, Point to) {
+  const auto d2 = [&](std::uint32_t k) {
+    const double dx = pos[k].x - to.x;
+    const double dy = pos[k].y - to.y;
+    return dx * dx + dy * dy;
+  };
+  std::sort(members->begin(), members->end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return d2(a) < d2(b) || (d2(a) == d2(b) && a < b);
+            });
+}
+
+std::vector<std::uint32_t> MembersOf(const std::vector<int>& domain_of,
+                                     int dom) {
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t i = 0; i < domain_of.size(); ++i)
+    if (domain_of[i] == dom) members.push_back(i);
+  return members;
+}
 
 /// Moves cells out of over-capacity tiles into the adjacent tile with
 /// the most spare width capacity, preferring the cells closest to the
@@ -28,33 +69,8 @@ void RebalanceDomains(const Netlist& nl, const tech::CellLibrary& lib,
           0.85 * tile_w * band_rows[static_cast<std::size_t>(ty)];
 
   std::vector<double> used(static_cast<std::size_t>(ndom), 0.0);
-  auto width_of = [&](std::uint32_t i) {
-    const netlist::Instance& inst = nl.instances()[i];
-    return lib.Variant(inst.kind, inst.drive).width_um;
-  };
   for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-    used[static_cast<std::size_t>(part.domain_of[i])] += width_of(i);
-
-  // Tile center in original-die coordinates (for distance ranking).
-  auto tile_center = [&](int dom) {
-    const int tx = dom % cfg.nx;
-    const int ty = dom / cfg.nx;
-    const double cx = (tx + 0.5) * tile_w;
-    const double cy = (y_cut[static_cast<std::size_t>(ty)] +
-                       y_cut[static_cast<std::size_t>(ty) + 1]) /
-                      2.0;
-    return Point{cx, cy};
-  };
-  auto neighbors = [&](int dom) {
-    std::vector<int> out;
-    const int tx = dom % cfg.nx;
-    const int ty = dom / cfg.nx;
-    if (tx > 0) out.push_back(dom - 1);
-    if (tx + 1 < cfg.nx) out.push_back(dom + 1);
-    if (ty > 0) out.push_back(dom - cfg.nx);
-    if (ty + 1 < cfg.ny) out.push_back(dom + cfg.nx);
-    return out;
-  };
+    used[static_cast<std::size_t>(part.domain_of[i])] += CellWidth(nl, lib, i);
 
   for (int round = 0; round < 4 * ndom; ++round) {
     int worst = -1;
@@ -67,36 +83,25 @@ void RebalanceDomains(const Netlist& nl, const tech::CellLibrary& lib,
       }
     }
     if (worst < 0) break;
-    // Receiver: adjacent tile with most spare capacity.
-    int recv = -1;
-    double best_spare = 0.0;
-    for (const int nb : neighbors(worst)) {
-      const double spare = cap[(std::size_t)nb] - used[(std::size_t)nb];
-      if (spare > best_spare) {
-        best_spare = spare;
-        recv = nb;
-      }
-    }
-    ADQ_CHECK_MSG(recv >= 0, "no neighboring Vth domain has spare capacity");
-    const Point rc = tile_center(recv);
-    // Move the cells of `worst` closest to the receiver until the
-    // overflow (or the receiver's spare) is consumed.
-    std::vector<std::uint32_t> members;
-    for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-      if (part.domain_of[i] == worst) members.push_back(i);
-    std::sort(members.begin(), members.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                auto d2 = [&](std::uint32_t k) {
-                  const double dx = pl.pos[k].x - rc.x;
-                  const double dy = pl.pos[k].y - rc.y;
-                  return dx * dx + dy * dy;
-                };
-                return d2(a) < d2(b);
-              });
+    const int recv = RoomiestNeighbour(cfg, worst, cap, used);
+    const double best_spare =
+        recv < 0 ? 0.0 : cap[(std::size_t)recv] - used[(std::size_t)recv];
+    ADQ_CHECK_MSG(best_spare > 0.0,
+                  "no neighboring Vth domain has spare capacity");
+    // Move the cells of `worst` closest to the receiver's centre (in
+    // original-die coordinates) until the overflow (or the receiver's
+    // spare) is consumed.
+    const int ty = recv / cfg.nx;
+    const Point rc{(recv % cfg.nx + 0.5) * tile_w,
+                   (y_cut[static_cast<std::size_t>(ty)] +
+                    y_cut[static_cast<std::size_t>(ty) + 1]) /
+                       2.0};
+    std::vector<std::uint32_t> members = MembersOf(part.domain_of, worst);
+    SortClosestTo(&members, pl.pos, rc);
     double to_move = std::min(worst_over, best_spare);
     for (const std::uint32_t i : members) {
       if (to_move <= 0.0) break;
-      const double w = width_of(i);
+      const double w = CellWidth(nl, lib, i);
       part.domain_of[i] = recv;
       used[(std::size_t)worst] -= w;
       used[(std::size_t)recv] += w;
@@ -108,6 +113,64 @@ void RebalanceDomains(const Netlist& nl, const tech::CellLibrary& lib,
     ADQ_CHECK_MSG(used[(std::size_t)d] <= cap[(std::size_t)d] * 1.1,
                   "domain " << d << " still over capacity after rebalance");
 #endif
+}
+
+/// The worklist that legalizes a partitioned placement: takes the
+/// lowest dirty tile and legalizes its cells in `*pos` into its rows.
+/// While the legalizer cannot seat them, the tile sheds one member at
+/// a time, the one closest to the centre of its neighbour with the
+/// most spare row width, into that neighbour (updating
+/// part->domain_of), which becomes dirty. Only sheds make a tile
+/// dirty, so the worklist ends once the sheds do; more sheds than
+/// cells would mean cells circling between tiles, and fail a check.
+/// Returns the number of tile legalizations.
+int LegalizeTiles(const Netlist& nl, const tech::CellLibrary& lib,
+                  GridPartition* part, std::vector<Point>* pos,
+                  std::vector<char> dirty) {
+  const int ndom = part->num_domains();
+  const double rh = part->original.row_height_um;
+  std::vector<double> cap(static_cast<std::size_t>(ndom));
+  std::vector<double> used(static_cast<std::size_t>(ndom), 0.0);
+  for (int d = 0; d < ndom; ++d) {
+    const GridPartition::Tile& t = part->tiles[static_cast<std::size_t>(d)];
+    cap[static_cast<std::size_t>(d)] =
+        std::floor((t.y_hi - t.y_lo) / rh + 1e-6) * (t.x_hi - t.x_lo);
+  }
+  for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
+    used[static_cast<std::size_t>(part->domain_of[i])] += CellWidth(nl, lib, i);
+
+  int legalized = 0;
+  std::size_t sheds = 0;
+  for (auto it = std::find(dirty.begin(), dirty.end(), 1); it != dirty.end();
+       it = std::find(dirty.begin(), dirty.end(), 1)) {
+    *it = 0;
+    const int dom = static_cast<int>(it - dirty.begin());
+    const GridPartition::Tile& t = part->tiles[static_cast<std::size_t>(dom)];
+    std::vector<std::uint32_t> members = MembersOf(part->domain_of, dom);
+    while (!LegalizeRows(nl, lib, members, t.x_lo, t.x_hi, t.y_lo, t.y_hi,
+                         rh, pos)) {
+      const int recv = RoomiestNeighbour(part->cfg, dom, cap, used);
+      ADQ_CHECK_MSG(recv >= 0, "legalization overflow: tile "
+                                   << dom << " has a cell that fits no row"
+                                   << " and no neighbour to shed it to");
+      ++sheds;
+      ADQ_CHECK_MSG(sheds <= nl.num_instances(),
+                    "tile shedding does not converge");
+      const GridPartition::Tile& rt =
+          part->tiles[static_cast<std::size_t>(recv)];
+      SortClosestTo(&members, *pos,
+                    Point{(rt.x_lo + rt.x_hi) / 2.0, (rt.y_lo + rt.y_hi) / 2.0});
+      const std::uint32_t c = members.front();
+      members.erase(members.begin());
+      const double w = CellWidth(nl, lib, c);
+      part->domain_of[c] = recv;
+      used[static_cast<std::size_t>(dom)] -= w;
+      used[static_cast<std::size_t>(recv)] += w;
+      dirty[static_cast<std::size_t>(recv)] = 1;
+    }
+    ++legalized;
+  }
+  return legalized;
 }
 
 }  // namespace
@@ -207,25 +270,15 @@ Placement ApplyPartition(const Netlist& nl, const tech::CellLibrary& lib,
     target[i].y = pl.pos[i].y + ty * gb_y;
   }
 
-  // Re-legalize every tile independently (cells stay in their domain).
+  // Legalize every tile. The partition is an input here: MakePartition
+  // leaves headroom in every tile, so none sheds, and one that would
+  // fails the check below.
   out.pos = target;
-  for (int dom = 0; dom < part.num_domains(); ++dom) {
-    std::vector<bool> movable(nl.num_instances(), false);
-    bool any = false;
-    for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
-      if (part.domain_of[i] == dom) {
-        movable[i] = true;
-        any = true;
-      }
-    }
-    if (!any) continue;
-    const GridPartition::Tile& t = part.tiles[static_cast<std::size_t>(dom)];
-    const std::vector<Point> legal =
-        LegalizeRows(nl, lib, out.pos, movable, t.x_lo, t.x_hi, t.y_lo,
-                     t.y_hi, part.original.row_height_um);
-    for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-      if (movable[i]) out.pos[i] = legal[i];
-  }
+  GridPartition shed = part;
+  LegalizeTiles(nl, lib, &shed, &out.pos,
+                std::vector<char>(static_cast<std::size_t>(part.num_domains()), 1));
+  ADQ_CHECK_MSG(shed.domain_of == part.domain_of,
+                "a domain tile overflowed its rows after rebalancing");
   return out;
 }
 
@@ -234,124 +287,19 @@ int RelegalizeViolations(const Netlist& nl, const tech::CellLibrary& lib,
   ADQ_CHECK(part != nullptr && pl != nullptr);
   ADQ_CHECK(pl->pos.size() == nl.num_instances());
   ADQ_CHECK(part->domain_of.size() == nl.num_instances());
-  const GridConfig cfg = part->cfg;
-  const int ndom = part->num_domains();
   const double rh = part->original.row_height_um;
   constexpr double kEps = 1e-9;
-
-  auto width_of = [&](std::uint32_t i) {
-    const netlist::Instance& inst = nl.instances()[i];
-    return lib.Variant(inst.kind, inst.drive).width_um;
-  };
-  auto tile_of = [&](int dom) -> const GridPartition::Tile& {
-    return part->tiles[static_cast<std::size_t>(dom)];
-  };
-  // Row capacity of a tile in um of cell width (the legalizer's own
-  // capacity model).
-  auto capacity = [&](int dom) {
-    const GridPartition::Tile& t = tile_of(dom);
-    const int rows = std::max(
-        1, static_cast<int>(std::floor((t.y_hi - t.y_lo) / rh + 1e-6)));
-    return rows * (t.x_hi - t.x_lo);
-  };
-  auto violates = [&](std::uint32_t i) {
-    const GridPartition::Tile& t = tile_of(part->domain_of[i]);
-    const double hw = width_of(i) / 2.0;
+  std::vector<char> dirty(static_cast<std::size_t>(part->num_domains()), 0);
+  for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
+    const int dom = part->domain_of[i];
+    const GridPartition::Tile& t = part->tiles[static_cast<std::size_t>(dom)];
+    const double hw = CellWidth(nl, lib, i) / 2.0;
     const Point& p = pl->pos[i];
-    return p.x < t.x_lo + hw - kEps || p.x > t.x_hi - hw + kEps ||
-           p.y < t.y_lo + rh / 2.0 - kEps || p.y > t.y_hi - rh / 2.0 + kEps;
-  };
-
-  std::vector<double> used(static_cast<std::size_t>(ndom), 0.0);
-  for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-    used[static_cast<std::size_t>(part->domain_of[i])] += width_of(i);
-
-  std::vector<char> dirty(static_cast<std::size_t>(ndom), 0);
-  for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-    if (violates(i)) dirty[static_cast<std::size_t>(part->domain_of[i])] = 1;
-
-  int fixed = 0;
-  // Each pass legalizes every dirty tile; shedding marks the receiver
-  // dirty, so a few passes can cascade. 4*ndom bounds the cascade.
-  for (int round = 0; round < 4 * ndom; ++round) {
-    int dom = -1;
-    for (int d = 0; d < ndom; ++d)
-      if (dirty[static_cast<std::size_t>(d)]) {
-        dom = d;
-        break;
-      }
-    if (dom < 0) break;
-
-    // A tile whose cells outgrew its rows cannot be legalized in
-    // place: shed the cells closest to the least-utilized neighboring
-    // tile into it first (it is marked dirty and fixed up next).
-    while (used[static_cast<std::size_t>(dom)] >
-           0.98 * capacity(dom)) {
-      int recv = -1;
-      double best_spare = 0.0;
-      const int tx = dom % cfg.nx, ty = dom / cfg.nx;
-      const int nbs[] = {tx > 0 ? dom - 1 : -1,
-                         tx + 1 < cfg.nx ? dom + 1 : -1,
-                         ty > 0 ? dom - cfg.nx : -1,
-                         ty + 1 < cfg.ny ? dom + cfg.nx : -1};
-      for (const int nb : nbs) {
-        if (nb < 0) continue;
-        const double spare =
-            0.95 * capacity(nb) - used[static_cast<std::size_t>(nb)];
-        if (spare > best_spare) {
-          best_spare = spare;
-          recv = nb;
-        }
-      }
-      if (recv < 0) break;  // nowhere to shed; let the legalizer try
-      const GridPartition::Tile& rt = tile_of(recv);
-      const Point rc{(rt.x_lo + rt.x_hi) / 2.0, (rt.y_lo + rt.y_hi) / 2.0};
-      std::vector<std::uint32_t> members;
-      for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-        if (part->domain_of[i] == dom) members.push_back(i);
-      std::sort(members.begin(), members.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  auto d2 = [&](std::uint32_t k) {
-                    const double dx = pl->pos[k].x - rc.x;
-                    const double dy = pl->pos[k].y - rc.y;
-                    return dx * dx + dy * dy;
-                  };
-                  return d2(a) < d2(b);
-                });
-      double need = used[static_cast<std::size_t>(dom)] -
-                    0.95 * capacity(dom);
-      need = std::min(need, best_spare);
-      bool moved = false;
-      for (const std::uint32_t i : members) {
-        if (need <= 0.0) break;
-        const double w = width_of(i);
-        part->domain_of[i] = recv;
-        used[static_cast<std::size_t>(dom)] -= w;
-        used[static_cast<std::size_t>(recv)] += w;
-        need -= w;
-        moved = true;
-      }
-      if (!moved) break;
-      dirty[static_cast<std::size_t>(recv)] = 1;
-    }
-
-    std::vector<bool> movable(nl.num_instances(), false);
-    bool any = false;
-    for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-      if (part->domain_of[i] == dom) {
-        movable[i] = true;
-        any = true;
-      }
-    dirty[static_cast<std::size_t>(dom)] = 0;
-    if (!any) continue;
-    const GridPartition::Tile& t = tile_of(dom);
-    const std::vector<Point> legal = LegalizeRows(
-        nl, lib, pl->pos, movable, t.x_lo, t.x_hi, t.y_lo, t.y_hi, rh);
-    for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-      if (movable[i]) pl->pos[i] = legal[i];
-    ++fixed;
+    if (p.x < t.x_lo + hw - kEps || p.x > t.x_hi - hw + kEps ||
+        p.y < t.y_lo + rh / 2.0 - kEps || p.y > t.y_hi - rh / 2.0 + kEps)
+      dirty[static_cast<std::size_t>(dom)] = 1;
   }
-  return fixed;
+  return LegalizeTiles(nl, lib, part, &pl->pos, std::move(dirty));
 }
 
 }  // namespace adq::place

@@ -59,18 +59,26 @@ struct GridPartition {
 
 /// Cuts the placed die into the grid and assigns each cell to the
 /// tile containing its location. Horizontal guardbands are snapped up
-/// to whole placement rows. Tiles whose local cell density exceeds
-/// their row capacity shed boundary cells to adjacent tiles (the
-/// density rebalancing a real incremental placer performs), so the
-/// subsequent per-tile legalization always succeeds.
+/// to whole placement rows. Tiles whose cells exceed 85 % of their row
+/// capacity shed boundary cells to adjacent tiles (the density
+/// rebalancing a real incremental placer performs).
 GridPartition MakePartition(const netlist::Netlist& nl,
                             const tech::CellLibrary& lib,
                             const Placement& pl, GridConfig cfg,
                             double guardband_um = kGuardbandUm);
 
+// Tile legalization, shared by the two calls below: each tile's
+// cells go through LegalizeRows into the tile's rows. While a tile's
+// cells do not fit, it sheds one cell at a time, the one closest to
+// the neighbouring tile with the most spare row width, into that
+// neighbour (updating domain_of), which is then legalized too. A tile
+// with no neighbour, or more sheds than cells, fails a check.
+
 /// Incremental placement: shifts every cell by its tile's guardband
-/// offset and re-legalizes within the tile; port anchors move to the
-/// enlarged periphery. Cell-to-domain assignment is preserved.
+/// offset and legalizes every tile; port anchors move to the enlarged
+/// periphery. The partition is an input, so cell-to-domain assignment
+/// is preserved: MakePartition's headroom leaves no tile to shed, and
+/// a tile that would shed fails a check.
 Placement ApplyPartition(const netlist::Netlist& nl,
                          const tech::CellLibrary& lib, const Placement& pl,
                          const GridPartition& part);
@@ -78,14 +86,10 @@ Placement ApplyPartition(const netlist::Netlist& nl,
 /// Incremental post-ECO legalization. Sizing ECOs run *after*
 /// ApplyPartition and change cell widths, so a boundary cell that was
 /// legal when legalized can outgrow its domain tile and protrude into
-/// the guardband (lint rule FL002 catches this). Re-runs the row
-/// legalizer for exactly the tiles that contain a protruding cell;
-/// every other tile keeps its placement bit-identical. If upsizing
-/// made a tile's cells genuinely exceed its row capacity, the cells
-/// closest to the least-utilized neighboring tile are shed into it
-/// (updating part->domain_of) until the tile fits — the same density
-/// escape a real incremental placer performs. Returns the number of
-/// tiles re-legalized.
+/// the guardband (lint rule FL002 catches this). Legalizes exactly the
+/// tiles that contain a protruding cell, and the tiles they shed into;
+/// every other tile keeps its placement bit-identical. Returns the
+/// number of tile legalizations.
 int RelegalizeViolations(const netlist::Netlist& nl,
                          const tech::CellLibrary& lib, GridPartition* part,
                          Placement* pl);

@@ -398,111 +398,115 @@ std::span<const std::uint32_t> RankOrder(std::span<const double> keys,
   return order;
 }
 
-bool TryLegalizeRows(const Netlist& nl, const tech::CellLibrary& lib,
-                     const std::vector<Point>& target,
-                     const std::vector<bool>& movable, double x_lo,
-                     double x_hi, double y_lo, double y_hi,
-                     double row_height_um, std::vector<Point>* result) {
-  ADQ_CHECK(target.size() == nl.num_instances());
+bool LegalizeRows(const Netlist& nl, const tech::CellLibrary& lib,
+                  std::span<const std::uint32_t> cells, double x_lo,
+                  double x_hi, double y_lo, double y_hi,
+                  double row_height_um, std::vector<Point>* pos) {
+  ADQ_CHECK(pos != nullptr && pos->size() == nl.num_instances());
+  const std::vector<Point>& target = *pos;
   // Epsilon guards against losing a row to floating-point (tile
   // heights are exact row multiples by construction).
   const int rows = std::max(
       1, static_cast<int>(std::floor((y_hi - y_lo) / row_height_um + 1e-6)));
 
-  // Movable cells sorted by target x (Tetris order).
-  std::vector<std::uint32_t> cells;
-  for (std::uint32_t i = 0; i < nl.num_instances(); ++i)
-    if (movable.empty() || movable[i]) cells.push_back(i);
-  std::sort(cells.begin(), cells.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return target[a].x < target[b].x;
+  // Cells in target-x order, ties by id; width[j] is order[j]'s.
+  std::vector<std::uint32_t> order(cells.begin(), cells.end());
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return target[a].x < target[b].x || (target[a].x == target[b].x && a < b);
   });
+  std::vector<double> width(order.size());
+  for (std::size_t j = 0; j < order.size(); ++j)
+    width[j] = CellWidth(nl, lib, order[j]);
 
-  std::vector<Point> out = target;
-
-  // Each attempt places cells at their preferred x, compressed toward
-  // the row start by `gap_factor` (1 = exact preference, 0 = pure
-  // left packing). Gaps can strand row capacity; on overflow, retry
-  // with stronger compression — graceful degradation instead of a
-  // jump to full packing, which would scramble the placement.
-  auto attempt = [&](double gap_factor) -> bool {
-    std::vector<double> cursor(static_cast<std::size_t>(rows), x_lo);
-    for (const std::uint32_t c : cells) {
-      const netlist::Instance& inst = nl.instances()[c];
-      const double w = lib.Variant(inst.kind, inst.drive).width_um;
-      const double tx = target[c].x;
-      const double ty = target[c].y;
-      const double desired_full =
-          std::min(std::max(tx - w / 2, x_lo), x_hi - w);
-      const double desired =
-          x_lo + gap_factor * (desired_full - x_lo);
-
-      int best_row = -1;
-      double best_cost = std::numeric_limits<double>::infinity();
-      double best_x = x_lo;
-      // The cheapest feasible row, lowest row on ties (the result of
-      // an ascending scan of every row). |ry - ty| bounds a row's cost
-      // from below and grows away from ty on either side, so each side
-      // stops at the first row where it exceeds the best cost so far.
-      const auto row_y = [&](int r) { return y_lo + (r + 0.5) * row_height_um; };
-      const auto try_row = [&](int r) {  // false: the side is done
-        const double ry = row_y(r);
-        if (std::abs(ry - ty) > best_cost) return false;
-        double cand = std::max(cursor[static_cast<std::size_t>(r)], desired);
-        // Preferred slot past the row end: fall back to the leftmost
-        // free slot of this row.
-        if (cand + w > x_hi + 1e-9)
-          cand = cursor[static_cast<std::size_t>(r)];
-        if (cand + w > x_hi + 1e-9) return true;  // row genuinely full
-        const double cost = std::abs(cand + w / 2 - tx) + std::abs(ry - ty);
-        if (cost < best_cost || (cost == best_cost && r < best_row)) {
-          best_cost = cost;
-          best_row = r;
-          best_x = cand;
-        }
-        return true;
-      };
-      // First row with ry >= ty: rows from it upward, then the rest
-      // downward.
-      int split = static_cast<int>(std::clamp(
-          std::ceil((ty - y_lo) / row_height_um - 0.5), 0.0,
-          static_cast<double>(rows)));
-      while (split > 0 && row_y(split - 1) >= ty) --split;
-      while (split < rows && row_y(split) < ty) ++split;
-      for (int r = split; r < rows && try_row(r); ++r) {
-      }
-      for (int r = split - 1; r >= 0 && try_row(r); --r) {
-      }
-      if (best_row < 0) return false;
-      cursor[static_cast<std::size_t>(best_row)] = best_x + w;
-      out[c] = Point{best_x + w / 2,
-                     y_lo + (best_row + 0.5) * row_height_um};
-    }
-    return true;
+  // An Abacus cluster: e abutted cells from left edge x, q the sum of
+  // their target left edges less their offsets in the cluster, w
+  // their width; q / e is the left edge of least squared displacement.
+  struct Cluster {
+    double x, e, q, w;
   };
+  const auto settle = [&](Cluster& c) {
+    c.x = std::max(x_lo, std::min(c.q / c.e, x_hi - c.w));
+  };
+  // Per row: its cells (indices into order) and their cluster stack.
+  struct Row {
+    std::vector<std::uint32_t> cells;
+    std::vector<Cluster> clusters;
+    double used = 0.0;
+  };
+  std::vector<Row> row(static_cast<std::size_t>(rows));
+  const auto row_y = [&](int r) { return y_lo + (r + 0.5) * row_height_um; };
 
-  for (const double f : {1.0, 0.8, 0.6, 0.4, 0.0}) {
-    if (attempt(f)) {
-      *result = std::move(out);
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    const double w = width[j];
+    const double tx = target[order[j]].x;
+    const double ty = target[order[j]].y;
+    const double desired = std::min(std::max(tx - w / 2, x_lo), x_hi - w);
+
+    int best_row = -1;
+    double best_cost = std::numeric_limits<double>::infinity();
+    Cluster best{};
+    std::size_t best_from = 0;
+    // The cheapest row that can take the cell, lowest row on ties
+    // (the result of an ascending scan of every row). |ry - ty|
+    // bounds a row's cost from below and grows away from ty on
+    // either side, so each side stops at the first row where it
+    // exceeds the best cost so far.
+    const auto try_row = [&](int r) {  // false: the side is done
+      const double ry = row_y(r);
+      if (std::abs(ry - ty) > best_cost) return false;
+      const Row& rw = row[static_cast<std::size_t>(r)];
+      if (rw.used + w > x_hi - x_lo + 1e-9) return true;  // row full
+      // Trial insert: the cell as a cluster of its own, merged back
+      // over the row's tail clusters while they overlap it. The stack
+      // is only read; clusters [k, end) are the ones merged.
+      Cluster c{0.0, 1.0, desired, w};
+      std::size_t k = rw.clusters.size();
+      for (settle(c); k > 0 && rw.clusters[k - 1].x + rw.clusters[k - 1].w > c.x;
+           settle(c)) {
+        const Cluster& p = rw.clusters[--k];
+        c = Cluster{0.0, p.e + c.e, p.q + c.q - c.e * p.w, p.w + c.w};
+      }
+      const double cost = std::abs(c.x + c.w - w / 2 - tx) + std::abs(ry - ty);
+      if (cost < best_cost || (cost == best_cost && r < best_row)) {
+        best_cost = cost;
+        best_row = r;
+        best = c;
+        best_from = k;
+      }
       return true;
+    };
+    // First row with ry >= ty: rows from it upward, then the rest
+    // downward.
+    int split = static_cast<int>(std::clamp(
+        std::ceil((ty - y_lo) / row_height_um - 0.5), 0.0,
+        static_cast<double>(rows)));
+    while (split > 0 && row_y(split - 1) >= ty) --split;
+    while (split < rows && row_y(split) < ty) ++split;
+    for (int r = split; r < rows && try_row(r); ++r) {
+    }
+    for (int r = split - 1; r >= 0 && try_row(r); --r) {
+    }
+    if (best_row < 0) return false;
+    Row& rw = row[static_cast<std::size_t>(best_row)];
+    rw.clusters.resize(best_from);
+    rw.clusters.push_back(best);
+    rw.cells.push_back(static_cast<std::uint32_t>(j));
+    rw.used += w;
+  }
+
+  for (int r = 0; r < rows; ++r) {
+    std::size_t m = 0;  // a row's clusters hold its cells in order
+    for (const Cluster& c : row[static_cast<std::size_t>(r)].clusters) {
+      double x = c.x;
+      for (const std::size_t end = m + static_cast<std::size_t>(c.e); m < end;
+           ++m) {
+        const std::uint32_t j = row[static_cast<std::size_t>(r)].cells[m];
+        (*pos)[order[j]] = Point{x + width[j] / 2, row_y(r)};
+        x += width[j];
+      }
     }
   }
-  return false;
-}
-
-std::vector<Point> LegalizeRows(const Netlist& nl,
-                                const tech::CellLibrary& lib,
-                                const std::vector<Point>& target,
-                                const std::vector<bool>& movable,
-                                double x_lo, double x_hi, double y_lo,
-                                double y_hi, double row_height_um) {
-  std::vector<Point> out;
-  const bool ok = TryLegalizeRows(nl, lib, target, movable, x_lo, x_hi,
-                                  y_lo, y_hi, row_height_um, &out);
-  ADQ_CHECK_MSG(ok,
-                "legalization overflow: cell area exceeds row capacity in ["
-                    << x_lo << ", " << x_hi << "] x [" << y_lo << ", "
-                    << y_hi << "]");
-  return out;
+  return true;
 }
 
 Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
@@ -591,9 +595,18 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
   centroid_pass(0.5);
   std::copy_n(cur.begin(), n_cells, pl.pos.begin());
 
-  pl.pos = LegalizeRows(nl, lib, pl.pos, {}, 0.0, pl.fp.width_um, 0.0,
-                        pl.fp.height_um, pl.fp.row_height_um);
+  std::vector<std::uint32_t> all(n_cells);
+  std::iota(all.begin(), all.end(), 0u);
+  ADQ_CHECK_MSG(LegalizeRows(nl, lib, all, 0.0, pl.fp.width_um, 0.0,
+                             pl.fp.height_um, pl.fp.row_height_um, &pl.pos),
+                "legalization overflow: a cell fits no row of the die");
   return pl;
+}
+
+double CellWidth(const Netlist& nl, const tech::CellLibrary& lib,
+                 std::uint32_t i) {
+  const netlist::Instance& inst = nl.instances()[i];
+  return lib.Variant(inst.kind, inst.drive).width_um;
 }
 
 double NetHpwl(const Netlist& nl, const Placement& pl, NetId id) {

@@ -1,15 +1,15 @@
 #pragma once
 /// \file placer.h
-/// \brief Analytic standard-cell placement with Tetris legalization.
+/// \brief Analytic standard-cell placement with Abacus legalization.
 ///
 /// Reproduces the role of the "First Placement (no BB domains)" stage
 /// of the paper's flow (Fig. 4): cells are placed according to
 /// standard timing/area constraints and, crucially, their positions
 /// determine which Vth domain each cell later falls into. The
 /// algorithm is a classic force-directed/centroid iteration (ports
-/// anchored at the periphery) followed by row legalization — simple,
-/// deterministic, and good enough to give wirelength and locality the
-/// right trends.
+/// anchored at the periphery) followed by minimum-displacement row
+/// legalization — simple, deterministic, and good enough to give
+/// wirelength and locality the right trends.
 
 #include <cstdint>
 #include <span>
@@ -45,27 +45,21 @@ Placement PlaceDesign(const netlist::Netlist& nl,
                       const tech::CellLibrary& lib,
                       const PlacerOptions& opt = {});
 
-/// Legalizes arbitrary target positions into rows of `fp` (Tetris:
-/// cells sorted by x, greedily assigned to the feasible row slot with
-/// minimum displacement). Exposed for the incremental-placement step.
-/// `row_offset_um`/`x_offset_um` shift the legal area inside the die
-/// (used to legalize into one domain tile of a partitioned die).
-std::vector<Point> LegalizeRows(
-    const netlist::Netlist& nl, const tech::CellLibrary& lib,
-    const std::vector<Point>& target, const std::vector<bool>& movable,
-    double x_lo, double x_hi, double y_lo, double y_hi,
-    double row_height_um);
-
-/// Like LegalizeRows, but reports overflow (cell area exceeding the
-/// region's row capacity) by returning false instead of failing a
-/// check; `*out` is only written on success. Callers that can recover
-/// — e.g. by shedding cells to a neighboring domain tile — use this.
-bool TryLegalizeRows(const netlist::Netlist& nl,
-                     const tech::CellLibrary& lib,
-                     const std::vector<Point>& target,
-                     const std::vector<bool>& movable, double x_lo,
-                     double x_hi, double y_lo, double y_hi,
-                     double row_height_um, std::vector<Point>* out);
+/// Legalizes `cells` into the rows of [x_lo, x_hi] x [y_lo, y_hi]
+/// with minimum displacement from their positions in `*pos` (Abacus:
+/// Spindler et al., ISPD 2008). Cells are taken in x order; each goes
+/// to the row where it lands closest to its target, and a row keeps
+/// its cells in clusters of abutted cells, each placed where its
+/// cells' squared displacement is least (overlapping targets of equal
+/// width centre on their mean), merging clusters that would overlap.
+/// Returns false, leaving `*pos` untouched, only when some cell fits
+/// no row; otherwise writes the cells' legal centres into `*pos`.
+/// PlaceDesign legalizes the die with it, and the partition step
+/// (grid_partition.h) each domain tile.
+bool LegalizeRows(const netlist::Netlist& nl, const tech::CellLibrary& lib,
+                  std::span<const std::uint32_t> cells, double x_lo,
+                  double x_hi, double y_lo, double y_hi,
+                  double row_height_um, std::vector<Point>* pos);
 
 /// The centroid pass's net/cell incidence, flattened once per
 /// PlaceDesign over positions that hold the cells, then the anchored
@@ -112,6 +106,10 @@ struct RankScratch {
 /// scratch.
 std::span<const std::uint32_t> RankOrder(std::span<const double> keys,
                                          RankScratch* scratch);
+
+/// Row width of instance `i` at its current drive [um].
+double CellWidth(const netlist::Netlist& nl, const tech::CellLibrary& lib,
+                 std::uint32_t i);
 
 /// Total half-perimeter wirelength of the placement [um].
 double TotalHpwl(const netlist::Netlist& nl, const Placement& pl);

@@ -199,11 +199,11 @@ TEST(FlowGolden, PaperDesignsBitIdentical) {
   };
   const Case cases[] = {
       {"Booth16 2x2", &gen::BuildBoothOperator, {2, 2},
-       0xa2b5095a17d78eafULL},
+       0x8b577240a14c802bULL},
       {"Butterfly16 3x3", &gen::BuildButterflyOperator, {3, 3},
-       0x22a555f155cbf0edULL},
+       0xc3bcf22b4b1a14ffULL},
       {"FIR16 3x3", &gen::BuildFirMacOperator, {3, 3},
-       0xb371c9ea0219aa80ULL},
+       0x04aa82b1a98030fcULL},
   };
   for (const Case& c : cases) {
     FlowOptions fopt;
@@ -226,7 +226,9 @@ TEST(FlowGolden, PaperDesignsBitIdentical) {
 // With metrics on, every sizing phase leaves its QoR in gauges: the
 // phase's wns and the cell area it ends on. They are computed outside
 // the phase spans and never feed back into the flow: Booth16 2x2 keeps
-// its FlowGolden digest with metrics on.
+// its FlowGolden digest with metrics on. The closure loop counts its
+// rounds and upsizes and leaves the wns it ends on: Booth16 2x2 needs
+// no round, Butterfly16 3x3 closes within two.
 TEST(Flow, EmitsPhaseQorGauges) {
   const char* phases[] = {"sizing", "postplace_eco", "extract_eco"};
   FlowOptions fopt;
@@ -246,7 +248,25 @@ TEST(Flow, EmitsPhaseQorGauges) {
     wns[k] = obs::GetGauge("flow." + phase + ".wns_ns").value();
     area[k] = obs::GetGauge("flow." + phase + ".cell_area_um2").value();
   }
+  EXPECT_EQ(obs::GetCounter("flow.closure_rounds").value(), 0);
+  EXPECT_EQ(obs::GetCounter("flow.closure_upsizes").value(), 0);
+  EXPECT_EQ(obs::GetGauge("flow.closure.wns_ns").value(), d.sizing.wns_ns);
+
+  FlowOptions fopt33;
+  fopt33.grid = {3, 3};
+  const ImplementedDesign bfly =
+      RunImplementationFlow(gen::BuildButterflyOperator(16), Lib(), fopt33);
+  const long rounds = obs::GetCounter("flow.closure_rounds").value();
+  const long upsizes = obs::GetCounter("flow.closure_upsizes").value();
+  const double closure_wns = obs::GetGauge("flow.closure.wns_ns").value();
   obs::EnableMetrics(false);
+  EXPECT_GE(rounds, 1);
+  EXPECT_LE(rounds, 2);
+  EXPECT_GT(upsizes, 0);
+  EXPECT_LE(upsizes, bfly.sizing.upsize_moves);
+  EXPECT_EQ(closure_wns, bfly.sizing.wns_ns);
+  EXPECT_TRUE(bfly.timing_met);
+  EXPECT_GE(closure_wns, 0.0);
   // Wireload sizing closes at 0.8x the clock; recovery keeps timing
   // met; the extract ECO's netlist is the final one.
   EXPECT_GE(wns[0], 0.0);
@@ -264,7 +284,7 @@ TEST(Flow, EmitsPhaseQorGauges) {
   h.Add(d.loads.cap_ff);
   h.Add(d.loads.wire_delay_ns);
   h.Add(d.sizing.wns_ns);
-  EXPECT_EQ(h.value(), 0xa2b5095a17d78eafULL)
+  EXPECT_EQ(h.value(), 0x8b577240a14c802bULL)
       << "digest 0x" << std::hex << h.value();
 }
 
