@@ -88,7 +88,7 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   }
   {
     ADQ_OBS_PHASE("flow.legalize");
-    d.placement = place::ApplyPartition(nl, lib, first, d.partition);
+    d.placement = place::ApplyPartition(nl, lib, first, &d.partition);
   }
 
   // --- Final extraction + incremental-placement ECO (the paper's

@@ -42,33 +42,12 @@ inline Word ZeroExtend(netlist::Netlist& nl, const Word& w, int width) {
   return out;
 }
 
-/// Logical left shift by `k` (inserts constant-0 nets at the LSB end).
-inline Word ShiftLeft(netlist::Netlist& nl, const Word& w, int k) {
-  ADQ_CHECK(k >= 0);
-  Word out;
-  out.reserve(w.size() + k);
-  for (int i = 0; i < k; ++i) out.push_back(nl.ConstNet(false));
-  out.insert(out.end(), w.begin(), w.end());
-  return out;
-}
-
 /// Bitwise inversion (one INV per bit).
 inline Word Not(netlist::Netlist& nl, const Word& w) {
   Word out;
   out.reserve(w.size());
   for (netlist::NetId b : w)
     out.push_back(nl.AddGate(tech::CellKind::kInv, {b}));
-  return out;
-}
-
-/// Bitwise XOR of a word with one shared control net (conditional
-/// inversion — the core of add/subtract units).
-inline Word XorAll(netlist::Netlist& nl, const Word& w,
-                   netlist::NetId ctrl) {
-  Word out;
-  out.reserve(w.size());
-  for (netlist::NetId b : w)
-    out.push_back(nl.AddGate(tech::CellKind::kXor2, {b, ctrl}));
   return out;
 }
 
@@ -79,17 +58,6 @@ inline Word AndAll(netlist::Netlist& nl, const Word& w,
   out.reserve(w.size());
   for (netlist::NetId b : w)
     out.push_back(nl.AddGate(tech::CellKind::kAnd2, {b, ctrl}));
-  return out;
-}
-
-/// Bitwise 2:1 mux over two equal-width words (s ? d1 : d0).
-inline Word MuxAll(netlist::Netlist& nl, const Word& d0, const Word& d1,
-                   netlist::NetId s) {
-  ADQ_CHECK(d0.size() == d1.size());
-  Word out;
-  out.reserve(d0.size());
-  for (std::size_t i = 0; i < d0.size(); ++i)
-    out.push_back(nl.AddGate(tech::CellKind::kMux2, {d0[i], d1[i], s}));
   return out;
 }
 

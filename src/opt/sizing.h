@@ -34,9 +34,6 @@ struct SizingOptions {
   int max_iterations = 60;
   /// Slack a cell must retain after a downsize move [ns].
   double recovery_margin_ns = 0.010;
-  /// Fraction of a cell's slack one downsize move may consume
-  /// (conservative because path cells share slack).
-  double recovery_share = 0.15;
   bool enable_recovery = true;
   /// Recovery move budget in downsize steps per cell. Commercial
   /// multi-Vt/area recovery is coarse-grained and stops at
@@ -59,7 +56,9 @@ struct SizingResult {
 /// Optimizes drive strengths in place. Loads come from `wires`
 /// (place::FanoutWires before placement, place::PlacedWires after);
 /// after each batch of moves only the input nets of the resized cells
-/// are recomputed, since a drive change moves pin caps only.
+/// are recomputed, since a drive change moves pin caps only, and the
+/// timing analyzer rewrites only the delay rows they feed
+/// (sta::TimingAnalyzer::UpdateLoads).
 SizingResult OptimizeSizing(netlist::Netlist& nl,
                             const tech::CellLibrary& lib,
                             const place::NetWires& wires,

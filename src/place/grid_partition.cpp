@@ -108,11 +108,10 @@ void RebalanceDomains(const Netlist& nl, const tech::CellLibrary& lib,
       to_move -= w;
     }
   }
-#ifndef NDEBUG
+  // Also catches an exit through the round cap with overflow left.
   for (int d = 0; d < ndom; ++d)
     ADQ_CHECK_MSG(used[(std::size_t)d] <= cap[(std::size_t)d] * 1.1,
                   "domain " << d << " still over capacity after rebalance");
-#endif
 }
 
 /// The worklist that legalizes a partitioned placement: takes the
@@ -241,15 +240,16 @@ GridPartition MakePartition(const Netlist& nl, const tech::CellLibrary& lib,
 }
 
 Placement ApplyPartition(const Netlist& nl, const tech::CellLibrary& lib,
-                         const Placement& pl, const GridPartition& part) {
+                         const Placement& pl, GridPartition* part) {
+  ADQ_CHECK(part != nullptr);
   Placement out;
-  out.fp = part.enlarged;
+  out.fp = part->enlarged;
 
   // Port anchors re-spread along the enlarged periphery, preserving
   // their relative order.
   out.port_anchor.resize(nl.num_nets());
-  const double sx = part.enlarged.width_um / part.original.width_um;
-  const double sy = part.enlarged.height_um / part.original.height_um;
+  const double sx = part->enlarged.width_um / part->original.width_um;
+  const double sy = part->enlarged.height_um / part->original.height_um;
   for (std::uint32_t n = 0; n < nl.num_nets(); ++n) {
     out.port_anchor[n] =
         Point{pl.port_anchor[n].x * sx, pl.port_anchor[n].y * sy};
@@ -257,28 +257,24 @@ Placement ApplyPartition(const Netlist& nl, const tech::CellLibrary& lib,
 
   // Target position: original location shifted by the tile's
   // guardband offset (x by column index, y by band index).
-  const double tile_w = part.original.width_um / part.cfg.nx;
-  const double rh = part.original.row_height_um;
-  const double gb_y = std::ceil(part.guardband_um / rh) * rh;
-  std::vector<Point> target(nl.num_instances());
+  const double tile_w = part->original.width_um / part->cfg.nx;
+  const double rh = part->original.row_height_um;
+  const double gb_y = std::ceil(part->guardband_um / rh) * rh;
+  out.pos.resize(nl.num_instances());
   for (std::uint32_t i = 0; i < nl.num_instances(); ++i) {
-    const int dom = part.domain_of[i];
-    const int tx = dom % part.cfg.nx;
-    const int ty = dom / part.cfg.nx;
-    const GridPartition::Tile& tile = part.tiles[static_cast<std::size_t>(dom)];
-    target[i].x = pl.pos[i].x - tx * tile_w + tile.x_lo;
-    target[i].y = pl.pos[i].y + ty * gb_y;
+    const int dom = part->domain_of[i];
+    const int tx = dom % part->cfg.nx;
+    const int ty = dom / part->cfg.nx;
+    const GridPartition::Tile& tile =
+        part->tiles[static_cast<std::size_t>(dom)];
+    out.pos[i].x = pl.pos[i].x - tx * tile_w + tile.x_lo;
+    out.pos[i].y = pl.pos[i].y + ty * gb_y;
   }
 
-  // Legalize every tile. The partition is an input here: MakePartition
-  // leaves headroom in every tile, so none sheds, and one that would
-  // fails the check below.
-  out.pos = target;
-  GridPartition shed = part;
-  LegalizeTiles(nl, lib, &shed, &out.pos,
-                std::vector<char>(static_cast<std::size_t>(part.num_domains()), 1));
-  ADQ_CHECK_MSG(shed.domain_of == part.domain_of,
-                "a domain tile overflowed its rows after rebalancing");
+  // Legalize every tile; a tile that cannot seat its cells sheds into
+  // its neighbours.
+  const std::size_t ndom = static_cast<std::size_t>(part->num_domains());
+  LegalizeTiles(nl, lib, part, &out.pos, std::vector<char>(ndom, 1));
   return out;
 }
 

@@ -75,13 +75,13 @@ GridPartition MakePartition(const netlist::Netlist& nl,
 // with no neighbour, or more sheds than cells, fails a check.
 
 /// Incremental placement: shifts every cell by its tile's guardband
-/// offset and legalizes every tile; port anchors move to the enlarged
-/// periphery. The partition is an input, so cell-to-domain assignment
-/// is preserved: MakePartition's headroom leaves no tile to shed, and
-/// a tile that would shed fails a check.
+/// offset and legalizes every tile into `*part`; port anchors move to
+/// the enlarged periphery. MakePartition's headroom normally leaves no
+/// tile to shed; a tile that cannot seat its cells sheds as above,
+/// updating part->domain_of.
 Placement ApplyPartition(const netlist::Netlist& nl,
                          const tech::CellLibrary& lib, const Placement& pl,
-                         const GridPartition& part);
+                         GridPartition* part);
 
 /// Incremental post-ECO legalization. Sizing ECOs run *after*
 /// ApplyPartition and change cell widths, so a boundary cell that was

@@ -38,8 +38,6 @@ class PowerModel {
   PowerModel(const netlist::Netlist& nl, const tech::CellLibrary& lib,
              const place::NetLoads& loads);
 
-  void SetLoads(const place::NetLoads& loads) { loads_ = &loads; }
-
   /// Effective switched energy per clock cycle at VDD = 1 V [fJ]:
   /// net cap + internal energy + clock pins, annotated with `act`.
   /// Dynamic power then is E * VDD^2 * f_GHz * 1e-6 [W].

@@ -74,58 +74,18 @@ void TimingAnalyzer::DelayTables::BuildRow(const Netlist& nl,
   }
 }
 
-void TimingAnalyzer::RefreshLaunch(SweepLaunch& r) const {
-  r.base = tab_.base_delay[2 * r.inst];
-  r.wire = tab_.wire_delay[2 * r.inst];
-}
-
-void TimingAnalyzer::RefreshCell(SweepCell& c) const {
-  const netlist::Instance& inst = nl_.instances()[c.inst];
-  for (int k = 0; k < c.nout; ++k) {
-    const std::size_t o = inst.out[0].index() == c.out_net[k] ? 0 : 1;
-    c.base[k] = tab_.base_delay[2 * c.inst + o];
-    c.wire[k] = tab_.wire_delay[2 * c.inst + o];
-  }
-}
-
-void TimingAnalyzer::SetLoads(const place::NetLoads& loads) {
-  tab_.Build(nl_, lib_, loads);
-  // A schedule's structure depends only on its case analysis; refresh
-  // the base/wire delays it hoisted out of the tables in place.
-  for (const auto& s : schedules_) {
-    for (SweepLaunch& r : s->launches) RefreshLaunch(r);
-    for (SweepCell& c : s->cells) RefreshCell(c);
-  }
-}
-
 void TimingAnalyzer::UpdateLoads(const place::NetLoads& loads,
                                  std::span<const std::uint32_t> resized) {
   ADQ_CHECK(loads.cap_ff.size() == nl_.num_nets());
-  if (dirty_.empty()) dirty_.assign(nl_.num_instances(), 0);
-  dirty_list_.clear();
-  auto mark = [&](std::uint32_t i) {
-    if (dirty_[i]) return;
-    dirty_[i] = 1;
-    dirty_list_.push_back(i);
-  };
+  // BuildRow is idempotent, so a row reached twice is rewritten twice.
   for (const std::uint32_t i : resized) {
-    mark(i);
+    tab_.BuildRow(nl_, lib_, loads, i);
     const netlist::Instance& inst = nl_.instances()[i];
     for (int p = 0; p < inst.num_inputs(); ++p) {
       const netlist::PinRef drv = nl_.net(inst.in[p]).driver;
-      if (drv.valid()) mark(drv.inst.value);
+      if (drv.valid()) tab_.BuildRow(nl_, lib_, loads, drv.inst.value);
     }
   }
-  for (const std::uint32_t i : dirty_list_) tab_.BuildRow(nl_, lib_, loads, i);
-  // One pass over each schedule; a byte test per entry is cheaper than
-  // finding each dirty entry by search.
-  for (const auto& s : schedules_) {
-    for (SweepLaunch& r : s->launches)
-      if (dirty_[r.inst]) RefreshLaunch(r);
-    for (SweepCell& c : s->cells)
-      if (dirty_[c.inst]) RefreshCell(c);
-  }
-  for (const std::uint32_t i : dirty_list_) dirty_[i] = 0;
 }
 
 const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
@@ -170,9 +130,7 @@ const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
     if (!inst.is_sequential()) continue;
     const NetId q = inst.out[0];
     if (!net_active(q)) continue;
-    sched->launches.push_back({i, static_cast<std::uint32_t>(q.index()),
-                               tab_.base_delay[2 * i],
-                               tab_.wire_delay[2 * i]});
+    sched->launches.push_back({i, static_cast<std::uint32_t>(q.index())});
     sched->reached[q.index()] = 1;
   }
   for (const NetId pi : nl_.primary_inputs()) {
@@ -202,9 +160,8 @@ const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
     for (int o = 0; o < inst.num_outputs(); ++o) {
       const NetId out = inst.out[o];
       if (!net_active(out)) continue;
+      c.out_pin[c.nout] = static_cast<std::uint8_t>(o);
       c.out_net[c.nout] = static_cast<std::uint32_t>(out.index());
-      c.base[c.nout] = tab_.base_delay[2 * i + (std::size_t)o];
-      c.wire[c.nout] = tab_.wire_delay[2 * i + (std::size_t)o];
       sched->reached[out.index()] = 1;
       ++c.nout;
     }
@@ -236,16 +193,21 @@ const TimingAnalyzer::SweepSchedule& TimingAnalyzer::ScheduleFor(
 namespace {
 
 /// One schedule cell (a TimingAnalyzer::SweepCell) through the
-/// whole-cell kernel of its (live inputs, live outputs) shape.
+/// whole-cell kernel of its (live inputs, live outputs) shape, with
+/// its delays read from the delay-table rows `base` and `wire`.
 template <int NIN, int NOUT, typename Cell>
 [[gnu::always_inline]] inline void SweepCellAs(const Cell& c, double* arr,
                                                std::size_t lanes,
-                                               const double* m) {
+                                               const double* m,
+                                               const double* base,
+                                               const double* wire) {
   const double* in_rows[NIN];
   for (int k = 0; k < NIN; ++k) in_rows[k] = arr + c.in_net[k] * lanes;
+  const std::size_t row = 2 * std::size_t{c.inst};
   lanes::OutArc outs[NOUT];
   for (int o = 0; o < NOUT; ++o)
-    outs[o] = {arr + c.out_net[o] * lanes, c.base[o], c.wire[o]};
+    outs[o] = {arr + c.out_net[o] * lanes, base[row + c.out_pin[o]],
+               wire[row + c.out_pin[o]]};
   lanes::PropagateCell<NIN, NOUT>(in_rows, outs, m, lanes);
 }
 
@@ -258,7 +220,7 @@ template <int NIN, int NOUT, typename Cell>
 /// (see ScheduleFor) in its topological order: per cell one fused
 /// lane kernel specialized on the cell's (live inputs, live outputs)
 /// shape — input max fold and output arcs with the accumulator in
-/// registers, base/wire delays broadcast from the schedule,
+/// registers, base/wire delays broadcast from the delay table,
 /// F64::kWidth lanes per instruction (sta/lane_kernels.h). Rows of
 /// unreached nets are never cleared or written on the hot paths;
 /// `sched.reached` is the oracle for "finite arrival" everywhere they
@@ -275,11 +237,14 @@ void TimingAnalyzer::PropagateArrivals(std::size_t lanes, double* arr,
   static_assert(tech::kMaxCellInputs == 3 && tech::kMaxCellOutputs == 2,
                 "one kernel instantiation per cell shape below");
   if (clear_all) std::fill(arr, arr + nl_.num_nets() * lanes, kNegInf);
+  const double* const base = tab_.base_delay.data();
+  const double* const wire = tab_.wire_delay.data();
 
   for (const SweepLaunch& r : sched.launches)
     // clk->Q: intrinsic + load-dependent part, plus the Q net's wire.
-    lanes::Launch(arr + r.q_net * lanes, mult_row(r.inst), r.base, r.wire,
-                  lanes);
+    lanes::Launch(arr + r.q_net * lanes, mult_row(r.inst),
+                  base[2 * std::size_t{r.inst}],
+                  wire[2 * std::size_t{r.inst}], lanes);
   for (const std::uint32_t pi : sched.pis) {
     double* a = arr + pi * lanes;
     for (std::size_t l = 0; l < lanes; ++l) a[l] = 0.0;
@@ -288,12 +253,12 @@ void TimingAnalyzer::PropagateArrivals(std::size_t lanes, double* arr,
   for (const SweepCell& c : sched.cells) {
     const double* m = mult_row(c.inst);
     switch ((c.nin - 1) * tech::kMaxCellOutputs + (c.nout - 1)) {
-      case 0: SweepCellAs<1, 1>(c, arr, lanes, m); break;
-      case 1: SweepCellAs<1, 2>(c, arr, lanes, m); break;
-      case 2: SweepCellAs<2, 1>(c, arr, lanes, m); break;
-      case 3: SweepCellAs<2, 2>(c, arr, lanes, m); break;
-      case 4: SweepCellAs<3, 1>(c, arr, lanes, m); break;
-      case 5: SweepCellAs<3, 2>(c, arr, lanes, m); break;
+      case 0: SweepCellAs<1, 1>(c, arr, lanes, m, base, wire); break;
+      case 1: SweepCellAs<1, 2>(c, arr, lanes, m, base, wire); break;
+      case 2: SweepCellAs<2, 1>(c, arr, lanes, m, base, wire); break;
+      case 3: SweepCellAs<2, 2>(c, arr, lanes, m, base, wire); break;
+      case 4: SweepCellAs<3, 1>(c, arr, lanes, m, base, wire); break;
+      case 5: SweepCellAs<3, 2>(c, arr, lanes, m, base, wire); break;
       default: ADQ_DCHECK(false);
     }
   }
@@ -473,8 +438,12 @@ void TimingAnalyzer::AnalyzeDetailed(
     const SweepCell& c = *it;
     const double m = scale[bias_of(c.inst)];
     double req_in = kPosInf;
-    for (int k = 0; k < c.nout; ++k)
-      req_in = std::min(req_in, req[c.out_net[k]] - c.base[k] * m - c.wire[k]);
+    for (int k = 0; k < c.nout; ++k) {
+      const std::size_t row = 2 * std::size_t{c.inst} + c.out_pin[k];
+      req_in = std::min(req_in, req[c.out_net[k]] -
+                                    tab_.base_delay[row] * m -
+                                    tab_.wire_delay[row]);
+    }
     if (req_in == kPosInf) continue;
     for (int k = 0; k < c.nin; ++k)
       req[c.in_net[k]] = std::min(req[c.in_net[k]], req_in);

@@ -9,7 +9,9 @@
 /// therefore built for repeated evaluation:
 ///
 ///   * the load-dependent part of every cell delay is precomputed
-///     once per netlist+parasitics;
+///     once per netlist+parasitics, into one table (DelayTables) that
+///     every sweep reads: the cached sweep schedules hold structure
+///     only, so a load change rewrites table rows and nothing else;
 ///   * VDD/Vth only enter through two global alpha-power scale
 ///     factors (one per bias state), so re-analysis under a new knob
 ///     assignment is a single topological sweep with no allocation;
@@ -67,18 +69,12 @@ class TimingAnalyzer {
   TimingAnalyzer(const netlist::Netlist& nl, const tech::CellLibrary& lib,
                  const place::NetLoads& loads);
 
-  /// Re-extracts the load-dependent delay tables (call after the
-  /// incremental placement changed parasitics or after resizing). The
-  /// cached sweep schedules keep their structure and have their
-  /// delays refreshed in place.
-  void SetLoads(const place::NetLoads& loads);
-
-  /// Incremental SetLoads after resizing: `loads` must already hold
-  /// the refreshed input nets of the `resized` instances. Rewrites only
-  /// the delay-table rows and cached schedule entries of those
-  /// instances and of the drivers of their input nets — every row a
-  /// drive change can move — so the analyzer ends exactly as after
-  /// SetLoads(loads).
+  /// Refreshes the delays after resizing: `loads` must already hold
+  /// the refreshed input nets of the `resized` instances. Rewrites the
+  /// delay-table rows of those instances and of the drivers of their
+  /// input nets — every row a drive change can move — so the analyzer
+  /// answers exactly as one constructed on `loads`. Cached sweep
+  /// schedules are structure only and stay as they are.
   void UpdateLoads(const place::NetLoads& loads,
                    std::span<const std::uint32_t> resized);
 
@@ -163,9 +159,11 @@ class TimingAnalyzer {
 
   /// Precomputed load-dependent delay model: per output pin, the
   /// unscaled cell delay `d0 + kd * Cload` plus the fixed Elmore wire
-  /// term; per instance, the unscaled register setup. Rebuilt whenever
-  /// parasitics change (SetLoads); everything VDD/Vth dependent stays
-  /// outside, in the per-analysis scale factors.
+  /// term; per instance, the unscaled register setup. The only copy
+  /// of every delay: the sweeps read it at row 2 * inst + output pin,
+  /// and UpdateLoads rewrites the rows a resize moves. Everything
+  /// VDD/Vth dependent stays outside, in the per-analysis scale
+  /// factors.
   struct DelayTables {
     std::vector<double> base_delay;  ///< 2 per instance (output pins)
     std::vector<double> wire_delay;  ///< 2 per instance (output pins)
@@ -180,9 +178,10 @@ class TimingAnalyzer {
   DelayTables tab_;
 
   /// One case-analysis-specialized sweep schedule: the launch points,
-  /// the active+reachable cells in topological order with their pin
-  /// rows and broadcast delays hoisted, the capture registers, and the
-  /// reachability bitmap.
+  /// the active+reachable cells in topological order with their live
+  /// pin nets, the capture registers, and the reachability bitmap.
+  /// It is pure structure — a function of the netlist and the case
+  /// analysis only — and holds no delay.
   /// A sweep over the schedule touches nothing but arrival rows that
   /// it writes — no instance table, no per-pin IsConstant, no global
   /// buffer clear — while computing bit-for-bit the arrivals of the
@@ -190,17 +189,17 @@ class TimingAnalyzer {
   /// input pin reads -inf there, the identity of the max fold, so
   /// dropping it from the schedule changes nothing).
   struct SweepLaunch {
-    std::uint32_t inst;
+    std::uint32_t inst;   // the DFF; its Q is output pin 0
     std::uint32_t q_net;
-    double base, wire;  // clk->Q intrinsic + Q wire, from DelayTables
   };
   struct SweepCell {
     std::uint32_t inst;
     std::uint8_t nin = 0, nout = 0;
+    /// Instance output pin of each live output (its delay-table row is
+    /// 2 * inst + out_pin[k]).
+    std::uint8_t out_pin[tech::kMaxCellOutputs] = {};
     std::uint32_t in_net[tech::kMaxCellInputs] = {};
     std::uint32_t out_net[tech::kMaxCellOutputs] = {};
-    double base[tech::kMaxCellOutputs] = {};
-    double wire[tech::kMaxCellOutputs] = {};
   };
   /// One capture register (a DFF D pin endpoint). `active` is the
   /// historical "active net with a finite arrival" predicate on its D
@@ -230,17 +229,13 @@ class TimingAnalyzer {
   };
   /// Returns the cached schedule for `ca` (looked up by its
   /// fingerprint, confirmed by its constant-net bitset), building and
-  /// LRU-caching it on first use. SetLoads refreshes the hoisted
-  /// base/wire delays of every cached schedule.
+  /// LRU-caching it on first use.
   const SweepSchedule& ScheduleFor(const netlist::CaseAnalysis* ca);
-  /// Copies an entry's hoisted base/wire delays from the tables.
-  void RefreshLaunch(SweepLaunch& r) const;
-  void RefreshCell(SweepCell& c) const;
 
   /// Every caller walks its modes in order (an engine sweeps one
   /// bitwidth at a time), so two entries serve a caller that alternates
   /// one analysis with the unconstrained circuit. A schedule holds
-  /// about 64 bytes per live cell, so each further entry would be
+  /// about 28 bytes per live cell, so each further entry would be
   /// resident memory that no workload rereads.
   static constexpr std::size_t kMaxSchedules = 2;
   std::vector<std::unique_ptr<SweepSchedule>> schedules_;
@@ -254,10 +249,6 @@ class TimingAnalyzer {
   std::vector<double> nobb_lanes_, fbb_lanes_;  // per padded lane
   std::vector<double> wns_lanes_;      // per padded lane, capture fold
   std::vector<std::uint64_t> viol_lanes_;  // per padded lane
-  // UpdateLoads scratch, allocated on its first call: a per-instance
-  // dirty mark (all clear between calls) and the marked instances.
-  std::vector<std::uint8_t> dirty_;
-  std::vector<std::uint32_t> dirty_list_;
 
   /// `clear_all` pre-fills every arrival row with -inf before the
   /// sweep (AnalyzeDetailed: its caller reads arbitrary nets from the

@@ -452,8 +452,8 @@ TEST_P(GridShape, ApplyPartitionKeepsCellsInTheirTiles) {
   const GridConfig cfg = GetParam();
   const gen::Operator op = SmallOp();
   const Placement pl = PlaceDesign(op.nl, Lib(), {});
-  const GridPartition part = MakePartition(op.nl, Lib(), pl, cfg);
-  const Placement ap = ApplyPartition(op.nl, Lib(), pl, part);
+  GridPartition part = MakePartition(op.nl, Lib(), pl, cfg);
+  const Placement ap = ApplyPartition(op.nl, Lib(), pl, &part);
   for (std::uint32_t i = 0; i < op.nl.num_instances(); ++i) {
     const auto& t = part.tiles[(std::size_t)part.domain_of[i]];
     const netlist::Instance& inst = op.nl.instances()[i];
@@ -618,7 +618,7 @@ TEST(TileLegalization, OverCapacityTileShedsUntilItFits) {
   gen::Operator op = SmallOp();
   const Placement pl = PlaceDesign(op.nl, Lib(), {});
   GridPartition part = MakePartition(op.nl, Lib(), pl, {2, 1});
-  Placement ap = ApplyPartition(op.nl, Lib(), pl, part);
+  Placement ap = ApplyPartition(op.nl, Lib(), pl, &part);
   const std::vector<int> before = part.domain_of;
   OverfillTile(op.nl, part, 0, 1.1);
   EXPECT_GE(RelegalizeViolations(op.nl, Lib(), &part, &ap), 2);
@@ -639,9 +639,35 @@ TEST(TileLegalization, ThrowsOnlyWithoutANeighbour) {
   gen::Operator op = SmallOp();
   const Placement pl = PlaceDesign(op.nl, Lib(), {});
   GridPartition part = MakePartition(op.nl, Lib(), pl, {1, 1});
-  Placement ap = ApplyPartition(op.nl, Lib(), pl, part);
+  Placement ap = ApplyPartition(op.nl, Lib(), pl, &part);
   OverfillTile(op.nl, part, 0, 1.1);
   EXPECT_THROW(RelegalizeViolations(op.nl, Lib(), &part, &ap), CheckError);
+}
+
+// ApplyPartition legalizes into the partition it is given: a tile
+// that outgrew its rows after MakePartition sheds into its neighbour
+// with the most spare row width, and the result is row-legal.
+TEST(TileLegalization, ApplyPartitionShedsIntoTheRoomiestNeighbour) {
+  gen::Operator op = SmallOp();
+  const Placement pl = PlaceDesign(op.nl, Lib(), {});
+  GridPartition part = MakePartition(op.nl, Lib(), pl, {3, 1});
+  // The middle tile overflows; of its two neighbours, the right one
+  // has far more room than the left one.
+  OverfillTile(op.nl, part, 0, 0.9);
+  OverfillTile(op.nl, part, 1, 1.1);
+  const std::vector<int> before = part.domain_of;
+  const Placement ap = ApplyPartition(op.nl, Lib(), pl, &part);
+  long shed = 0;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_TRUE(part.domain_of[i] == before[i] ||
+                (before[i] == 1 && part.domain_of[i] == 2))
+        << "cell " << i;
+    shed += part.domain_of[i] != before[i];
+  }
+  EXPECT_GT(shed, 0);
+  ExpectRowLegal(op.nl, ap.pos, AllCells(op.nl), [&](std::uint32_t i) {
+    return part.tiles[static_cast<std::size_t>(part.domain_of[i])];
+  });
 }
 
 TEST(Partition, GuardbandOverheadScalesWithGrid) {
@@ -681,8 +707,8 @@ TEST(Wirelength, PartitionStretchesWires) {
   // Guardbands push cells apart: total HPWL must not shrink.
   const gen::Operator op = SmallOp();
   const Placement pl = PlaceDesign(op.nl, Lib(), {});
-  const GridPartition part = MakePartition(op.nl, Lib(), pl, {3, 3});
-  const Placement ap = ApplyPartition(op.nl, Lib(), pl, part);
+  GridPartition part = MakePartition(op.nl, Lib(), pl, {3, 3});
+  const Placement ap = ApplyPartition(op.nl, Lib(), pl, &part);
   EXPECT_GE(TotalHpwl(op.nl, ap), 0.95 * TotalHpwl(op.nl, pl));
 }
 

@@ -214,11 +214,11 @@ void ExpectSameReport(const TimingReport& a, const TimingReport& b) {
   }
 }
 
-// SetLoads keeps the cached sweep schedules and refreshes their
-// delays in place: after resizing and new loads, an analyzer that
-// cached schedules (with and without case analysis) must answer
-// exactly as one built fresh on the new loads.
-TEST(Sta, SetLoadsRefreshesCachedSchedules) {
+// Cached sweep schedules hold no delays: after resizing and
+// UpdateLoads, an analyzer that cached schedules (with and without
+// case analysis) must answer exactly as one built fresh on the new
+// loads.
+TEST(Sta, UpdateLoadsKeepsCachedSchedulesExact) {
   gen::Operator op = gen::BuildBoothOperator(8);
   const netlist::CaseAnalysis ca(op.nl, gen::ForcedZeroLsbs(op, 3));
   std::vector<int> domain_of(op.nl.num_instances());
@@ -235,11 +235,14 @@ TEST(Sta, SetLoadsRefreshesCachedSchedules) {
     warm.Analyze(0.9, 0.8, bias, c);
     warm.AnalyzeBatch(vdds, 0.8, masks, domain_of, c);
   }
+  std::vector<std::uint32_t> resized;
   for (std::uint32_t i = 0; i < op.nl.num_instances(); i += 4)
-    if (!tech::IsTie(op.nl.instances()[i].kind))
+    if (!tech::IsTie(op.nl.instances()[i].kind)) {
       op.nl.SetDrive(netlist::InstId(i), DriveStrength::kX4);
+      resized.push_back(i);
+    }
   const place::NetLoads loads = place::EstimateLoadsByFanout(op.nl, Lib());
-  warm.SetLoads(loads);
+  warm.UpdateLoads(loads, resized);
   TimingAnalyzer fresh(op.nl, Lib(), loads);
 
   for (const netlist::CaseAnalysis* c : cases) {
