@@ -1,7 +1,6 @@
 #include "core/explore.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -9,7 +8,6 @@
 
 #include "core/mode_context.h"
 #include "obs/obs.h"
-#include "sta/sta.h"
 
 namespace adq::core {
 
@@ -107,11 +105,10 @@ store::StoreKey ExploreStoreKey(const ImplementedDesign& design) {
 
 namespace {
 
-/// Outcome of one (bitwidth, vdd, mask) lattice point as recorded by
-/// a worker. The sweep writes these into index-addressed slots; the
-/// deterministic merge then folds them serially in lattice order, so
-/// stats, best-point ties and all_points ordering cannot depend on
-/// thread scheduling.
+/// Outcome of one (bitwidth, vdd, mask) lattice point. The sweep
+/// writes these into index-addressed slots; the deterministic merge
+/// then folds them serially in lattice order, so stats, best-point
+/// ties and all_points ordering cannot depend on thread scheduling.
 struct PointRecord {
   enum class Kind : std::uint8_t {
     kPruned,      ///< implied infeasible by a smaller bitwidth
@@ -122,61 +119,36 @@ struct PointRecord {
   Kind kind = Kind::kPruned;
   bool from_store = false;  ///< verdict served by the exploration store
   double wns_ns = 0.0;
-  double leak_w = 0.0;
 };
 
-/// A ≤kStaBatchWidth run of a level's pending lattice points handed to
-/// one AnalyzeBatch call. Lane l is lattice point (lane_vi[begin+l],
-/// lane_mi[begin+l]); a chunk may span VDD rows.
-struct BatchChunk {
-  std::size_t begin = 0;  ///< offset into the level's lane arrays
-  std::size_t count = 0;
-};
-
-/// The one exploration sweep over the context's modes. A 1-thread
-/// pool runs every ParallelFor inline on the caller, so there is no
-/// separate serial code path to keep in sync — bit-identity across
-/// num_threads holds by construction of the merge, not by duplicated
-/// logic.
+/// The one exploration sweep over the context's modes. Every STA
+/// verdict comes from ModeContext::Resolve; everything else runs
+/// serially on the caller, so bit-identity across num_threads holds
+/// by construction.
 ExplorationResult ExploreSweep(const ImplementedDesign& design,
                                const ExploreOptions& opt,
                                const std::vector<tech::DomainMask>& masks,
                                ModeContext& ctx) {
-  const std::vector<int>& domain_of = design.domain_of();
   const std::vector<int>& bitwidths = ctx.bitwidths();
   // Recorded points need their computed wns_ns, so both prunes
   // (which never compute one) stand down in the reference sweep.
   const bool prune = !opt.keep_all_points;
 
-  // Persistent store: all lookups happen in the serial Phase A and
-  // all insertions in a serial post-B pass, so the store never sees
-  // concurrent traffic from this sweep and the sta_runs / store_hits
-  // split is deterministic.
-  store::ExplorationStore* const store = ctx.store();
-  const int store_ctx = ctx.store_ctx();
-
-  // Monotone-infeasibility table shared across shards, slot = lattice
-  // index vi * |masks| + mi. A worker that proves (vdd, mask)
-  // infeasible at bitwidth b publishes the failure with a release
-  // store; sweeps of larger bitwidths read it with an acquire load.
-  // (Each slot is written at most once per bitwidth and only read by
-  // later bitwidths, which a pool barrier separates — the ordering
-  // makes the publication self-contained rather than barrier-reliant.)
-  // Mask-dominance hits publish the same way: they are proofs of
-  // infeasibility, so later bitwidths prune them exactly as if the
-  // STA had run.
+  // Monotone-infeasibility table, slot = lattice index vi * |masks| +
+  // mi: a (vdd, mask) pair proved infeasible at one bitwidth is
+  // pruned at every larger one. Mask-dominance hits count as proofs
+  // too, exactly as if the STA had run.
   const std::size_t nv = opt.vdds.size();
   const std::size_t nm = masks.size();
-  std::vector<std::atomic<std::uint8_t>> dead(nv * nm);
-  for (auto& d : dead) d.store(0, std::memory_order_relaxed);
+  std::vector<std::uint8_t> dead(nv * nm, 0);
 
   // Mask-dominance schedule: masks grouped by popcount, processed in
   // descending-popcount levels. Any strict supermask has a strictly
   // larger popcount, i.e. lives in an earlier level, so by the time a
   // level is classified every potential dominator has a settled
-  // verdict (ParallelFor is a barrier). Equal popcount never
-  // dominates (M ⊆ F with |M| == |F| forces M == F), so decisions are
-  // independent of chunking, thread count and within-level order.
+  // verdict. Equal popcount never dominates (M ⊆ F with |M| == |F|
+  // forces M == F), so decisions are independent of within-level
+  // order.
   std::vector<std::vector<std::size_t>> levels;
   {
     int max_pop = 0;
@@ -189,9 +161,9 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
           .push_back(mi);
   }
 
-  // Per bitwidth (ascending, so pruning sees every smaller
-  // mode), shard the (VDD, mask) lattice in batched chunks, then
-  // merge serially.
+  // Per bitwidth (ascending, so pruning sees every smaller mode),
+  // settle the (VDD, mask) lattice level by level, then merge
+  // serially.
   ExplorationResult result;
   std::vector<PointRecord> rec(nv * nm);
   // Per-VDD antichain of infeasible masks from completed levels: a
@@ -199,15 +171,12 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   // because a listed mask's supersets were either feasible or already
   // listed before any submask could reach STA.)
   std::vector<std::vector<tech::DomainMask>> row_infeasible(nv);
-  // The level's pending points in (VDD, mask) lattice order, as
-  // aligned lane arrays.
-  std::vector<std::size_t> lane_vi, lane_mi;
-  std::vector<double> lane_vdds;
-  std::vector<tech::DomainMask> lane_masks;
-  std::vector<BatchChunk> chunks;
+  // The level's unpruned points in (VDD, mask) lattice order, and
+  // their record slots.
+  std::vector<LatticePoint> points;
+  std::vector<std::size_t> slots;
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = ctx.case_analysis(bi);
 
     ADQ_TRACE_SCOPE2("explore.bitwidth", std::to_string(bw));
     obs::ProgressReporter prog("explore bw=" + std::to_string(bw),
@@ -216,20 +185,18 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     for (auto& row : row_infeasible) row.clear();
 
     for (const std::vector<std::size_t>& level : levels) {
-      // Phase A (serial): classify the level. Points condemned by a
-      // smaller bitwidth keep kPruned; points dominated by an earlier
-      // level's infeasible supermask become kMaskPruned; the rest
-      // queue for batched STA in (VDD, mask) order, and full batches
-      // are cut across VDD rows.
-      lane_vi.clear();
-      lane_mi.clear();
-      lane_vdds.clear();
-      lane_masks.clear();
-      chunks.clear();
+      // Phase A: classify the level. Points condemned by a smaller
+      // bitwidth keep kPruned; points dominated by an earlier level's
+      // infeasible supermask become kMaskPruned; the rest go to
+      // Resolve in (VDD, mask) order. Store lookups sit *after* both
+      // prunes, so the pruning decisions (and their stats) are
+      // identical with or without a store.
+      points.clear();
+      slots.clear();
       for (std::size_t vi = 0; vi < nv; ++vi) {
         for (const std::size_t mi : level) {
           const std::size_t slot = vi * nm + mi;
-          if (prune && dead[slot].load(std::memory_order_acquire)) {
+          if (prune && dead[slot]) {
             prog.Tick();
             continue;  // record stays kPruned
           }
@@ -243,91 +210,34 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
               }
             if (dominated) {
               rec[slot].kind = PointRecord::Kind::kMaskPruned;
-              dead[slot].store(1, std::memory_order_release);
+              dead[slot] = 1;
               prog.Tick();
               continue;
             }
           }
-          // Store warm-start: a persisted verdict replaces the STA
-          // run. The lookup sits *after* both prunes, so the pruning
-          // decisions (and their stats) are identical with or without
-          // a store; an infeasible hit publishes to the dead table and
-          // (via Phase C, which keys on kInfeasible) to the dominance
-          // antichain exactly like a fresh STA failure would.
-          if (store != nullptr) {
-            bool feas = false;
-            double wns = 0.0;
-            if (store->Lookup(store_ctx, bw, opt.vdds[vi], masks[mi],
-                              &feas, &wns)) {
-              PointRecord& r = rec[slot];
-              r.from_store = true;
-              r.wns_ns = wns;
-              if (feas) {
-                r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = ctx.LeakageW(vi, masks[mi]);
-              } else {
-                r.kind = PointRecord::Kind::kInfeasible;
-                dead[slot].store(1, std::memory_order_release);
-              }
-              prog.Tick();
-              continue;
-            }
-          }
-          lane_vi.push_back(vi);
-          lane_mi.push_back(mi);
-          lane_vdds.push_back(opt.vdds[vi]);
-          lane_masks.push_back(masks[mi]);
+          points.push_back({vi, masks[mi]});
+          slots.push_back(slot);
         }
       }
-      for (std::size_t c = 0; c < lane_mi.size(); c += kStaBatchWidth)
-        chunks.push_back({c, std::min(kStaBatchWidth, lane_mi.size() - c)});
 
-      // Phase B (parallel): one AnalyzeBatch per chunk; lanes write
-      // their own slots. The ParallelFor barrier makes every verdict
-      // of this level visible before the next level classifies.
-      ctx.pool().ParallelFor(
-          static_cast<std::int64_t>(chunks.size()), 1,
-          [&](std::int64_t idx, int w) {
-            ctx.NameLane(w);
-            const BatchChunk& c = chunks[static_cast<std::size_t>(idx)];
-            obs::TraceSpan batch_span("sta.batch");
-            const std::vector<sta::TimingReport> reps =
-                ctx.analyzer(w).AnalyzeBatch(
-                    std::span(lane_vdds).subspan(c.begin, c.count),
-                    design.clock_ns,
-                    std::span(lane_masks).subspan(c.begin, c.count),
-                    domain_of, &bca);
-            for (std::size_t l = 0; l < c.count; ++l) {
-              const std::size_t vi = lane_vi[c.begin + l];
-              const std::size_t mi = lane_mi[c.begin + l];
-              const std::size_t slot = vi * nm + mi;
-              PointRecord& r = rec[slot];
-              r.wns_ns = reps[l].wns_ns;
-              if (!reps[l].feasible()) {
-                r.kind = PointRecord::Kind::kInfeasible;
-                dead[slot].store(1, std::memory_order_release);
-              } else {
-                r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = ctx.LeakageW(vi, masks[mi]);
-              }
-              prog.Tick();
-            }
-          });
-
-      // Serial store write-back: persist this level's fresh STA
-      // verdicts in deterministic lane order (a pure function of the
-      // surviving set).
-      if (store != nullptr)
-        for (std::size_t l = 0; l < lane_mi.size(); ++l) {
-          const std::size_t vi = lane_vi[l];
-          const std::size_t mi = lane_mi[l];
-          const PointRecord& r = rec[vi * nm + mi];
-          store->Insert(store_ctx, bw, opt.vdds[vi], masks[mi],
-                        r.kind == PointRecord::Kind::kFeasible, r.wns_ns);
+      // Phase B: settle the level's verdicts. A failure (fresh or
+      // from the store) condemns the pair for larger bitwidths.
+      const std::vector<PointVerdict> verdicts = ctx.Resolve(bi, points);
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        PointRecord& r = rec[slots[i]];
+        r.from_store = verdicts[i].from_store;
+        r.wns_ns = verdicts[i].wns_ns;
+        if (verdicts[i].feasible) {
+          r.kind = PointRecord::Kind::kFeasible;
+        } else {
+          r.kind = PointRecord::Kind::kInfeasible;
+          dead[slots[i]] = 1;
         }
+        prog.Tick();
+      }
 
-      // Phase C (serial): extend the per-VDD antichains with this
-      // level's fresh failures, in deterministic (vi, mi) order.
+      // Phase C: extend the per-VDD antichains with this level's
+      // failures, in deterministic (vi, mi) order.
       if (prune)
         for (std::size_t vi = 0; vi < nv; ++vi)
           for (const std::size_t mi : level)
@@ -337,9 +247,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
 
     // Deterministic merge: fold the records in (vi, mi) lattice
     // order, regardless of the popcount-level order they were
-    // computed in. Every number below is either copied from a record
-    // or recomputed from the same expressions for every thread count,
-    // so the result is bit-identical across all of them.
+    // computed in.
     ModeResult mode;
     mode.bitwidth = bw;
     mode.switched_energy_fj = ctx.switched_energy_fj(bi);
@@ -385,7 +293,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
         p.feasible = true;
         p.wns_ns = r.wns_ns;
         p.power.dynamic_w = dyn_w;
-        p.power.leakage_w = r.leak_w;
+        p.power.leakage_w = ctx.LeakageW(vi, masks[mi]);
         if (!mode.has_solution ||
             p.total_power_w() < mode.best.total_power_w()) {
           mode.has_solution = true;
@@ -439,8 +347,7 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
                 "domain count " << ndom << " outside [1, "
                                 << tech::kMaxDomains << "]");
   // A full-lattice request beyond the enumeration ceiling is a
-  // recoverable request error, not a contract violation: callers
-  // reroute to core::FrontierExplore (examples/domain_explorer does).
+  // recoverable request error, not a contract violation.
   if (opt.masks.empty() && ndom > kMaxExhaustiveDomains)
     throw ExploreError(
         "2^" + std::to_string(ndom) +
@@ -455,8 +362,8 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
     for (tech::DomainMask m = 0; m <= full; ++m) masks.push_back(m);
   }
 
-  // Lint gate, mode list, power model, store context and mode
-  // constants: the setup shared with the frontier engine.
+  // Lint gate, mode list, power model, store context, mode constants
+  // and the verdict step: shared with the frontier engine.
   ModeContext ctx(ModeContext::Engine::kExhaustive, design, lib, opt);
   ExplorationResult result = ExploreSweep(design, opt, masks, ctx);
   RecordExploreMetrics(

@@ -22,8 +22,9 @@
 /// at the same point without running STA (mask-dominance pruning).
 /// Both prunes are exact and always on, except in the unpruned
 /// reference sweep that ExploreOptions::keep_all_points selects.
-/// Surviving masks are evaluated in batches of kStaBatchWidth lanes
-/// per topological traversal (sta::AnalyzeBatch).
+/// Surviving masks go to the verdict step shared with the frontier
+/// engine (core::ModeContext::Resolve: store lookup, batched STA on
+/// the worker pool, store write-back).
 
 #include <cstdint>
 #include <stdexcept>
@@ -41,8 +42,12 @@ namespace adq::core {
 /// (a programming/contract error that should crash loudly), an
 /// ExploreError means the *request* cannot be served as posed — e.g.
 /// an exhaustive sweep over a grid whose 2^NMAX lattice is beyond
-/// enumeration — and the caller can recover by rerouting to the
-/// frontier engine (core/frontier.h) instead of dying.
+/// enumeration — and the caller can recover, e.g. by running the
+/// frontier engine (core/frontier.h), instead of dying.
+/// examples/domain_explorer never gets here: it refuses
+/// `--engine=exhaustive` on a grid of more than kMaxExhaustiveDomains
+/// domains before the flow starts, and its default `--engine=auto`
+/// picks the frontier engine for such grids.
 class ExploreError : public std::runtime_error {
  public:
   explicit ExploreError(const std::string& what)
@@ -68,7 +73,8 @@ struct ExploredPoint {
   double total_power_w() const { return power.total_w(); }
 };
 
-/// Best configuration found for one accuracy mode.
+/// Best configuration found for one accuracy mode (the frontier
+/// engine's FrontierModeResult extends it).
 struct ModeResult {
   int bitwidth = 0;
   bool has_solution = false;
@@ -99,7 +105,7 @@ struct ExplorationStats {
                          ///<     mask_pruned.
   long store_hits = 0;  ///< verdicts served by the persistent
                         ///< exploration store instead of an STA run
-                        ///< (0 unless ExploreOptions::store is set);
+                        ///< (0 unless SweepOptions::store is set);
                         ///< bit-identical trade against sta_runs
   long feasible = 0;
 
@@ -124,16 +130,47 @@ struct ExplorationResult {
 inline constexpr sim::StimulusKind kActivityStimulus =
     sim::StimulusKind::kCorrelated;
 
-struct ExploreOptions {
+/// The options both engines share (core::ModeContext reads them).
+struct SweepOptions {
   /// Supply range: paper Sec. IV-B uses 1.0 .. 0.6 V in 0.1 V steps.
+  /// Must not be empty.
   std::vector<double> vdds = {1.0, 0.9, 0.8, 0.7, 0.6};
   /// Accuracy modes (active bits); empty = 1 .. data_width.
   std::vector<int> bitwidths;
+  int activity_cycles = 1024;
+  std::uint64_t seed = 7;
+  /// Worker threads sharding the lattice's STA batches and the
+  /// per-mode switched energy: 0 = one per hardware thread, 1 = run
+  /// inline on the caller, n > 1 = n workers. Every setting yields a
+  /// bit-identical result — modes, stats and point order included —
+  /// because each verdict is a pure function of (bitwidth, VDD, mask)
+  /// and every pruning decision, incumbent update and store access
+  /// runs serially in a fixed order. Contract enforced by
+  /// tests/test_parallel_explore and tests/test_frontier.
+  int num_threads = 0;
+  /// Optional persistent exploration store (store/exploration_store.h)
+  /// warm-starting the search: every (bitwidth, VDD, mask) STA verdict
+  /// already present is reused instead of re-running STA (counted in
+  /// the stats' store_hits), and every fresh verdict is inserted back.
+  /// The result is bit-identical with or without the store — stored
+  /// wns values round-trip as exact double bit patterns — only the
+  /// sta_runs / store_hits split changes. nullptr (the default)
+  /// disables both directions; the caller owns the store and decides
+  /// when to Flush() it to disk.
+  store::ExplorationStore* store = nullptr;
+  /// Signoff lint gate applied to the implemented netlist before the
+  /// search — the same netlist DRC + flow-artifact rules the
+  /// implementation flow enforces at signoff (core::SignoffLint), so
+  /// a corrupt or hand-mutated netlist is rejected identically on the
+  /// exhaustive and frontier engines. kOff (the default) preserves
+  /// historical behavior.
+  lint::LintGate lint = lint::LintGate::kOff;
+};
+
+struct ExploreOptions : SweepOptions {
   /// BB masks to consider; empty = all 2^NMAX (the paper's method).
   /// DVAS baselines restrict this to all-NoBB {0} or all-FBB.
   std::vector<tech::DomainMask> masks;
-  int activity_cycles = 1024;
-  std::uint64_t seed = 7;
   /// The unpruned reference sweep: record every lattice point in
   /// ExplorationResult::all_points, each with its computed wns_ns.
   /// This turns both exact prunes off (the monotone-in-bitwidth one
@@ -142,37 +179,6 @@ struct ExploreOptions {
   /// either way; the prunes only trade sta_runs for pruned and
   /// mask_pruned.
   bool keep_all_points = false;
-  /// Worker threads sharding the (VDD, mask) lattice and the per-mode
-  /// activity extraction: 0 = one per hardware thread, 1 = run the
-  /// whole sweep inline on the caller, n > 1 = n workers. Every
-  /// setting yields a bit-identical ExplorationResult — modes, stats
-  /// and all_points ordering included — because each lattice point is
-  /// a pure function of (bitwidth, VDD, mask) and the per-point
-  /// outcomes are folded serially in lattice order (deterministic
-  /// merge). The monotone-infeasibility filter prunes identically
-  /// too: the shared failure table is only consulted for bitwidths
-  /// above the one that set it, and bitwidths are separated by a
-  /// pool barrier; mask-dominance decisions similarly only consult
-  /// popcount levels separated by a barrier. Contract enforced by
-  /// tests/test_parallel_explore.
-  int num_threads = 0;
-  /// Optional persistent exploration store (store/exploration_store.h)
-  /// warm-starting the sweep: every (bitwidth, VDD, mask) STA verdict
-  /// already present is reused instead of re-running STA (counted in
-  /// stats.store_hits), and every fresh verdict is inserted back. The
-  /// result is bit-identical with or without the store — stored wns
-  /// values round-trip as exact double bit patterns — only the
-  /// sta_runs / store_hits split changes. nullptr (the default)
-  /// disables both directions; the caller owns the store and decides
-  /// when to Flush() it to disk.
-  store::ExplorationStore* store = nullptr;
-  /// Signoff lint gate applied to the implemented netlist before the
-  /// sweep — the same netlist DRC + flow-artifact rules the
-  /// implementation flow enforces at signoff (core::SignoffLint), so
-  /// a corrupt or hand-mutated netlist is rejected identically on the
-  /// exhaustive and frontier engines. kOff (the default) preserves
-  /// historical behavior.
-  lint::LintGate lint = lint::LintGate::kOff;
 };
 
 /// Throws ExploreError when the request asks for the full mask

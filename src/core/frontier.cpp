@@ -30,28 +30,13 @@ const FrontierModeResult& FrontierResult::Mode(int bitwidth) const {
 
 ExplorationResult FrontierResult::ToExplorationResult() const {
   ExplorationResult out;
-  for (const FrontierModeResult& m : modes) {
-    ModeResult mr;
-    mr.bitwidth = m.bitwidth;
-    mr.has_solution = m.has_solution;
-    mr.best = m.best;
-    mr.switched_energy_fj = m.switched_energy_fj;
-    out.modes.push_back(mr);
-  }
+  out.modes.assign(modes.begin(), modes.end());  // slices to ModeResult
   out.stats.sta_runs = stats.sta_runs;
   out.stats.store_hits = stats.store_hits;
   return out;
 }
 
 namespace {
-
-/// One STA verdict of a lattice point (vi, mask) at one bitwidth.
-/// wns_ns round-trips through the store as exact bits, so a
-/// warm-started search folds the very same doubles a cold one does.
-struct Verdict {
-  bool feasible = false;
-  double wns_ns = 0.0;
-};
 
 /// A lattice point (VDD index, FBB mask) and its hash. The search only
 /// ever looks points up; no output depends on a hash container's
@@ -69,7 +54,7 @@ struct PointKeyHash {
 /// resolved at.
 struct VerdictEntry {
   std::size_t bi = 0;
-  Verdict v;
+  PointVerdict v;
 };
 
 /// A search node: the subtree of masks m with mask ⊆ m ⊆ mask |
@@ -179,26 +164,18 @@ std::vector<double> AccuracyCriticality(
   const std::vector<std::shared_ptr<const netlist::CaseAnalysis>> cas =
       sim::ModeCaseAnalyses(op, zeroed);
   std::vector<sta::TimingAnalyzer::DetailedTiming> dts(sorted.size());
-  const int nthreads = util::ResolveNumThreads(num_threads);
-  if (nthreads <= 1) {
-    sta::TimingAnalyzer analyzer(nl, lib, loads);
-    for (std::size_t i = 0; i < sorted.size(); ++i)
-      analyzer.AnalyzeDetailed(tech::CellLibrary::kVddNominal, clock_ns,
-                               fbb, cas[i].get(), &dts[i]);
-  } else {
-    util::ThreadPool pool(nthreads);
-    std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
-        static_cast<std::size_t>(pool.num_threads()));
-    pool.ParallelFor(
-        static_cast<std::int64_t>(sorted.size()), 1,
-        [&](std::int64_t i, int w) {
-          auto& a = analyzer[static_cast<std::size_t>(w)];
-          if (!a) a = std::make_unique<sta::TimingAnalyzer>(nl, lib, loads);
-          a->AnalyzeDetailed(tech::CellLibrary::kVddNominal, clock_ns, fbb,
-                             cas[static_cast<std::size_t>(i)].get(),
-                             &dts[static_cast<std::size_t>(i)]);
-        });
-  }
+  util::ThreadPool pool(num_threads);
+  std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
+      static_cast<std::size_t>(pool.num_threads()));
+  pool.ParallelFor(
+      static_cast<std::int64_t>(sorted.size()), 1,
+      [&](std::int64_t i, int w) {
+        auto& a = analyzer[static_cast<std::size_t>(w)];
+        if (!a) a = std::make_unique<sta::TimingAnalyzer>(nl, lib, loads);
+        a->AnalyzeDetailed(tech::CellLibrary::kVddNominal, clock_ns, fbb,
+                           cas[static_cast<std::size_t>(i)].get(),
+                           &dts[static_cast<std::size_t>(i)]);
+      });
 
   for (std::size_t k = 0; k < sorted.size(); ++k) {
     const int bw = sorted[k];
@@ -231,14 +208,11 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   ADQ_CHECK_MSG(ndom >= 1 && ndom <= tech::kMaxDomains,
                 "domain count " << ndom << " outside [1, "
                                 << tech::kMaxDomains << "]");
-  ADQ_CHECK(!opt.vdds.empty());
 
-  // Lint gate, mode list, power model, store context and mode
-  // constants: the setup shared with the exhaustive engine.
+  // Lint gate, mode list, power model, store context, mode constants
+  // and the verdict step: shared with the exhaustive engine.
   ModeContext ctx(ModeContext::Engine::kFrontier, design, lib, opt);
   const std::vector<int>& bitwidths = ctx.bitwidths();
-  store::ExplorationStore* const store = ctx.store();
-  const int store_ctx = ctx.store_ctx();
 
   // Branch order: most accuracy-critical domains first (they decide
   // feasibility highest in the tree). The criticality probe is
@@ -285,29 +259,19 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   // wave vectors below stay valid.
   std::unordered_map<PointKey, VerdictEntry, PointKeyHash> verdicts;
 
-  // A ≤kStaBatchWidth run of the wave's fresh points (it may span VDD
-  // rows) for one AnalyzeBatch call.
-  struct EvalChunk {
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
   // Per-wave scratch, reused across waves.
   std::vector<Node> wave;
   // A wave node's (maximal-mask, minimal-mask) verdict slots.
-  std::vector<std::pair<const Verdict*, const Verdict*>> wave_verdicts;
+  std::vector<std::pair<const PointVerdict*, const PointVerdict*>>
+      wave_verdicts;
   // This wave's newly claimed points, in first-demand order.
-  std::vector<std::pair<PointKey, const Verdict*>> resolved;
-  // The subset that must run STA, with the slot each result fills.
-  std::vector<std::pair<PointKey, Verdict*>> need;
-  // The fresh points in (VDD, demand) order, as aligned lane arrays.
-  std::vector<std::size_t> lane_idx;
-  std::vector<double> lane_vdds;
-  std::vector<tech::DomainMask> lane_masks;
-  std::vector<EvalChunk> chunks;
+  std::vector<std::pair<PointKey, const PointVerdict*>> resolved;
+  // The subset left to Resolve, and the slot each verdict fills.
+  std::vector<LatticePoint> need;
+  std::vector<PointVerdict*> need_slots;
 
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = ctx.case_analysis(bi);
     ADQ_TRACE_SCOPE2("frontier.bitwidth", std::to_string(bw));
 
     std::vector<double> dyn(nv);
@@ -353,17 +317,18 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
 
       // Verdict demands: each node needs its minimal and maximal
       // mask. The first demand of a point at this bitwidth claims its
-      // entry; bitwidth-carried proofs and store hits fill it serially
-      // here, the rest queue for batched STA.
+      // entry; bitwidth-carried proofs fill it serially here, the rest
+      // queue for Resolve in demand order.
       resolved.clear();
       need.clear();
+      need_slots.clear();
       wave_verdicts.clear();
       auto demand = [&](std::size_t vi, tech::DomainMask m) {
         const PointKey key{vi, m};
         const auto [it, fresh] =
             verdicts.try_emplace(key, VerdictEntry{bi, {}});
         VerdictEntry& e = it->second;
-        Verdict* const v = &e.v;
+        PointVerdict* const v = &e.v;
         if (!fresh) {
           if (e.bi == bi) return v;  // known at this bitwidth
           const bool carried = !v->feasible;
@@ -371,64 +336,27 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
           if (carried) {
             resolved.emplace_back(key, v);
             ++result.stats.transfer_hits;
-            return v;  // default Verdict: infeasible
+            return v;  // default PointVerdict: infeasible
           }
         }
         resolved.emplace_back(key, v);
-        if (store != nullptr &&
-            store->Lookup(store_ctx, bw, opt.vdds[vi], m, &v->feasible,
-                          &v->wns_ns)) {
-          ++result.stats.store_hits;
-          return v;
-        }
-        need.emplace_back(key, v);
+        need.push_back({vi, m});
+        need_slots.push_back(v);
         return v;
       };
       for (const Node& n : wave) {
-        const Verdict* vmax =
+        const PointVerdict* vmax =
             demand(n.vi, n.mask | tail[static_cast<std::size_t>(n.depth)]);
         wave_verdicts.emplace_back(vmax, demand(n.vi, n.mask));
       }
 
-      // Batched STA of the fresh points, sharded on the pool; each
-      // lane fills its own claimed slot. Lanes run in (VDD, demand)
-      // order and full batches are cut across VDD rows. Store
-      // write-back is serial in demand order.
-      if (!need.empty()) {
-        lane_idx.clear();
-        lane_vdds.clear();
-        lane_masks.clear();
-        chunks.clear();
-        for (std::size_t vi = 0; vi < nv; ++vi)
-          for (std::size_t i = 0; i < need.size(); ++i)
-            if (need[i].first.first == vi) {
-              lane_idx.push_back(i);
-              lane_vdds.push_back(opt.vdds[vi]);
-              lane_masks.push_back(need[i].first.second);
-            }
-        for (std::size_t c = 0; c < lane_idx.size(); c += kStaBatchWidth)
-          chunks.push_back({c, std::min(kStaBatchWidth, lane_idx.size() - c)});
-        ctx.pool().ParallelFor(
-            static_cast<std::int64_t>(chunks.size()), 1,
-            [&](std::int64_t idx, int w) {
-              ctx.NameLane(w);
-              const EvalChunk& c = chunks[static_cast<std::size_t>(idx)];
-              obs::TraceSpan batch_span("sta.batch");
-              const std::vector<sta::TimingReport> reps =
-                  ctx.analyzer(w).AnalyzeBatch(
-                      std::span(lane_vdds).subspan(c.begin, c.count),
-                      design.clock_ns,
-                      std::span(lane_masks).subspan(c.begin, c.count),
-                      domain_of, &bca);
-              for (std::size_t l = 0; l < c.count; ++l)
-                *need[lane_idx[c.begin + l]].second =
-                    Verdict{reps[l].feasible(), reps[l].wns_ns};
-            });
-        result.stats.sta_runs += static_cast<long>(need.size());
-        if (store != nullptr)
-          for (const auto& [key, v] : need)
-            store->Insert(store_ctx, bw, opt.vdds[key.first], key.second,
-                          v->feasible, v->wns_ns);
+      const std::vector<PointVerdict> got = ctx.Resolve(bi, need);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        *need_slots[i] = got[i];
+        if (got[i].from_store)
+          ++result.stats.store_hits;
+        else
+          ++result.stats.sta_runs;
       }
 
       // Candidate fold: every feasible verdict resolved this wave is

@@ -38,10 +38,13 @@
 /// Determinism: results are bit-identical at every worker count.
 /// Expansion proceeds in waves of a fixed (option-controlled, never
 /// thread-derived) width; the wave's verdict demands are deduplicated
-/// (the first demand of a point claims its verdict slot) and evaluated
-/// into those slots on the pool, and all search-state mutation —
-/// incumbent updates, child generation, store write-back — happens
-/// serially in wave order.
+/// (the first demand of a point claims its verdict slot), demands not
+/// settled by a smaller bitwidth's infeasibility go to the verdict
+/// step shared with the exhaustive engine (core::ModeContext::Resolve,
+/// which runs the STA batches on the pool and touches the store
+/// serially in demand order), and all search-state mutation —
+/// incumbent updates, child generation — happens serially in wave
+/// order.
 ///
 /// The persistent exploration store (store/exploration_store.h) warm-
 /// starts the search: verdicts are keyed exactly like the exhaustive
@@ -54,17 +57,13 @@
 
 #include "core/explore.h"
 #include "core/flow.h"
-#include "store/exploration_store.h"
 
 namespace adq::core {
 
-struct FrontierOptions {
-  /// Supply range, as in ExploreOptions.
-  std::vector<double> vdds = {1.0, 0.9, 0.8, 0.7, 0.6};
-  /// Accuracy modes (active bits); empty = 1 .. data_width.
-  std::vector<int> bitwidths;
-  int activity_cycles = 1024;
-  std::uint64_t seed = 7;
+/// The shared SweepOptions (vdds, bitwidths, activity_cycles, seed,
+/// num_threads, store, lint) with the same contracts as for the
+/// exhaustive engine, plus the search's own knobs.
+struct FrontierOptions : SweepOptions {
   /// Nodes expanded per wave. Fixed by this option — never derived
   /// from the worker count — so the search trajectory (and therefore
   /// the result, stats included) is bit-identical at any num_threads.
@@ -78,26 +77,11 @@ struct FrontierOptions {
   /// decided in index order) — results stay identical, only the
   /// search trajectory (and node count) changes.
   double criticality_slack_window_ns = 0.05;
-  /// Worker threads evaluating each wave's STA batch; same contract
-  /// as ExploreOptions::num_threads (0 = hardware concurrency), and
-  /// like there every setting yields a bit-identical result.
-  int num_threads = 0;
-  /// Optional persistent exploration store; same contract as
-  /// ExploreOptions::store (bit-identical, trades sta_runs for
-  /// store_hits). The caller owns the store and its Flush().
-  store::ExplorationStore* store = nullptr;
-  /// Signoff lint gate (core::SignoffLint), as in ExploreOptions: the
-  /// frontier engine vets the implemented netlist with exactly the
-  /// gate the exhaustive Flow path uses. kOff by default.
-  lint::LintGate lint = lint::LintGate::kOff;
 };
 
-/// Outcome of one accuracy mode's lattice search.
-struct FrontierModeResult {
-  int bitwidth = 0;
-  bool has_solution = false;
-  ExploredPoint best;
-  double switched_energy_fj = 0.0;
+/// Outcome of one accuracy mode's lattice search: the exhaustive
+/// engine's ModeResult plus the search's certificate.
+struct FrontierModeResult : ModeResult {
   /// True when the open frontier was exhausted: `best` is proved
   /// optimal (exactly the exhaustive sweep's selection).
   bool certified = false;
@@ -106,10 +90,6 @@ struct FrontierModeResult {
   /// every open bound already exceeds the incumbent.
   double gap_w = 0.0;
   long nodes_expanded = 0;
-  /// Always false, as ModeResult::statically_pruned: kept only
-  /// because the end-to-end benchmark (perfbench/e2e.cpp) still reads
-  /// it, and deleted with that benchmark's next change.
-  bool statically_pruned = false;
 };
 
 struct FrontierStats {
@@ -158,7 +138,8 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
 /// never-critical cells score 1.25. `num_threads` shards the
 /// per-bitwidth timing probes (0 = one per hardware thread); the
 /// scores are identical for every setting because each probe is
-/// independent and they are folded in ascending-bitwidth order.
+/// independent and they are folded in ascending-bitwidth order. A
+/// 1-thread pool runs the probes inline on the caller.
 std::vector<double> AccuracyCriticality(
     const gen::Operator& op, const tech::CellLibrary& lib,
     const place::NetLoads& loads, double clock_ns,

@@ -1,8 +1,8 @@
 #pragma once
 /// \file mode_context.h
-/// \brief Per-design setup shared by the two exploration engines,
-/// core::ExploreDesignSpace and core::FrontierExplore (internal to
-/// src/core).
+/// \brief Per-design setup and the verdict step shared by the two
+/// exploration engines, core::ExploreDesignSpace and
+/// core::FrontierExplore (internal to src/core).
 ///
 /// Both engines search the same (bitwidth, VDD, FBB mask) lattice of
 /// one implemented design, and before the first STA verdict both need
@@ -19,14 +19,18 @@
 ///      structure through the activity cache, sim::ModeCaseAnalyses),
 ///      then per-mode switched energy on the pool.
 ///
-/// The engines differ only in how they walk the lattice. The trace
-/// span name (`<engine>.mode_constants`) and worker lane names
+/// Both engines then settle every lattice point they cannot prune
+/// through Resolve, the paper's STA filter (Sec. III-C): store lookup,
+/// batched STA on the pool, store write-back. The engines differ only
+/// in how they walk the lattice and which points they ask for. The
+/// trace span name (`<engine>.mode_constants`) and worker lane names
 /// (`<engine> worker N`) carry the owning engine, so per-engine
 /// profiles stay separable.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/explore.h"
@@ -36,9 +40,9 @@
 namespace adq::core {
 
 /// Lanes per batched STA call (sta::TimingAnalyzer::AnalyzeBatch) in
-/// both engines: one topological traversal serves this many (VDD,
-/// mask) points. Every lane carries its own supply, so both engines cut
-/// their fresh points into full batches across VDD rows. Every width
+/// ModeContext::Resolve: one topological traversal serves this many
+/// (VDD, mask) points. Every lane carries its own supply, so Resolve
+/// cuts its fresh points into full batches across VDD rows. Every width
 /// is bit-identical (pinned lane by lane in tests/test_sta_batch); only
 /// throughput changes. At 16 the frontier_store workload takes 2,619
 /// calls at 13.1 lanes (34,235 lanes) and the exhaustive sweep of
@@ -50,19 +54,30 @@ namespace adq::core {
 /// engines.
 inline constexpr std::size_t kStaBatchWidth = 16;
 
+/// One lattice point of a Resolve request: an index into the options'
+/// vdds and an FBB mask.
+struct LatticePoint {
+  std::size_t vi = 0;
+  tech::DomainMask mask = 0;
+};
+
+/// STA verdict of one lattice point. wns_ns round-trips through the
+/// store as exact bits, so a warm verdict equals a cold one. The two
+/// flags lead so the struct stays 16 bytes: the frontier keeps one
+/// per visited point.
+struct PointVerdict {
+  bool feasible = false;
+  bool from_store = false;  ///< served by the persistent store
+  double wns_ns = 0.0;
+};
+
 class ModeContext {
  public:
   enum class Engine { kExhaustive, kFrontier };
 
-  /// Builds the context from an ExploreOptions or a FrontierOptions
-  /// (the fields the two share).
-  template <typename Options>
+  /// Checks that opt.vdds is not empty, then builds the context.
   ModeContext(Engine engine, const ImplementedDesign& design,
-              const tech::CellLibrary& lib, const Options& opt)
-      : ModeContext(engine, design, lib,
-                    Setup{opt.vdds, opt.bitwidths, opt.activity_cycles,
-                          opt.seed, opt.lint, opt.store,
-                          opt.num_threads}) {}
+              const tech::CellLibrary& lib, const SweepOptions& opt);
 
   /// The modes to search, ascending; never empty.
   const std::vector<int>& bitwidths() const { return bitwidths_; }
@@ -89,14 +104,21 @@ class ModeContext {
     return leak_w;
   }
 
-  /// Persistent store (nullptr when off) and this design's context id
-  /// in it (-1 when off).
-  store::ExplorationStore* store() const { return store_; }
-  int store_ctx() const { return store_ctx_; }
-
-  util::ThreadPool& pool() { return pool_; }
   /// Resolved worker count (never 0).
   int num_threads() const { return pool_.num_threads(); }
+
+  /// The STA verdicts of `points` at bitwidths()[bi], index-aligned.
+  /// With a store, lookups and then write-backs of the fresh verdicts
+  /// run serially in request order, so the store's record order is a
+  /// pure function of the request. Every other point runs on the pool
+  /// in VDD-major request order, kStaBatchWidth lanes per
+  /// AnalyzeBatch, with batches cut across VDD rows. Each verdict is
+  /// bit-identical to a scalar sta::TimingAnalyzer::Analyze of the
+  /// point, at every worker count.
+  std::vector<PointVerdict> Resolve(std::size_t bi,
+                                    std::span<const LatticePoint> points);
+
+ private:
   /// Worker w's analyzer, built on first use; each worker owns one
   /// because the analyzer reuses per-net scratch.
   sta::TimingAnalyzer& analyzer(int w);
@@ -104,24 +126,11 @@ class ModeContext {
   /// per thread and engine.
   void NameLane(int w) const;
 
- private:
-  /// The option fields ExploreOptions and FrontierOptions share.
-  struct Setup {
-    const std::vector<double>& vdds;
-    const std::vector<int>& bitwidths;
-    int activity_cycles;
-    std::uint64_t seed;
-    lint::LintGate lint;
-    store::ExplorationStore* store;
-    int num_threads;
-  };
-  ModeContext(Engine engine, const ImplementedDesign& design,
-              const tech::CellLibrary& lib, const Setup& setup);
-
   Engine engine_;
   const ImplementedDesign& design_;
   const tech::CellLibrary& lib_;
   int ndom_;
+  std::vector<double> vdds_;
   std::vector<int> bitwidths_;
   power::PowerModel pmodel_;
   std::vector<double> dom_weight_;

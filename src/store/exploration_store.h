@@ -84,7 +84,7 @@ struct StoreStats {
 
 /// Thread-safe store handle over one directory. One process opens one
 /// handle per directory; the engines share it via
-/// ExploreOptions::store / FrontierOptions::store.
+/// core::SweepOptions::store.
 class ExplorationStore {
  public:
   /// Opens (creating the directory if needed) and loads every

@@ -300,6 +300,16 @@ TEST(Controller, TableAndSwitchEnergy) {
   EXPECT_FALSE(ctrl.RenderTable().empty());
 }
 
+// An empty supply list is a contract error in both engines: the
+// check sits in the setup they share (core::ModeContext), so the
+// exhaustive engine fails as loudly as the frontier one instead of
+// returning no solution at any bitwidth.
+TEST(Explore, EmptySupplyListFailsLoudly) {
+  ExploreOptions opt = FastOptions();
+  opt.vdds.clear();
+  EXPECT_THROW(ExploreDesignSpace(Design22(), Lib(), opt), CheckError);
+}
+
 TEST(Explore, ModeLookup) {
   const ExplorationResult r =
       ExploreDesignSpace(Design22(), Lib(), FastOptions());

@@ -5,8 +5,8 @@
 /// bit-identical, STA fully traded for store hits), and verdict
 /// sharing between the frontier and exhaustive engines through one
 /// store directory, a golden digest of the budgeted 25-domain
-/// search, the branch-order criticality probe, and the signoff lint
-/// gate.
+/// search, the verdict step both engines share (ModeContext::Resolve),
+/// the branch-order criticality probe, and the signoff lint gate.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +21,15 @@
 #include <string>
 #include <vector>
 
+#include "core/accuracy.h"
 #include "core/explore.h"
 #include "core/flow.h"
 #include "core/frontier.h"
 #include "core/mode_context.h"
 #include "netlist/netlist.h"
 #include "obs/obs.h"
+#include "sim/activity.h"
+#include "sta/sta.h"
 #include "store/exploration_store.h"
 #include "util/check.h"
 
@@ -452,6 +455,107 @@ TEST(ModeContext, LeakageTableMatchesMaskLeakageW) {
                 std::bit_cast<std::uint64_t>(oracle))
           << "vdd " << opt.vdds[vi] << " mask 0x" << std::hex << m;
     }
+}
+
+// The verdict step both engines share: every verdict of a request
+// with interleaved supplies, some of them seeded in a store, equals
+// a scalar Analyze of the point; exactly the seeded points come from
+// the store, and the flush after Resolve holds exactly the fresh
+// points — at one worker and at four.
+TEST(ModeContext, ResolveMatchesScalarAnalyzeAndStoresFreshPoints) {
+  const ImplementedDesign& d = Design22();
+  ASSERT_EQ(d.num_domains(), 4);
+  FrontierOptions opt;
+  opt.vdds = {0.9, 0.6, 1.0, 0.7};
+  opt.bitwidths = {3, 6};
+  opt.activity_cycles = 64;
+  const std::size_t bi = 1;
+  const int bw = 6;
+
+  // Every (vdd, mask) point once, in a shuffled order, so VDD rows
+  // interleave; every third one is seeded.
+  std::vector<LatticePoint> points;
+  for (std::size_t vi = 0; vi < opt.vdds.size(); ++vi)
+    for (tech::DomainMask m = 0; m <= tech::FullMask(4); ++m)
+      points.push_back({vi, m});
+  std::shuffle(points.begin(), points.end(), std::mt19937_64(20261021));
+  auto seeded = [](std::size_t i) { return i % 3 == 0; };
+
+  sta::TimingAnalyzer scalar(d.op.nl, Lib(), d.loads);
+  const std::vector<int> zeroed = {ZeroedLsbs(d.op, bw)};
+  const std::shared_ptr<const netlist::CaseAnalysis> ca =
+      sim::ModeCaseAnalyses(d.op, zeroed)[0];
+  std::vector<sta::TimingReport> oracle;
+  for (const LatticePoint& p : points)
+    oracle.push_back(scalar.Analyze(opt.vdds[p.vi], d.clock_ns,
+                                    BiasVectorFor(d, p.mask), ca.get()));
+
+  auto segments = [](const fs::path& dir) {
+    std::vector<fs::path> out;
+    for (const auto& e : fs::directory_iterator(dir))
+      if (e.path().extension() == ".adqstore") out.push_back(e.path());
+    return out;
+  };
+  for (const int nt : {1, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(nt));
+    const fs::path dir = fs::path(::testing::TempDir()) / "resolve_store";
+    const fs::path fresh_dir =
+        fs::path(::testing::TempDir()) / "resolve_store_fresh";
+    fs::remove_all(dir);
+    fs::remove_all(fresh_dir);
+    std::size_t nseeded = 0;
+    {
+      store::ExplorationStore st(dir.string());
+      const int c = st.Context(ExploreStoreKey(d));
+      for (std::size_t i = 0; i < points.size(); ++i)
+        if (seeded(i)) {
+          st.Insert(c, bw, opt.vdds[points[i].vi], points[i].mask,
+                    oracle[i].feasible(), oracle[i].wns_ns);
+          ++nseeded;
+        }
+      ASSERT_TRUE(st.Flush());
+    }
+    const std::vector<fs::path> seed_segments = segments(dir);
+    ASSERT_EQ(seed_segments.size(), 1u);
+
+    store::ExplorationStore st(dir.string());
+    opt.store = &st;
+    opt.num_threads = nt;
+    ModeContext ctx(ModeContext::Engine::kExhaustive, d, Lib(), opt);
+    ASSERT_EQ(ctx.bitwidths()[bi], bw);
+    const std::vector<PointVerdict> got = ctx.Resolve(bi, points);
+    ASSERT_EQ(got.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      SCOPED_TRACE("point " + std::to_string(i));
+      EXPECT_EQ(got[i].feasible, oracle[i].feasible());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].wns_ns),
+                std::bit_cast<std::uint64_t>(oracle[i].wns_ns));
+      EXPECT_EQ(got[i].from_store, seeded(i));
+    }
+    EXPECT_EQ(st.stats().hits, nseeded);
+    ASSERT_TRUE(st.Flush());
+
+    // The new segment, alone in a directory, holds the fresh points.
+    fs::create_directories(fresh_dir);
+    for (const fs::path& seg : segments(dir))
+      if (seg != seed_segments[0])
+        fs::copy_file(seg, fresh_dir / seg.filename());
+    store::ExplorationStore fresh(fresh_dir.string());
+    EXPECT_EQ(fresh.stats().segments_loaded, 1u);
+    EXPECT_EQ(fresh.num_records(), points.size() - nseeded);
+    const int fc = fresh.Context(ExploreStoreKey(d));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      bool feasible = false;
+      double wns = 0.0;
+      const bool hit = fresh.Lookup(fc, bw, opt.vdds[points[i].vi],
+                                    points[i].mask, &feasible, &wns);
+      EXPECT_EQ(hit, !seeded(i)) << "point " << i;
+      if (!hit) continue;
+      EXPECT_EQ(feasible, oracle[i].feasible());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(wns),
+                std::bit_cast<std::uint64_t>(oracle[i].wns_ns));
+    }
+  }
 }
 
 // Signoff lint gate: the exhaustive engine's (tests/test_explore),
